@@ -17,7 +17,7 @@ asserted as a property by the test suite rather than assumed here.
 from __future__ import annotations
 
 import itertools
-import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -115,6 +115,34 @@ class AuditReport:
         return not self.independence_violations and self.theorem.status != "violated"
 
 
+def _superset_sums(model: Model, hypotheses) -> list[int]:
+    """``T[S] = L * P(one of hypotheses, and every E_j true for j in S)``,
+    indexed by bitmask S: the superset-sum (zeta) transform of the atoms.
+
+    Each of Yates' m passes adds every odd entry onto its even neighbour,
+    folding bit 0, and rotates that bit to the top; m * 2**(m-1) additions.
+    """
+    table = [0] * (1 << model.m)
+    for i in hypotheses:
+        for mask, num in model.numerators(i):
+            table[mask] += num
+    half = len(table) >> 1
+    for _ in range(model.m):
+        odd = table[1::2]
+        table[:half] = map(operator.add, table[0::2], odd)
+        table[half:] = odd
+    return table
+
+
+def _totals(model: Model) -> list[int]:
+    """The superset sums of the whole model, built once and kept on it; never mutated."""
+    totals = vars(model).get("_superset_totals")
+    if totals is None:
+        totals = _superset_sums(model, range(1, model.n + 1))
+        object.__setattr__(model, "_superset_totals", totals)
+    return totals
+
+
 def check_independence(
     model: Model,
     i: int,
@@ -126,9 +154,13 @@ def check_independence(
     """All evidence subsets (|J| >= 2) whose conditional fails to factorize.
 
     In pairwise mode only |J| = 2 subsets are tested — a strictly weaker
-    check, but linear in m**2 instead of exponential.  If the conditioning
-    cell has probability zero there are no conditionals to audit and the
-    result is empty; callers track degeneracy separately.
+    check.  If the conditioning cell has probability zero there are no
+    conditionals to audit and the result is empty; callers track degeneracy
+    separately.
+
+    With ``g`` the superset sums of H_i (given H) or of the other cells
+    (given not-H: ``T - g``), P(AND_J E_j | side) is ``g[J] / g[{}]``, so J
+    factorizes iff ``g[J] * g[{}]**(|J|-1) == prod_{j in J} g[{j}]``.
     """
     model.check_hypothesis(i)
     if not pairwise and model.m > max_full_evidence:
@@ -136,44 +168,56 @@ def check_independence(
             f"full subset audit needs 2**{model.m} subsets (m={model.m} > cap "
             f"{max_full_evidence}); use pairwise mode or raise the cap"
         )
-    mass = model.prior(i) if side is Side.GIVEN_H else 1 - model.prior(i)
-    if mass == 0:
+    prior = model.prior(i)
+    if prior == (0 if side is Side.GIVEN_H else 1):
         return []
-    singles = {j: model.cond({j: True}, i, side) for j in range(1, model.m + 1)}
-    sizes = (2,) if pairwise else range(2, model.m + 1)
-    violations = []
-    for size in sizes:
-        for subset in itertools.combinations(range(1, model.m + 1), size):
-            joint = model.cond({j: True for j in subset}, i, side)
-            product = math.prod((singles[j] for j in subset), start=Fraction(1))
-            if joint != product:
-                violations.append(IndependenceViolation(i, side, subset, joint, product))
-    return violations
+    if prior == 0:
+        table = list(_totals(model))  # the complement of an empty cell is everything
+    else:
+        table = _superset_sums(model, (i,))
+        if side is Side.GIVEN_NOT_H:
+            table[:] = map(operator.sub, _totals(model), table)
+    # Masks run upward, so J's lower part (J minus its top bit) comes first and
+    # has had its table entry replaced by its product of singletons.
+    powers = [table[0] ** size for size in range(model.m)]
+    failing = []
+    for mask in range(3, len(table)):
+        top = 1 << (mask.bit_length() - 1)
+        size = mask.bit_count()
+        if mask == top or (pairwise and size > 2):
+            continue
+        joint = table[mask]
+        table[mask] = product = table[mask ^ top] * table[top]
+        if joint * powers[size - 1] != product:
+            subset = tuple(j + 1 for j in range(model.m) if mask >> j & 1)
+            failing.append(
+                IndependenceViolation(
+                    i, side, subset, Fraction(joint, table[0]), Fraction(product, table[0] ** size)
+                )
+            )
+    failing.sort(key=lambda violation: (len(violation.subset), violation.subset))
+    return failing
 
 
 def relevant_evidence(model: Model, i: int) -> frozenset[int]:
     """Evidence indices able to update H_i: { j : P(E_j | H_i) != P(E_j) }.
 
     Degenerate hypotheses (prior 0 or 1) admit no updating and return the
-    empty set.
+    empty set.  With ``g`` and ``T`` as in :func:`check_independence`, the
+    test is ``g[{j}] * T[{}] != T[{j}] * g[{}]``.
     """
     model.check_hypothesis(i)
     prior = model.prior(i)
     if prior == 0 or prior == 1:
         return frozenset()
+    column = model.numerators(i)
+    mass = sum(num for _, num in column)
+    totals = _totals(model)
     return frozenset(
-        j
-        for j in range(1, model.m + 1)
-        if model.cond({j: True}, i, Side.GIVEN_H) != model.event_prob({j: True})
+        j + 1
+        for j in range(model.m)
+        if sum(num for mask, num in column if mask >> j & 1) * totals[0] != totals[1 << j] * mass
     )
-
-
-def _collect_violations(model: Model, pairwise: bool) -> tuple[IndependenceViolation, ...]:
-    out: list[IndependenceViolation] = []
-    for i in range(1, model.n + 1):
-        for side in (Side.GIVEN_H, Side.GIVEN_NOT_H):
-            out.extend(check_independence(model, i, side, pairwise=pairwise))
-    return tuple(out)
 
 
 def _theorem_outcome(
@@ -206,13 +250,7 @@ def assert_theorem(model: Model, *, mode: str = "full") -> TheoremOutcome:
     Not applicable when n <= 2 or when any independence violation exists (the
     structural claim only binds models that satisfy the assumptions).
     """
-    pairwise = _parse_mode(mode)
-    violations = _collect_violations(model, pairwise)
-    degenerate = frozenset(
-        i for i in range(1, model.n + 1) if model.prior(i) in (0, 1)
-    )
-    relevance = {i: relevant_evidence(model, i) for i in range(1, model.n + 1)}
-    return _theorem_outcome(model.n, violations, relevance, degenerate)
+    return check_assumptions(model, mode=mode).theorem
 
 
 def _parse_mode(mode: str) -> bool:
@@ -224,7 +262,12 @@ def _parse_mode(mode: str) -> bool:
 def check_assumptions(model: Model, mode: str = "full") -> AuditReport:
     """Run every audit and collect the verdicts into one report."""
     pairwise = _parse_mode(mode)
-    violations = _collect_violations(model, pairwise)
+    violations = tuple(
+        violation
+        for i in range(1, model.n + 1)
+        for side in Side
+        for violation in check_independence(model, i, side, pairwise=pairwise)
+    )
     degenerate = frozenset(i for i in range(1, model.n + 1) if model.prior(i) in (0, 1))
     relevance = {i: relevant_evidence(model, i) for i in range(1, model.n + 1)}
 

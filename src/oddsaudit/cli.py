@@ -27,11 +27,11 @@ from .construct import EXAMPLE_NAMES, example_model, measurement_scenario
 from .errors import ModelError, SweepLimitError
 from .model import Model, Side
 from .modelfile import dump, dumps, load
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_integer, parse_rational
 from .sweep import DEFAULT_MAX_MODELS, SweepConfig, SweepResult, sweep
 from .updating import odds_posterior
 
-_OBSERVE_TOKEN = re.compile(r"^E(\d+)=(0|1)$")
+_OBSERVE_TOKEN = re.compile(r"E([0-9]+)=(0|1)")
 
 
 def parse_observation(text: str, m: int) -> dict[int, bool]:
@@ -42,7 +42,7 @@ def parse_observation(text: str, m: int) -> dict[int, bool]:
         return event
     for token in text.split(","):
         token = token.strip()
-        match = _OBSERVE_TOKEN.match(token)
+        match = _OBSERVE_TOKEN.fullmatch(token)
         if match is None:
             raise ValueError(f"bad observation token {token!r}; expected E<j>=<0|1>")
         j = int(match.group(1))
@@ -52,6 +52,14 @@ def parse_observation(text: str, m: int) -> dict[int, bool]:
             raise ValueError(f"duplicate observation for E{j}")
         event[j] = match.group(2) == "1"
     return event
+
+
+def _integer_option(text: str) -> int:
+    """argparse type for integer options, under the model files' integer grammar."""
+    try:
+        return parse_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _rational_list(text: str, what: str) -> list[Fraction]:
@@ -191,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument(
         "--pairwise",
         action="store_true",
-        help="test only size-2 evidence subsets (weaker, but polynomial in m)",
+        help="test only size-2 evidence subsets (a weaker check)",
     )
     p_audit.set_defaults(func=cmd_audit)
 
@@ -209,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="direct conditioning on the atom table, or the odds-product scheme",
     )
     target = p_post.add_mutually_exclusive_group(required=True)
-    target.add_argument("-i", dest="hypothesis", type=int, help="hypothesis index (1-based)")
+    target.add_argument(
+        "-i", dest="hypothesis", type=_integer_option, help="hypothesis index (1-based)"
+    )
     target.add_argument("--all", action="store_true", help="one line per hypothesis")
     p_post.add_argument(
         "--approx",
@@ -226,10 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = commands.add_parser(
         "sweep", help="enumerate a conditional grid and verify single-updating"
     )
-    p_sweep.add_argument("--n", type=int, required=True, help="hypothesis count (> 2)")
-    p_sweep.add_argument("--m", type=int, required=True, help="evidence count (>= 2)")
+    p_sweep.add_argument("--n", type=_integer_option, required=True, help="hypothesis count (> 2)")
+    p_sweep.add_argument("--m", type=_integer_option, required=True, help="evidence count (>= 2)")
     p_sweep.add_argument(
-        "--denominator", type=int, required=True, help="grid denominator D"
+        "--denominator", type=_integer_option, required=True, help="grid denominator D"
     )
     p_sweep.add_argument(
         "--require-condition1",
@@ -241,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--max-models",
-        type=int,
+        type=_integer_option,
         default=DEFAULT_MAX_MODELS,
         help="enumeration budget before aborting with partial counts",
     )
@@ -283,9 +293,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SweepLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ModelError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,16 +14,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import InvalidModelError
-from .model import DEFAULT_MAX_EVIDENCE, Model, sign_vectors
-
-
-def _exact(value, what: str) -> Fraction:
-    if isinstance(value, float):
-        raise InvalidModelError(f"{what} must be exact (int or Fraction), got float {value!r}")
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidModelError(f"{what} is not a rational value: {value!r}") from exc
+from .model import DEFAULT_MAX_EVIDENCE, Model, _exact, sign_vectors
 
 
 @dataclass(frozen=True)

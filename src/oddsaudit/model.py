@@ -24,8 +24,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -76,10 +78,6 @@ def _exact(value, what: str) -> Fraction:
         raise InvalidModelError(f"{what} is not a rational value: {value!r}") from exc
 
 
-def _matches(signs: Signs, event: Event) -> bool:
-    return all(signs[j - 1] == wanted for j, wanted in event.items())
-
-
 @dataclass(frozen=True)
 class Model:
     """Exact joint distribution over ``n`` hypotheses and ``m`` evidence bits.
@@ -88,6 +86,9 @@ class Model:
     zero.  Construction validates nonnegativity and that the total mass is
     exactly 1, then normalises the mapping (zero entries dropped, values
     coerced to ``Fraction``) and freezes it.
+
+    Every query is an integer sum over :meth:`numerators`, the atoms scaled
+    by :attr:`denominator` ``L`` (the lcm of the atom denominators).
     """
 
     n: int
@@ -118,19 +119,35 @@ class Model:
                 raise InvalidModelError(
                     f"sign vector {signs!r} has length {len(signs)}, expected m={self.m}"
                 )
-            value = _exact(raw, f"atom probability for ({i}, {signs_to_bits(signs)})")
-            if value < 0:
+            if isinstance(raw, (int, Fraction)):
+                value = raw if type(raw) is Fraction else Fraction(raw)
+            else:
+                value = _exact(raw, f"atom probability for ({i}, {signs_to_bits(signs)})")
+            if value.numerator < 0:
                 raise InvalidModelError(
                     f"negative atom probability {value} for ({i}, {signs_to_bits(signs)})"
                 )
             if (i, signs) in clean:
                 raise InvalidModelError(f"duplicate atom ({i}, {signs_to_bits(signs)})")
-            if value:
+            if value.numerator:
                 clean[(i, signs)] = value
-        total = sum(clean.values(), Fraction(0))
-        if total != 1:
-            raise InvalidModelError(f"atom probabilities total {total}, expected exactly 1")
+        scale = math.lcm(*(value.denominator for value in clean.values()))
+        bits = [1 << k for k in range(self.m)]
+        columns: dict[int, list[tuple[int, int]]] = {}
+        for (i, signs), value in clean.items():
+            columns.setdefault(i, []).append(
+                (sum(compress(bits, signs)), value.numerator * (scale // value.denominator))
+            )
+        masses = {i: sum(num for _, num in column) for i, column in columns.items()}
+        total = sum(masses.values())
+        if total != scale:
+            raise InvalidModelError(
+                f"atom probabilities total {Fraction(total, scale)}, expected exactly 1"
+            )
         object.__setattr__(self, "atoms", MappingProxyType(clean))
+        object.__setattr__(self, "denominator", scale)
+        object.__setattr__(self, "_columns", {i: tuple(c) for i, c in columns.items()})
+        object.__setattr__(self, "_masses", masses)
 
     def __repr__(self) -> str:
         return f"Model(n={self.n}, m={self.m}, {len(self.atoms)} nonzero atoms)"
@@ -152,29 +169,35 @@ class Model:
         """P(H_i AND the full conjunction described by ``signs``)."""
         return self.atoms.get((i, tuple(signs)), Fraction(0))
 
+    def numerators(self, i: int) -> tuple[tuple[int, int], ...]:
+        """H_i's nonzero atoms as ``(mask, L * probability)`` pairs, ``L`` being
+        :attr:`denominator`; bit ``j-1`` of ``mask`` is the sign of ``E_j``."""
+        self.check_hypothesis(i)
+        return self._columns.get(i, ())
+
+    def _numerator(self, event: Event, i: int | None = None) -> int:
+        """L * P(event), or L * P(event AND H_i) when ``i`` is given."""
+        self.validate_event(event)
+        care = sum(1 << (j - 1) for j in event)
+        want = sum(1 << (j - 1) for j, sign in event.items() if sign)
+        columns = self._columns.values() if i is None else (self._columns.get(i, ()),)
+        return sum(num for column in columns for mask, num in column if mask & care == want)
+
     # -- marginals and conditionals --------------------------------------
 
     def prior(self, i: int) -> Fraction:
         """P(H_i): total mass of the hypothesis' column."""
         self.check_hypothesis(i)
-        return sum((v for (k, _), v in self.atoms.items() if k == i), Fraction(0))
+        return Fraction(self._masses.get(i, 0), self.denominator)
 
     def event_prob(self, event: Event) -> Fraction:
         """P(event): mass of all atoms consistent with every literal."""
-        self.validate_event(event)
-        return sum(
-            (v for (_, signs), v in self.atoms.items() if _matches(signs, event)),
-            Fraction(0),
-        )
+        return Fraction(self._numerator(event), self.denominator)
 
     def joint_prob(self, event: Event, i: int) -> Fraction:
         """P(event AND H_i)."""
         self.check_hypothesis(i)
-        self.validate_event(event)
-        return sum(
-            (v for (k, signs), v in self.atoms.items() if k == i and _matches(signs, event)),
-            Fraction(0),
-        )
+        return Fraction(self._numerator(event, i), self.denominator)
 
     def cond(self, event: Event, i: int, side: Side) -> Fraction:
         """P(event | H_i) or P(event | not-H_i), per ``side``.
@@ -184,23 +207,21 @@ class Model:
         """
         if not isinstance(side, Side):
             raise ValueError(f"side must be a Side member, got {side!r}")
-        prior = self.prior(i)
-        joint = self.joint_prob(event, i)
-        if side is Side.GIVEN_H:
-            mass, top = prior, joint
-        else:
-            mass, top = 1 - prior, self.event_prob(event) - joint
+        self.check_hypothesis(i)
+        mass, top = self._masses.get(i, 0), self._numerator(event, i)
+        if side is Side.GIVEN_NOT_H:
+            mass, top = self.denominator - mass, self._numerator(event) - top
         if mass == 0:
             raise ZeroProbabilityError(
                 f"cannot condition on {'H' if side is Side.GIVEN_H else 'not-H'}{i}: "
                 f"it has probability 0"
             )
-        return top / mass
+        return Fraction(top, mass)
 
     def posterior(self, event: Event, i: int) -> Fraction:
         """P(H_i | event) computed directly from the atom table."""
         self.check_hypothesis(i)
-        p_event = self.event_prob(event)
-        if p_event == 0:
+        total = self._numerator(event)
+        if total == 0:
             raise ZeroProbabilityError("cannot condition on an event of probability 0")
-        return self.joint_prob(event, i) / p_event
+        return Fraction(self._numerator(event, i), total)

@@ -8,8 +8,9 @@ Grammar (UTF-8, ``#`` starts a comment to end of line, blank lines ignored)::
 
 The two header lines come first, in that order.  ``<bitstring>`` has length
 ``m``; its k-th character gives the sign of ``E_{k+1}``.  ``<rational>`` is
-``p/q`` or an integer.  Atoms omitted from the file are zero; repeating an
-``(i, bitstring)`` pair is an error.
+``p/q`` or an integer.  Every number is written in ASCII digits, and ``n``
+is at most :data:`MAX_HYPOTHESES`.  Atoms omitted from the file are zero;
+repeating an ``(i, bitstring)`` pair is an error.
 
 Canonical output orders atoms by ascending ``i``, then by the bitstring read
 as a binary number, and omits zero atoms, so writing is byte-deterministic.
@@ -22,7 +23,11 @@ from pathlib import Path
 
 from .errors import ModelFormatError
 from .model import DEFAULT_MAX_EVIDENCE, Model, bits_to_signs, signs_to_bits
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_integer, parse_rational
+
+#: Files declaring more hypotheses than this are refused: the audit does work
+#: per hypothesis whether or not it has mass.
+MAX_HYPOTHESES = 1024
 
 
 def loads(text: str, *, max_evidence: int = DEFAULT_MAX_EVIDENCE) -> Model:
@@ -47,6 +52,8 @@ def loads(text: str, *, max_evidence: int = DEFAULT_MAX_EVIDENCE) -> Model:
             if m is not None or atoms:
                 fail("'hypotheses' must be the first directive")
             n = _positive_int(tokens, fail)
+            if n > MAX_HYPOTHESES:
+                fail(f"hypothesis count {n} exceeds the limit {MAX_HYPOTHESES}")
         elif keyword == "evidence":
             if n is None:
                 fail("'evidence' must follow the 'hypotheses' header")
@@ -61,7 +68,7 @@ def loads(text: str, *, max_evidence: int = DEFAULT_MAX_EVIDENCE) -> Model:
             if len(tokens) != 4:
                 fail(f"expected 'atom <i> <bitstring> <rational>', got {line!r}")
             try:
-                i = int(tokens[1])
+                i = parse_integer(tokens[1])
             except ValueError:
                 fail(f"hypothesis index is not an integer: {tokens[1]!r}")
             if not 1 <= i <= n:
@@ -88,7 +95,7 @@ def _positive_int(tokens, fail):
     if len(tokens) != 2:
         fail(f"expected '{tokens[0]} <count>'")
     try:
-        value = int(tokens[1])
+        value = parse_integer(tokens[1])
     except ValueError:
         fail(f"count is not an integer: {tokens[1]!r}")
     if value < 1:

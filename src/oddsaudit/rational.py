@@ -12,9 +12,17 @@ from fractions import Fraction
 
 Rat = Fraction
 
-# Strict grammar: an optional sign, digits, optionally "/digits".  No floats,
-# no decimals, no whitespace.
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+# Strict grammar: an optional sign, ASCII digits, optionally "/digits".  No
+# floats, no decimals, no whitespace, no underscores, no other scripts' digits.
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_integer(text: str) -> int:
+    """Parse a base-10 integer: what ``int`` accepts, minus underscores and non-ASCII digits."""
+    if _INTEGER_RE.fullmatch(text) is None:
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -23,7 +31,7 @@ def parse_rational(text: str) -> Fraction:
     Rejects anything else: decimal points, exponents, embedded whitespace,
     and zero denominators.
     """
-    match = _RATIONAL_RE.match(text)
+    match = _RATIONAL_RE.fullmatch(text)
     if match is None:
         raise ValueError(f"not a rational literal: {text!r} (expected p/q or an integer)")
     numerator = int(match.group(1))

@@ -251,6 +251,15 @@ def _numpy_scan(P, n, m, D, subsets, require_c1):
         yield survivors, updating, violations
 
 
+def _budget_exhausted(max_models: int, partial: SweepResult) -> SweepLimitError:
+    return SweepLimitError(
+        f"enumeration budget {max_models} exhausted after "
+        f"{partial.models_enumerated} models "
+        f"({partial.models_satisfying_all} satisfying so far)",
+        partial=partial,
+    )
+
+
 def sweep(
     config: SweepConfig,
     *,
@@ -272,6 +281,9 @@ def sweep(
     """
     n, m, D = config.n, config.m, config.denominator
     block = (D + 1) ** (n * m)
+    result = SweepResult()
+    if block > max_models:
+        raise _budget_exhausted(max_models, result)
     subsets = [
         J for size in range(2, m + 1) for J in itertools.combinations(range(m), size)
     ]
@@ -283,17 +295,11 @@ def sweep(
         witness_path = Path(witness_dir)
         witness_path.mkdir(parents=True, exist_ok=True)
 
-    result = SweepResult()
     base = D + 1
     width = n * m
     for P in _compositions(D, n):
         if result.models_enumerated + block > max_models:
-            raise SweepLimitError(
-                f"enumeration budget {max_models} exhausted after "
-                f"{result.models_enumerated} models "
-                f"({result.models_satisfying_all} satisfying so far)",
-                partial=result,
-            )
+            raise _budget_exhausted(max_models, result)
         if config.require_condition1 and any(p == 0 for p in P):
             result.models_enumerated += block  # nothing on this composition can qualify
             continue

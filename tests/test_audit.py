@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,6 +7,7 @@ import pytest
 
 import _brute
 from oddsaudit import (
+    DEFAULT_MAX_EVIDENCE,
     DegeneratePriorError,
     Model,
     Side,
@@ -18,7 +21,7 @@ from oddsaudit import (
 )
 from oddsaudit.audit import _theorem_outcome
 
-from test_model import random_model
+from test_model import random_model, sparse_model
 
 T, N = True, False
 
@@ -73,18 +76,77 @@ def test_dependent_model_fails_given_not_h(dependent):
         assert violation.joint != violation.product
 
 
-def test_matches_oracle_on_random_models():
+def oracle_models():
+    """Dense random tables, then sparse ones up to m=6, including tables with
+    zero-mass hypotheses and tables where one hypothesis has prior 1."""
     rng = random.Random(37)
-    for _ in range(20):
-        model = random_model(rng, rng.randint(2, 4), rng.randint(2, 3))
+    models = [random_model(rng, rng.randint(2, 4), rng.randint(2, 3)) for _ in range(20)]
+    rng = random.Random(61)
+    for _ in range(8):
+        n, m = rng.randint(2, 4), rng.randint(3, 6)
+        models.append(sparse_model(rng, n, m, rng.choice((0.1, 0.25, 0.5))))
+        models.append(sparse_model(rng, n, m, 0.3, rng.sample(range(1, n + 1), n - 1)))
+        models.append(sparse_model(rng, n, m, 0.3, [rng.randint(1, n)]))
+    return models
+
+
+def test_matches_oracle_on_random_models():
+    for model in oracle_models():
         raw = dict(model.atoms)
         for i in range(1, model.n + 1):
+            assert relevant_evidence(model, i) == _brute.relevant(raw, i)
             for side, tag in ((Side.GIVEN_H, "H"), (Side.GIVEN_NOT_H, "nH")):
-                got = [
-                    (v.subset, v.joint, v.product)
-                    for v in check_independence(model, i, side)
-                ]
-                assert got == _brute.independence_violations(raw, i, tag)
+                expected = _brute.independence_violations(raw, i, tag)
+                for pairwise in (False, True):
+                    got = [
+                        (v.subset, v.joint, v.product)
+                        for v in check_independence(model, i, side, pairwise=pairwise)
+                    ]
+                    if pairwise:
+                        assert got == [e for e in expected if len(e[0]) == 2]
+                    else:
+                        assert got == expected
+
+
+def test_full_audit_at_the_evidence_cap_matches_oracle():
+    """A sparse n=3 table at m = DEFAULT_MAX_EVIDENCE, where only ten
+    propositions are ever true: the full audit checks all 2**16 subsets on
+    every side, and its verdicts agree with the oracle on every pair and on a
+    fixed sample of larger subsets."""
+    rng = random.Random(16)
+    m = DEFAULT_MAX_EVIDENCE
+    live = sorted(rng.sample(range(1, m + 1), 10))
+    weights = {}
+    for i in (1, 2, 3):
+        for _ in range(50):
+            signs = tuple(j in live and rng.random() < 0.4 for j in range(1, m + 1))
+            weights[(i, signs)] = rng.randint(1, 9)
+    total = sum(weights.values())
+    model = Model(n=3, m=m, atoms={k: F(w, total) for k, w in weights.items()})
+    raw = dict(model.atoms)
+
+    report = check_assumptions(model)
+    found = {
+        (v.hypothesis, v.side, v.subset): (v.joint, v.product)
+        for v in report.independence_violations
+    }
+    sample = [tuple(sorted(rng.sample(live, size))) for size in range(3, 11)]
+    sample += [tuple(sorted(rng.sample(range(1, m + 1), size))) for size in range(3, m + 1)]
+    subsets = list(itertools.combinations(range(1, m + 1), 2)) + sample
+    checked_failures = 0
+    for i in (1, 2, 3):
+        for side, conditional in ((Side.GIVEN_H, _brute.cond_h), (Side.GIVEN_NOT_H, _brute.cond_not_h)):
+            singles = {j: conditional(raw, {j: True}, i) for j in range(1, m + 1)}
+            for subset in subsets:
+                joint = conditional(raw, {j: True for j in subset}, i)
+                product = math.prod((singles[j] for j in subset), start=F(1))
+                if joint != product:
+                    checked_failures += 1
+                    assert found[(i, side, subset)] == (joint, product)
+                else:
+                    assert (i, side, subset) not in found
+    assert checked_failures > 0
+    assert report.relevance == {i: _brute.relevant(raw, i) for i in (1, 2, 3)}
 
 
 def test_degenerate_side_returns_empty():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -76,6 +77,31 @@ def test_audit_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "hypotheses 1\nevidence 1\natom 1 1 \u0661/\u0662\natom 1 0 1/2\n",  # Arabic-Indic 1/2
+        "hypotheses 1\nevidence 1_0\natom 1 1111111111 1\n",
+        "hypotheses \uff13\nevidence 1\natom 1 1 1\n",  # fullwidth 3
+    ],
+    ids=["non-ascii-rational", "underscore-count", "fullwidth-count"],
+)
+def test_audit_rejects_non_ascii_numerals(text, tmp_path, capsys):
+    path = tmp_path / "numerals.model"
+    path.write_text(text, encoding="utf-8")
+    assert main(["audit", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_audit_rejects_hostile_hypothesis_count(tmp_path, capsys):
+    path = tmp_path / "huge.model"
+    path.write_text("hypotheses 3000000\nevidence 1\natom 1 1 1\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["audit", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "limit" in capsys.readouterr().err
+
+
 # --- posterior --------------------------------------------------------------------
 
 
@@ -122,6 +148,11 @@ def test_posterior_input_errors(modified_file, capsys):
     assert main(["posterior", modified_file, "-i", "9"]) == 2  # hypothesis out of range
     assert main(["posterior", modified_file]) == 2  # needs -i or --all
     capsys.readouterr()
+
+
+def test_posterior_rejects_non_ascii_evidence_index(modified_file, capsys):
+    assert main(["posterior", modified_file, "--observe", "E\u0661=1", "--all"]) == 2
+    assert "bad observation token" in capsys.readouterr().err
 
 
 def test_posterior_degenerate_and_impossible(model_file, capsys):
@@ -193,6 +224,20 @@ def test_sweep_budget_exit_code(capsys):
     captured = capsys.readouterr()
     assert "budget" in captured.err
     assert "models-enumerated: 729" in captured.err
+
+
+def test_sweep_budget_checked_before_enumerating_subsets(capsys):
+    # 2**40 evidence subsets would not fit in memory; the budget refuses first.
+    assert main(["sweep", "--n", "3", "--m", "40", "--denominator", "1"]) == 3
+    captured = capsys.readouterr()
+    assert "budget" in captured.err
+    assert "models-enumerated: 0" in captured.err
+
+
+@pytest.mark.parametrize("count", ["\uff13", "0_3", "\u0663"])
+def test_integer_options_take_ascii_digits_only(count, capsys):
+    assert main(["sweep", "--n", count, "--m", "2", "--denominator", "1"]) == 2
+    assert f"invalid int value: {count!r}" in capsys.readouterr().err
 
 
 def test_sweep_witness_dir(tmp_path, capsys):

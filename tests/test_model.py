@@ -34,6 +34,25 @@ def random_model(rng, n, m):
     return Model(n=n, m=m, atoms={k: F(w, total) for k, w in weights.items()})
 
 
+def sparse_model(rng, n, m, density, live=None):
+    """Random exact model on about ``density`` of each live hypothesis' column.
+
+    Hypotheses outside ``live`` (default: all) get no mass, so a single live
+    hypothesis has prior 1.
+    """
+    live = range(1, n + 1) if live is None else live
+    weights = {
+        (i, signs): rng.randint(1, 9)
+        for i in live
+        for signs in sign_vectors(m)
+        if rng.random() < density
+    }
+    if not weights:
+        weights[(min(live), (True,) * m)] = 1
+    total = sum(weights.values())
+    return Model(n=n, m=m, atoms={k: F(w, total) for k, w in weights.items()})
+
+
 # --- sign vector helpers -----------------------------------------------------
 
 
@@ -94,6 +113,40 @@ def test_zero_atoms_dropped_and_mapping_frozen(glymour):
 def test_models_compare_by_value(glymour):
     clone = Model(n=3, m=2, atoms=dict(_brute.GLYMOUR_RAW))
     assert clone == glymour
+
+
+def test_integer_form_matches_atoms():
+    rng = random.Random(19)
+    for _ in range(20):
+        model = sparse_model(rng, rng.randint(1, 4), rng.randint(1, 6), 0.3)
+        rebuilt = {}
+        for i in range(1, model.n + 1):
+            for mask, num in model.numerators(i):
+                signs = tuple(bool(mask >> k & 1) for k in range(model.m))
+                rebuilt[(i, signs)] = F(num, model.denominator)
+        assert rebuilt == dict(model.atoms)
+    assert Model(n=2, m=1, atoms={(1, (T,)): F(1, 6), (2, (N,)): F(5, 6)}).denominator == 6
+
+
+def test_queries_match_oracle_on_sparse_models():
+    rng = random.Random(23)
+    for _ in range(25):
+        n, m = rng.randint(1, 4), rng.randint(1, 6)
+        live = rng.sample(range(1, n + 1), rng.randint(1, n))
+        model = sparse_model(rng, n, m, rng.choice((0.1, 0.4, 0.8)), live)
+        raw = dict(model.atoms)
+        events = rng.sample(_brute.all_events(m), min(40, 3**m))
+        for i in range(1, n + 1):
+            assert model.prior(i) == _brute.prior(raw, i)
+            for event in events:
+                assert model.event_prob(event) == _brute.event_prob(raw, event)
+                assert model.joint_prob(event, i) == _brute.joint_prob(raw, event, i)
+                if model.prior(i) != 0:
+                    assert model.cond(event, i, Side.GIVEN_H) == _brute.cond_h(raw, event, i)
+                if model.prior(i) != 1:
+                    assert model.cond(event, i, Side.GIVEN_NOT_H) == _brute.cond_not_h(raw, event, i)
+                if model.event_prob(event) != 0:
+                    assert model.posterior(event, i) == _brute.posterior(raw, event, i)
 
 
 # --- prior -------------------------------------------------------------------

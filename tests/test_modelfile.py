@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from oddsaudit import InvalidModelError, Model, ModelFormatError, dump, dumps, load, loads
+from oddsaudit.modelfile import MAX_HYPOTHESES
 
 from test_model import random_model
 
@@ -83,6 +84,13 @@ def test_file_round_trip(tmp_path, modified):
         ("hypotheses 1\nevidence 1\natom 1 1 1/0\n", "denominator"),
         ("hypotheses 1\nevidence 1\natom 1 1 1/2\natom 1 1 1/2\n", "duplicate"),
         ("hypotheses 1\nevidence 1\nfrobnicate\n", "unknown"),
+        (f"hypotheses {MAX_HYPOTHESES + 1}\nevidence 1\natom 1 1 1\n", "limit"),
+        ("hypotheses 1_0\nevidence 1\n", "integer"),
+        ("hypotheses \uff13\nevidence 1\n", "integer"),
+        ("hypotheses 3\nevidence \u0663\n", "integer"),
+        ("hypotheses 3\nevidence 1\natom 1_0 1 1\n", "integer"),
+        ("hypotheses 3\nevidence 1\natom \u0661 1 1\n", "integer"),
+        ("hypotheses 1\nevidence 1\natom 1 1 \u0661\n", "rational"),
     ],
 )
 def test_grammar_errors(text, message):
@@ -105,6 +113,10 @@ def test_loads_respects_evidence_cap():
     with pytest.raises(InvalidModelError, match="cap"):
         loads(text)
     assert loads(text, max_evidence=17).m == 17
+
+
+def test_hypothesis_count_limit_is_inclusive():
+    assert loads(f"hypotheses {MAX_HYPOTHESES}\nevidence 1\natom 1 1 1\n").n == MAX_HYPOTHESES
 
 
 def test_headers_only_whitespace_and_comments():

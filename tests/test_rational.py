@@ -28,7 +28,8 @@ def test_parse_accepts_integers_and_fractions(text, expected):
 
 @pytest.mark.parametrize(
     "text",
-    ["", " ", "1.5", "1e3", "1/0", "-1/0", "a/b", "1/2/3", "1 /2", " 1/2", "1/-2", "0x2", "/3", "3/"],
+    ["", " ", "1.5", "1e3", "1/0", "-1/0", "a/b", "1/2/3", "1 /2", " 1/2", "1/-2", "0x2", "/3", "3/",
+     "\u0661/\u0662", "\uff11", "1_0", "1/2_0", "1/2\n"],
 )
 def test_parse_rejects_non_rationals(text):
     with pytest.raises(ValueError):
