@@ -143,6 +143,29 @@ def _totals(model: Model) -> list[int]:
     return totals
 
 
+def _failing_subsets(table: list[int], m: int, pairwise: bool) -> list[tuple]:
+    """(subset, joint, product) for each J whose identity fails on the superset
+    sums ``table``, which this overwrites; sorted by size, then subset."""
+    # Masks run upward, so J's lower part (J minus its top bit) comes first and
+    # has had its table entry replaced by its product of singletons.
+    powers = [table[0] ** size for size in range(m)]
+    failing = []
+    for mask in range(3, len(table)):
+        top = 1 << (mask.bit_length() - 1)
+        size = mask.bit_count()
+        if mask == top or (pairwise and size > 2):
+            continue
+        joint = table[mask]
+        table[mask] = product = table[mask ^ top] * table[top]
+        if joint * powers[size - 1] != product:
+            subset = tuple(j + 1 for j in range(m) if mask >> j & 1)
+            failing.append(
+                (subset, Fraction(joint, table[0]), Fraction(product, table[0] ** size))
+            )
+    failing.sort(key=lambda found: (len(found[0]), found[0]))
+    return failing
+
+
 def check_independence(
     model: Model,
     i: int,
@@ -172,31 +195,19 @@ def check_independence(
     if prior == (0 if side is Side.GIVEN_H else 1):
         return []
     if prior == 0:
-        table = list(_totals(model))  # the complement of an empty cell is everything
+        # The complement of an empty cell is the whole model, the same for
+        # every such hypothesis: its failing subsets are found once per mode.
+        kept = f"_whole_model_failures_{pairwise}"
+        failing = vars(model).get(kept)
+        if failing is None:
+            failing = _failing_subsets(list(_totals(model)), model.m, pairwise)
+            object.__setattr__(model, kept, failing)
     else:
         table = _superset_sums(model, (i,))
         if side is Side.GIVEN_NOT_H:
             table[:] = map(operator.sub, _totals(model), table)
-    # Masks run upward, so J's lower part (J minus its top bit) comes first and
-    # has had its table entry replaced by its product of singletons.
-    powers = [table[0] ** size for size in range(model.m)]
-    failing = []
-    for mask in range(3, len(table)):
-        top = 1 << (mask.bit_length() - 1)
-        size = mask.bit_count()
-        if mask == top or (pairwise and size > 2):
-            continue
-        joint = table[mask]
-        table[mask] = product = table[mask ^ top] * table[top]
-        if joint * powers[size - 1] != product:
-            subset = tuple(j + 1 for j in range(model.m) if mask >> j & 1)
-            failing.append(
-                IndependenceViolation(
-                    i, side, subset, Fraction(joint, table[0]), Fraction(product, table[0] ** size)
-                )
-            )
-    failing.sort(key=lambda violation: (len(violation.subset), violation.subset))
-    return failing
+        failing = _failing_subsets(table, model.m, pairwise)
+    return [IndependenceViolation(i, side, *found) for found in failing]
 
 
 def relevant_evidence(model: Model, i: int) -> frozenset[int]:

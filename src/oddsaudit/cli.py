@@ -138,7 +138,9 @@ def cmd_sweep(args) -> int:
         require_condition1=args.require_condition1,
     )
     try:
-        result = sweep(config, max_models=args.max_models, witness_dir=args.witness_dir)
+        result = sweep(
+            config, max_models=args.max_models, sample_limit=0, witness_dir=args.witness_dir
+        )
     except SweepLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.partial is not None:

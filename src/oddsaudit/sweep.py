@@ -1,6 +1,6 @@
 """Exhaustive grid sweeps that stress the at-most-one-updater property.
 
-The sweep enumerates every :class:`~oddsaudit.construct.ConditionalSpec` on a
+The sweep covers every :class:`~oddsaudit.construct.ConditionalSpec` on a
 rational grid: priors are compositions of D into n parts over denominator D,
 and every conditional P(E_j | H_i) ranges over {0, 1/D, ..., 1}.  Each spec
 builds a product model, so independence given each hypothesis holds by
@@ -8,8 +8,7 @@ construction and only independence given the complements has to be filtered.
 Survivors satisfy the full two-sided assumption set; on every one of them the
 audit's multiple-updating check is expected to come back clean.
 
-Enumerating millions of specs in Fraction arithmetic would be slow, so the
-filter runs on grid *numerators*: with priors P_k/D and conditionals
+The filter runs on grid *numerators*: with priors P_k/D and conditionals
 C_{j,k}/D, independence of subset J given not-H_i is equivalent to the
 integer identity
 
@@ -17,10 +16,25 @@ integer identity
         = prod_{j in J} (sum_{k!=i} P_k C_{j,k})
 
 and "E_j updates H_i" is equivalent to C_{j,i} * D != sum_k P_k C_{j,k}.
-Both are exact; the vectorized int64 path is used only when the worst-case
-intermediate (n*D^2)^m fits comfortably, otherwise a big-integer path takes
-over.  The test suite cross-checks both paths against the Fraction-based
-audit route on small grids.
+
+Both predicates are unchanged by relabelling hypotheses (priors and columns
+of C together), relabelling evidence (rows of C) and negating a proposition
+(row j becomes D minus row j).  So the identities run only on nonincreasing
+prior compositions, each composition reading the tallies of its sorted form,
+and there once per symmetry class of C: a nondecreasing m-tuple of canonical
+rows (of a row's base-(D+1) code and its negation's, the smaller), counted
+m!/prod(mult!) times for the row orders, times 2 for each row that is not its
+own negation.  Negation does not keep conditionals nonzero, so
+``require_condition1`` only sorts the rows.
+``models_enumerated`` counts the grid models covered, not predicate
+evaluations.  Survivors (``on_survivor``, witness files, samples, violations)
+come from a pass over a composition's grid in flat-index order that maps
+each spec to its class and reads the class's verdicts.
+
+Every integer formed, the identities' terms (at most D^{2m}) included, stays
+below the grid size (D+1)^{nm}; the arithmetic is int64 numpy while that is
+below 2^62, and the same code runs on Python integers (``dtype=object``)
+beyond.  The tests check both against the audit route and a full-grid tally.
 """
 
 from __future__ import annotations
@@ -126,14 +140,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _decode_digits(flat_index: int, base: int, width: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(width):
-        flat_index, digit = divmod(flat_index, base)
-        digits.append(digit)
-    return tuple(reversed(digits))
-
-
 def _updating_pair(P, flat, n, m, D):
     """First hypothesis with two updating propositions, as (i, j1, j2), else None."""
     T = [sum(P[k] * flat[j * n + k] for k in range(n)) for j in range(m)]
@@ -146,109 +152,110 @@ def _updating_pair(P, flat, n, m, D):
     return None
 
 
-def _python_scan(P, n, m, D, subsets, require_c1):
-    """Reference kernel: plain big-integer arithmetic, one spec at a time."""
-    base = D + 1
-    degenerate = [P[i] in (0, D) for i in range(n)]
-    survivors: list[int] = []
-    updating: list[bool] = []
-    violations = []
-    for flat_index, flat in enumerate(itertools.product(range(base), repeat=n * m)):
-        if require_c1 and 0 in flat:
-            continue
-        T = [sum(P[k] * flat[j * n + k] for k in range(n)) for j in range(m)]
-        ok = True
-        for J in subsets:
-            M = [math.prod(flat[j * n + k] for j in J) for k in range(n)]
-            TJ = sum(P[k] * M[k] for k in range(n))
-            power = len(J) - 1
-            for i in range(n):
-                remainder = D - P[i]
-                if remainder == 0:
-                    continue
-                lhs = (TJ - P[i] * M[i]) * remainder**power
-                rhs = 1
-                for j in J:
-                    rhs *= T[j] - P[i] * flat[j * n + i]
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        updates = False
-        pair = None
+def _scan(P, C, D, subsets, require_c1):
+    """The integer identities on a stack of conditional matrices ``C`` of
+    shape (specs, m, n), all with priors ``P``.  Column 0 of the result says
+    whether a spec survives; columns 1 and 2 whether it survives with some
+    hypothesis updated by at least one, or two, propositions."""
+    n = len(P)
+    P_arr = np.array(P, dtype=C.dtype)
+    T1 = C @ P_arr  # (specs, m): D^2 * P(E_j) per spec
+    ok = np.ones(len(C), dtype=bool)
+    if require_c1:
+        ok &= (C > 0).all(axis=(1, 2))
+    for J in subsets:
+        M = C[:, J[0], :].copy()
+        for j in J[1:]:
+            M *= C[:, j, :]
+        TJ = M @ P_arr
+        power = len(J) - 1
         for i in range(n):
-            if degenerate[i]:
+            remainder = D - P[i]
+            if remainder == 0:
                 continue
-            ups = [j + 1 for j in range(m) if flat[j * n + i] * D != T[j]]
-            if ups:
-                updates = True
-            if len(ups) >= 2 and pair is None:
-                pair = (flat_index, i + 1, ups[0], ups[1])
-        survivors.append(flat_index)
-        updating.append(updates)
-        if pair is not None:
-            violations.append(pair)
-    yield survivors, updating, violations
-
-
-def _numpy_scan(P, n, m, D, subsets, require_c1):
-    """Vectorized kernel; exact as long as (n*D^2)^m stays below the headroom."""
-    base = D + 1
-    width = n * m
-    total = base**width
-    P_arr = np.array(P, dtype=np.int64)
-    degenerate = [P[i] in (0, D) for i in range(n)]
-    for start in range(0, total, _CHUNK_ROWS):
-        end = min(start + _CHUNK_ROWS, total)
-        rows = end - start
-        index = np.arange(start, end, dtype=np.int64)
-        C = np.empty((rows, width), dtype=np.int64)
-        for position in range(width):
-            C[:, position] = (index // base ** (width - 1 - position)) % base
-        C = C.reshape(rows, m, n)
-        T1 = C @ P_arr  # (rows, m): D^2 * P(E_j) per row
-        ok = np.ones(rows, dtype=bool)
-        if require_c1:
-            ok &= (C > 0).all(axis=(1, 2))
-        for J in subsets:
-            M = C[:, J[0], :].copy()
+            lhs = (TJ - M[:, i] * P[i]) * remainder**power
+            rhs = T1[:, J[0]] - C[:, J[0], i] * P[i]
             for j in J[1:]:
-                M *= C[:, j, :]
-            TJ = M @ P_arr
-            power = len(J) - 1
-            for i in range(n):
-                remainder = D - P[i]
-                if remainder == 0:
-                    continue
-                lhs = (TJ - M[:, i] * P[i]) * remainder**power
-                rhs = T1[:, J[0]] - C[:, J[0], i] * P[i]
-                for j in J[1:]:
-                    rhs = rhs * (T1[:, j] - C[:, j, i] * P[i])
-                ok &= lhs == rhs
-        selected = np.nonzero(ok)[0]
-        if selected.size == 0:
-            yield [], [], []
-            continue
-        C_sel = C[selected]
-        T_sel = T1[selected]
-        update_counts = np.zeros((selected.size, n), dtype=np.int64)
-        for i in range(n):
-            if degenerate[i]:
-                continue
-            update_counts[:, i] = (C_sel[:, :, i] * D != T_sel).sum(axis=1)
-        survivors = selected + start
-        updating = (update_counts >= 1).any(axis=1)
-        violations = []
-        violating = np.nonzero((update_counts >= 2).any(axis=1))[0]
-        for local in violating:
-            flat_index = int(survivors[local])
-            flat = _decode_digits(flat_index, base, width)
-            pair = _updating_pair(P, flat, n, m, D)
-            violations.append((flat_index, *pair))
-        yield survivors, updating, violations
+                rhs = rhs * (T1[:, j] - C[:, j, i] * P[i])
+            ok &= lhs == rhs
+    most = np.zeros(len(C), dtype=np.int64)  # updating propositions of the most updated hypothesis
+    for i in range(n):
+        if P[i] not in (0, D):
+            most = np.maximum(most, (C[:, :, i] * D != T1).sum(axis=1))
+    return np.stack([ok, ok & (most >= 1), ok & (most >= 2)], axis=1)
+
+
+def _places(base, width, dtype):
+    """Place values of a ``width``-digit number in ``base``, most significant first."""
+    return np.array([base ** (width - 1 - k) for k in range(width)], dtype=dtype)
+
+
+def _classes(n, m, D, negate, dtype):
+    """The symmetry classes of the conditional matrices, in chunks of
+    (C, keys, weights): one canonical member each, of shape (classes, m, n),
+    the key of each class and the number of matrices it stands for.
+
+    A class is a nondecreasing m-tuple of canonical row codes, keyed by the
+    tuple read as m base-(D+1)^n digits, so the keys come out sorted.
+    """
+    base, N = D + 1, (D + 1) ** n
+    codes = np.array([c for c in range(N) if not negate or c <= N - 1 - c], dtype=dtype)
+    rows = codes[:, None] // _places(base, n, dtype) % base
+    # A canonical row stands for itself and, unless it is its own negation, for that.
+    doubles = np.where(negate & (2 * codes != N - 1), 2, 1).astype(dtype)
+    tuples = itertools.combinations_with_replacement(range(len(codes)), m)
+    while True:
+        chunk = itertools.chain.from_iterable(itertools.islice(tuples, _CHUNK_ROWS))
+        ranks = np.fromiter(chunk, dtype=np.intp).reshape(-1, m)
+        if not len(ranks):
+            return
+        # Orders of the rows: m! over the factorial of each run of equal rows
+        # (``run`` is the length of the current run so far), times each row's doubling.
+        weights = math.factorial(m) * doubles[ranks[:, 0]]
+        run = np.ones(len(ranks), dtype=dtype)
+        for k in range(1, m):
+            run = np.where(ranks[:, k] == ranks[:, k - 1], run + 1, 1)
+            weights = weights // run * doubles[ranks[:, k]]
+        yield rows[ranks], codes[ranks] @ _places(N, m, dtype), weights
+
+
+def _classify(stars, n, m, D, subsets, require_c1, dtype):
+    """Run the identities once per class for each sorted composition in
+    ``stars``.  Returns the sorted class keys and, per composition, the
+    :func:`_scan` verdicts of every class and the grid models behind each
+    verdict column."""
+    keys, verdicts = [], {P: [] for P in stars}
+    counts = {P: [0, 0, 0] for P in stars}
+    covered = 0
+    for C, chunk_keys, weights in _classes(n, m, D, not require_c1, dtype):
+        keys.append(chunk_keys)
+        covered += int(weights.sum())
+        for P in stars:
+            found = _scan(P, C, D, subsets, require_c1)
+            verdicts[P].append(found)
+            counts[P] = [c + int(weights[f].sum()) for c, f in zip(counts[P], found.T)]
+    assert covered == (D + 1) ** (n * m), "the classes must cover the grid"
+    return np.concatenate(keys), {P: (np.concatenate(verdicts[P]), counts[P]) for P in stars}
+
+
+def _members(P, keys, verdicts, n, m, D, negate, dtype):
+    """Survivors of composition ``P`` in flat-index order, as (digits, updates,
+    violates): each spec is mapped to its class and reads the class's verdicts."""
+    base, N = D + 1, (D + 1) ** n
+    # Place values that read a row's code with its columns sorted by prior.
+    row_places = _places(base, n, dtype)[np.argsort(np.argsort([-p for p in P], kind="stable"))]
+    powers, places = _places(base, n * m, dtype), _places(N, m, dtype)
+    for start in range(0, N**m, _CHUNK_ROWS):
+        digits = np.arange(start, min(start + _CHUNK_ROWS, N**m), dtype=dtype)[:, None] // powers
+        digits %= base
+        codes = digits.reshape(-1, m, n) @ row_places
+        if negate:
+            codes = np.minimum(codes, N - 1 - codes)
+        codes.sort(axis=1)
+        found = verdicts[np.searchsorted(keys, codes @ places)]
+        survivors = np.nonzero(found[:, 0])[0]
+        for local, updates, violates in zip(survivors.tolist(), *found[survivors, 1:].T.tolist()):
+            yield tuple(digits[local].tolist()), updates, violates
 
 
 def _budget_exhausted(max_models: int, partial: SweepResult) -> SweepLimitError:
@@ -267,19 +274,21 @@ def sweep(
     sample_limit: int = 10,
     witness_dir: str | Path | None = None,
     on_survivor: Callable[[GridPoint, GridPoint], None] | None = None,
-    _force_python: bool = False,
 ) -> SweepResult:
-    """Enumerate the grid, filter the assumption set, tally updating behaviour.
+    """Cover the grid, filter the assumption set, tally updating behaviour.
 
     ``on_survivor`` receives every survivor as integer grid coordinates
-    ``(priors, cond_digits)``; :func:`spec_from_grid` turns them back into a
-    ConditionalSpec.  ``witness_dir`` writes one model file per survivor under
-    deterministic names.  Exceeding ``max_models`` raises
+    ``(priors, cond_digits)``, in order of prior composition and then of flat
+    index; :func:`spec_from_grid` turns them back into a ConditionalSpec.
+    ``witness_dir`` writes one model file per survivor under deterministic
+    names.  ``sample_witnesses`` holds the first ``sample_limit`` survivors
+    with updating, in the same order.  Exceeding ``max_models`` raises
     :class:`SweepLimitError` carrying the partial tallies; the budget is
     checked per prior composition, so partial results stop at a composition
     boundary.
     """
     n, m, D = config.n, config.m, config.denominator
+    c1 = config.require_condition1
     block = (D + 1) ** (n * m)
     result = SweepResult()
     if block > max_models:
@@ -287,52 +296,44 @@ def sweep(
     subsets = [
         J for size in range(2, m + 1) for J in itertools.combinations(range(m), size)
     ]
-    use_numpy = (not _force_python) and (n * D * D) ** m < _INT64_HEADROOM
-    scan = _numpy_scan if use_numpy else _python_scan
+    dtype = np.int64 if block < _INT64_HEADROOM else object
+    stars = {tuple(sorted(P, reverse=True)) for P in _compositions(D, n) if not (c1 and 0 in P)}
+    keys, verdicts = _classify(stars, n, m, D, subsets, c1, dtype) if stars else (None, {})
 
     witness_path: Path | None = None
     if witness_dir is not None:
         witness_path = Path(witness_dir)
         witness_path.mkdir(parents=True, exist_ok=True)
+    listing = on_survivor is not None or witness_path is not None
 
-    base = D + 1
-    width = n * m
     for P in _compositions(D, n):
         if result.models_enumerated + block > max_models:
             raise _budget_exhausted(max_models, result)
-        if config.require_condition1 and any(p == 0 for p in P):
+        if c1 and 0 in P:
             result.models_enumerated += block  # nothing on this composition can qualify
             continue
-        for survivors, updating, violations in scan(
-            P, n, m, D, subsets, config.require_condition1
-        ):
-            count = len(survivors)
-            if count:
-                result.models_satisfying_all += count
-                result.witnesses_with_updating += int(sum(updating))
-            for flat_index, i, j1, j2 in violations:
-                digits = _decode_digits(int(flat_index), base, width)
-                result.theorem_violations.append(
-                    SweepViolation(spec_from_grid(P, digits, D), i, (j1, j2))
-                )
-            if sample_limit and len(result.sample_witnesses) < sample_limit:
-                for flat_index, updates in zip(survivors, updating):
-                    if not updates:
-                        continue
-                    digits = _decode_digits(int(flat_index), base, width)
+        found, (satisfying, updating, violations) = verdicts[tuple(sorted(P, reverse=True))]
+        result.models_satisfying_all += satisfying
+        result.witnesses_with_updating += updating
+        samples_only = not (listing or violations)
+        wants_samples = updating and len(result.sample_witnesses) < sample_limit
+        if (listing and satisfying) or violations or wants_samples:
+            for digits, updates, violates in _members(P, keys, found, n, m, D, not c1, dtype):
+                if violates:
+                    i, j1, j2 = _updating_pair(P, digits, n, m, D)
+                    result.theorem_violations.append(
+                        SweepViolation(spec_from_grid(P, digits, D), i, (j1, j2))
+                    )
+                if updates and len(result.sample_witnesses) < sample_limit:
                     result.sample_witnesses.append(spec_from_grid(P, digits, D))
-                    if len(result.sample_witnesses) >= sample_limit:
-                        break
-            if on_survivor is not None or witness_path is not None:
-                for flat_index in survivors:
-                    digits = _decode_digits(int(flat_index), base, width)
-                    if on_survivor is not None:
-                        on_survivor(P, digits)
-                    if witness_path is not None:
-                        spec = spec_from_grid(P, digits, D)
-                        dump(
-                            from_conditionals(spec),
-                            witness_path / witness_filename(P, digits),
-                        )
+                if on_survivor is not None:
+                    on_survivor(P, digits)
+                if witness_path is not None:
+                    dump(
+                        from_conditionals(spec_from_grid(P, digits, D)),
+                        witness_path / witness_filename(P, digits),
+                    )
+                if samples_only and len(result.sample_witnesses) >= sample_limit:
+                    break
         result.models_enumerated += block
     return result

@@ -102,6 +102,34 @@ def test_audit_rejects_hostile_hypothesis_count(tmp_path, capsys):
     assert "limit" in capsys.readouterr().err
 
 
+def test_audit_shares_the_check_of_zero_mass_hypotheses(tmp_path, capsys):
+    """Given not-H, every zero-mass hypothesis conditions on the whole model;
+    1023 of them must not each rerun the 2**16 subset identities."""
+    path = tmp_path / "one_atom.model"
+    path.write_text("hypotheses 1024\nevidence 16\natom 1 1111111111111111 1\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["audit", str(path)]) == 0
+    assert time.perf_counter() - start < 1
+    every = [f"H{i}" for i in range(1, 1025)]
+    assert capsys.readouterr().out == "\n".join(
+        [
+            "hypotheses: 1024",
+            "evidence: 16",
+            "hypothesis-count (n > 2): ok",
+            "partition: exhaustive and mutually exclusive by construction; "
+            "atom masses total exactly 1",
+            "independence-mode: full",
+            "independence-violations: none",
+            "relevance:",
+            *(f"  {h}: none" for h in every),
+            "degenerate-hypotheses: " + ", ".join(every),
+            f"all-evidence-posteriors-nonzero: no ({', '.join(every[1:])})",
+            "multiple-updating: none (at most one updating evidence item per hypothesis)",
+            "",
+        ]
+    )
+
+
 # --- posterior --------------------------------------------------------------------
 
 
@@ -224,6 +252,18 @@ def test_sweep_budget_exit_code(capsys):
     captured = capsys.readouterr()
     assert "budget" in captured.err
     assert "models-enumerated: 729" in captured.err
+
+
+def test_sweep_reaches_grid_4_3_3(capsys):
+    """335M grid models, covered through about 1.1M symmetry classes."""
+    argv = ["sweep", "--n", "4", "--m", "3", "--denominator", "3", "--max-models", "335544320"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "models-enumerated: 335544320\n"
+        "models-satisfying-assumptions: 99319808\n"
+        "witnesses-with-updating: 29048832\n"
+        "multiple-updating-violations: 0\n"
+    )
 
 
 def test_sweep_budget_checked_before_enumerating_subsets(capsys):

@@ -1,7 +1,11 @@
+import importlib
 from fractions import Fraction as F
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _brute
 from oddsaudit import (
@@ -21,6 +25,9 @@ from oddsaudit import (
 )
 
 from conftest import nondegenerate_survivors
+
+# The package exports the function ``sweep`` under the module's name.
+sweep_module = importlib.import_module("oddsaudit.sweep")
 
 
 def compositions(total, parts):
@@ -94,12 +101,14 @@ GOLDEN = {
     (4, 2, 2): (65610, 48114, 17496, 0),
     (4, 2, 3): (1310720, 637952, 325632, 0),
     (4, 2, 4): (13671875, 4467859, 2616584, 0),
+    (3, 4, 2): (3188646, 1771470, 157464, 0),
 }
 
 
 def test_golden_counts(sweep_records):
     for grid, (enum, satisfying, updating, violations) in GOLDEN.items():
-        result = sweep_records[grid].result
+        record = sweep_records.get(grid)
+        result = record.result if record else sweep(SweepConfig(*grid), sample_limit=0)
         assert result.models_enumerated == enum
         assert result.models_satisfying_all == satisfying
         assert result.witnesses_with_updating == updating
@@ -159,20 +168,23 @@ def test_require_condition1_agrees_with_audit_route():
 
 
 @pytest.mark.parametrize("grid", [(3, 2, 3), (4, 2, 2)])
-def test_python_kernel_matches_numpy_kernel(grid):
+def test_object_kernel_matches_int64_kernel(grid, monkeypatch):
     n, m, d = grid
     fast_survivors, slow_survivors = [], []
     fast = sweep(SweepConfig(n, m, d), on_survivor=lambda p, c: fast_survivors.append((p, c)))
-    slow = sweep(
-        SweepConfig(n, m, d),
-        on_survivor=lambda p, c: slow_survivors.append((p, c)),
-        _force_python=True,
+    monkeypatch.setattr(sweep_module, "_INT64_HEADROOM", 0)
+    dtypes, scan = set(), sweep_module._scan
+    monkeypatch.setattr(
+        sweep_module, "_scan", lambda P, C, *rest: dtypes.add(C.dtype) or scan(P, C, *rest)
     )
+    slow = sweep(SweepConfig(n, m, d), on_survivor=lambda p, c: slow_survivors.append((p, c)))
+    assert dtypes == {np.dtype(object)}
     assert fast.models_enumerated == slow.models_enumerated
     assert fast.models_satisfying_all == slow.models_satisfying_all
     assert fast.witnesses_with_updating == slow.witnesses_with_updating
     assert fast.theorem_violations == slow.theorem_violations
     assert fast.sample_witnesses == slow.sample_witnesses
+    assert len(fast.sample_witnesses) == 10
     assert fast_survivors == slow_survivors  # same enumeration order, same set
 
 
@@ -280,3 +292,93 @@ def test_budget_zero_blocks():
     with pytest.raises(SweepLimitError) as info:
         sweep(SweepConfig(3, 2, 2), max_models=10)
     assert info.value.partial.models_enumerated == 0
+
+
+# --- orbit reduction -------------------------------------------------------------------
+
+
+def brute_tally(n, m, d, c1, compositions_used):
+    """Counts and survivors over the full grid of each composition, by the oracle."""
+    satisfying = updating = violating = 0
+    survivors = []
+    for priors in compositions_used:
+        if c1 and 0 in priors:
+            continue
+        for flat in product(range(d + 1), repeat=n * m):
+            if (c1 and 0 in flat) or not _brute.grid_survives(priors, flat, n, m, d):
+                continue
+            satisfying += 1
+            survivors.append((priors, flat))
+            sets = _brute.grid_updating_sets(priors, flat, n, m, d).values()
+            updating += any(sets)
+            violating += any(len(s) >= 2 for s in sets)
+    return satisfying, updating, violating, survivors
+
+
+#: Grids with n 3-4, m 2-3, D 1-3 that the oracle tallies in about a second.
+TINY_GRIDS = [
+    (n, m, d)
+    for n, m, d in product((3, 4), (2, 3), (1, 2, 3))
+    if len(list(compositions(d, n))) * (d + 1) ** (n * m) <= 70_000
+]
+
+
+@st.composite
+def tiny_sweeps(draw):
+    """A tiny grid, and a budget that may stop the sweep after any composition."""
+    n, m, d = draw(st.sampled_from(TINY_GRIDS))
+    block = (d + 1) ** (n * m)
+    blocks = draw(st.integers(1, len(list(compositions(d, n)))))
+    return n, m, d, draw(st.booleans()), block * blocks + draw(st.integers(0, block - 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(tiny_sweeps())
+def test_orbit_counts_match_full_grid(grid):
+    n, m, d, c1, max_models = grid
+    block = (d + 1) ** (n * m)
+    for negate in {True, not c1}:
+        weights = sum(int(w.sum()) for _, _, w in sweep_module._classes(n, m, d, negate, np.int64))
+        assert weights == block
+    listed = []
+    try:
+        result = sweep(
+            SweepConfig(n, m, d, c1),
+            max_models=max_models,
+            on_survivor=lambda p, c: listed.append((p, c)),
+        )
+    except SweepLimitError as exc:
+        result = exc.partial
+    covered = list(compositions(d, n))[: result.models_enumerated // block]
+    satisfying, updating, violating, survivors = brute_tally(n, m, d, c1, covered)
+    assert result.models_enumerated == block * len(covered)
+    assert result.models_satisfying_all == satisfying
+    assert result.witnesses_with_updating == updating
+    assert len(result.theorem_violations) == violating == 0
+    assert listed == survivors
+    order = [(covered.index(p), int("".join(map(str, c)), d + 1)) for p, c in listed]
+    assert all(a < b for a, b in zip(order, order[1:]))
+
+
+def test_violations_listed_from_classes(monkeypatch):
+    """With the independence filter emptied every spec survives, so the weighted
+    violation count and the listed violations are checked against the oracle's
+    updating sets, in grid order."""
+    n, m, d = 3, 2, 2
+    original = sweep_module._scan
+    monkeypatch.setattr(
+        sweep_module, "_scan", lambda P, C, D, subsets, c1: original(P, C, D, [], c1)
+    )
+    result = sweep(SweepConfig(n, m, d), sample_limit=4)
+    expected = []
+    for priors in compositions(d, n):
+        for flat in product(range(d + 1), repeat=n * m):
+            sets = _brute.grid_updating_sets(priors, flat, n, m, d)
+            first = next((i for i in sorted(sets) if len(sets[i]) >= 2), None)
+            if first is not None:
+                pair = tuple(sorted(sets[first])[:2])
+                expected.append((spec_from_grid(priors, flat, d), first, pair))
+    assert result.models_satisfying_all == result.models_enumerated == 4374
+    assert [(v.spec, v.hypothesis, v.evidence) for v in result.theorem_violations] == expected
+    assert len(expected) > 0
+    assert len(result.sample_witnesses) == 4
