@@ -34,12 +34,11 @@ from .errors import (
     InvalidModelError,
     ModelError,
     ModelFormatError,
-    SubsetCapError,
     SweepLimitError,
     ZeroProbabilityError,
 )
 from .model import (
-    DEFAULT_MAX_EVIDENCE,
+    MAX_EVIDENCE,
     Model,
     Side,
     bits_to_signs,
@@ -47,7 +46,7 @@ from .model import (
     signs_to_bits,
 )
 from .modelfile import dump, dumps, load, loads
-from .rational import Rat, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 from .sweep import (
     DEFAULT_MAX_MODELS,
     SweepConfig,
@@ -64,21 +63,19 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditReport",
     "ConditionalSpec",
-    "DEFAULT_MAX_EVIDENCE",
     "DEFAULT_MAX_MODELS",
     "DegeneratePriorError",
     "EXAMPLE_NAMES",
     "ImpossibleEvidenceError",
     "IndependenceViolation",
     "InvalidModelError",
+    "MAX_EVIDENCE",
     "Model",
     "ModelError",
     "ModelFormatError",
     "OddsPair",
     "PairIdentities",
-    "Rat",
     "Side",
-    "SubsetCapError",
     "SweepConfig",
     "SweepLimitError",
     "SweepResult",

@@ -21,8 +21,8 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DegeneratePriorError, SubsetCapError
-from .model import DEFAULT_MAX_EVIDENCE, Model, Side
+from .errors import DegeneratePriorError
+from .model import Model, Side
 
 _PARTITION_NOTE = (
     "exhaustive and mutually exclusive by construction; atom masses total exactly 1"
@@ -172,7 +172,6 @@ def check_independence(
     side: Side,
     *,
     pairwise: bool = False,
-    max_full_evidence: int = DEFAULT_MAX_EVIDENCE,
 ) -> list[IndependenceViolation]:
     """All evidence subsets (|J| >= 2) whose conditional fails to factorize.
 
@@ -186,11 +185,6 @@ def check_independence(
     factorizes iff ``g[J] * g[{}]**(|J|-1) == prod_{j in J} g[{j}]``.
     """
     model.check_hypothesis(i)
-    if not pairwise and model.m > max_full_evidence:
-        raise SubsetCapError(
-            f"full subset audit needs 2**{model.m} subsets (m={model.m} > cap "
-            f"{max_full_evidence}); use pairwise mode or raise the cap"
-        )
     prior = model.prior(i)
     if prior == (0 if side is Side.GIVEN_H else 1):
         return []

@@ -21,14 +21,17 @@ import argparse
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from .audit import check_assumptions, check_independence, render_report
-from .construct import EXAMPLE_NAMES, example_model, measurement_scenario
+from .construct import EXAMPLE_NAMES, example_model, from_conditionals, measurement_scenario
 from .errors import ModelError, SweepLimitError
 from .model import Model, Side
 from .modelfile import dump, dumps, load
 from .rational import format_rational, parse_integer, parse_rational
-from .sweep import DEFAULT_MAX_MODELS, SweepConfig, SweepResult, sweep
+from .sweep import (
+    DEFAULT_MAX_MODELS, SweepConfig, SweepResult, spec_from_grid, sweep, witness_filename
+)
 from .updating import odds_posterior
 
 _OBSERVE_TOKEN = re.compile(r"E([0-9]+)=(0|1)")
@@ -137,10 +140,17 @@ def cmd_sweep(args) -> int:
         denominator=args.denominator,
         require_condition1=args.require_condition1,
     )
+    on_survivor = None
+    if args.witness_dir is not None:
+        witness_dir = Path(args.witness_dir)
+        witness_dir.mkdir(parents=True, exist_ok=True)
+
+        def on_survivor(priors, digits):
+            spec = spec_from_grid(priors, digits, config.denominator)
+            dump(from_conditionals(spec), witness_dir / witness_filename(priors, digits))
+
     try:
-        result = sweep(
-            config, max_models=args.max_models, sample_limit=0, witness_dir=args.witness_dir
-        )
+        result = sweep(config, max_models=args.max_models, on_survivor=on_survivor)
     except SweepLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.partial is not None:

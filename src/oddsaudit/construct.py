@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import InvalidModelError
-from .model import DEFAULT_MAX_EVIDENCE, Model, _exact, sign_vectors
+from .model import Model, _exact, bits_to_signs, sign_vectors
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class ConditionalSpec:
         return len(self.cond)
 
 
-def from_conditionals(spec: ConditionalSpec, *, max_evidence: int = DEFAULT_MAX_EVIDENCE) -> Model:
+def from_conditionals(spec: ConditionalSpec) -> Model:
     """Build the product model: atom(i, s) = P(H_i) * prod_j P(E_j^{s_j} | H_i).
 
     The result reproduces the priors and singleton conditionals exactly, and
@@ -79,13 +79,13 @@ def from_conditionals(spec: ConditionalSpec, *, max_evidence: int = DEFAULT_MAX_
                 value *= c if sign else 1 - c
             if value:
                 atoms[(i0 + 1, signs)] = value
-    return Model(n=spec.n, m=spec.m, atoms=atoms, max_evidence=max_evidence)
+    return Model(n=spec.n, m=spec.m, atoms=atoms)
 
 
 def _table(rows: Mapping[str, Sequence[Fraction]]) -> dict:
     atoms = {}
     for bits, values in rows.items():
-        signs = tuple(ch == "1" for ch in bits)
+        signs = bits_to_signs(bits)
         for i, value in enumerate(values, 1):
             if value:
                 atoms[(i, signs)] = Fraction(value)
@@ -153,8 +153,6 @@ def measurement_scenario(
     noise: Mapping,
     e1_test: Callable[[Fraction], bool],
     e2_test: Callable[[Fraction], bool],
-    *,
-    max_evidence: int = DEFAULT_MAX_EVIDENCE,
 ) -> Model:
     """Two noisy readings of one discrete quantity, as a joint model.
 
@@ -205,4 +203,4 @@ def measurement_scenario(
         priors=tuple(weights),
         cond=(conditional(e1_test), conditional(e2_test)),
     )
-    return from_conditionals(spec, max_evidence=max_evidence)
+    return from_conditionals(spec)

@@ -26,10 +26,6 @@ class ImpossibleEvidenceError(ModelError):
     probability zero both given the hypothesis and given its complement."""
 
 
-class SubsetCapError(ModelError):
-    """Full subset enumeration was refused because 2**m is too large."""
-
-
 class SweepLimitError(ModelError):
     """Grid enumeration exceeded the configured model budget.
 

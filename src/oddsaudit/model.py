@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from types import MappingProxyType
@@ -37,9 +37,9 @@ Signs = tuple[bool, ...]
 AtomKey = tuple[int, Signs]
 Event = Mapping[int, bool]
 
-#: Models with more evidence propositions than this are refused by default:
-#: the audit enumerates all 2**m evidence subsets.
-DEFAULT_MAX_EVIDENCE = 16
+#: Models with more evidence propositions than this are refused: both audit
+#: modes build dense tables over all 2**m evidence subsets.
+MAX_EVIDENCE = 16
 
 
 class Side(enum.Enum):
@@ -70,6 +70,8 @@ def sign_vectors(m: int) -> Iterator[Signs]:
 
 
 def _exact(value, what: str) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise InvalidModelError(f"{what} must be exact (int or Fraction), got float {value!r}")
     try:
@@ -94,17 +96,16 @@ class Model:
     n: int
     m: int
     atoms: Mapping[AtomKey, Fraction]
-    max_evidence: int = field(default=DEFAULT_MAX_EVIDENCE, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise InvalidModelError(f"need at least one hypothesis, got n={self.n!r}")
         if not isinstance(self.m, int) or self.m < 1:
             raise InvalidModelError(f"need at least one evidence proposition, got m={self.m!r}")
-        if self.m > self.max_evidence:
+        if self.m > MAX_EVIDENCE:
             raise InvalidModelError(
-                f"m={self.m} exceeds the evidence cap {self.max_evidence} "
-                f"(audits enumerate 2**m subsets; raise max_evidence to override)"
+                f"m={self.m} exceeds the evidence cap {MAX_EVIDENCE} "
+                f"(audits enumerate 2**m subsets)"
             )
         clean: dict[AtomKey, Fraction] = {}
         for key, raw in self.atoms.items():

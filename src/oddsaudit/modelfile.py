@@ -22,7 +22,7 @@ import os
 from pathlib import Path
 
 from .errors import ModelFormatError
-from .model import DEFAULT_MAX_EVIDENCE, Model, bits_to_signs, signs_to_bits
+from .model import Model, bits_to_signs, signs_to_bits
 from .rational import format_rational, parse_integer, parse_rational
 
 #: Files declaring more hypotheses than this are refused: the audit does work
@@ -30,7 +30,7 @@ from .rational import format_rational, parse_integer, parse_rational
 MAX_HYPOTHESES = 1024
 
 
-def loads(text: str, *, max_evidence: int = DEFAULT_MAX_EVIDENCE) -> Model:
+def loads(text: str) -> Model:
     """Parse the model format.  Raises :class:`ModelFormatError` on grammar
     violations and :class:`InvalidModelError` on distribution violations."""
     n = m = None
@@ -88,7 +88,7 @@ def loads(text: str, *, max_evidence: int = DEFAULT_MAX_EVIDENCE) -> Model:
             fail(f"unknown directive {keyword!r}")
     if n is None or m is None:
         raise ModelFormatError("missing 'hypotheses'/'evidence' headers")
-    return Model(n=n, m=m, atoms=atoms, max_evidence=max_evidence)
+    return Model(n=n, m=m, atoms=atoms)
 
 
 def _positive_int(tokens, fail):
@@ -114,8 +114,8 @@ def dumps(model: Model) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load(path: str | os.PathLike, *, max_evidence: int = DEFAULT_MAX_EVIDENCE) -> Model:
-    return loads(Path(path).read_text(encoding="utf-8"), max_evidence=max_evidence)
+def load(path: str | os.PathLike) -> Model:
+    return loads(Path(path).read_text(encoding="utf-8"))
 
 
 def dump(model: Model, path: str | os.PathLike) -> None:

@@ -1,16 +1,13 @@
 """Exact rational scalars and the text grammar used for them in model files.
 
 Every probability in this package is a ``fractions.Fraction``: arbitrary
-precision, always reduced, denominator always positive.  ``Rat`` is an alias
-so signatures read like the domain they model.
+precision, always reduced, denominator always positive.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-
-Rat = Fraction
 
 # Strict grammar: an optional sign, ASCII digits, optionally "/digits".  No
 # floats, no decimals, no whitespace, no underscores, no other scripts' digits.

@@ -27,9 +27,10 @@ m!/prod(mult!) times for the row orders, times 2 for each row that is not its
 own negation.  Negation does not keep conditionals nonzero, so
 ``require_condition1`` only sorts the rows.
 ``models_enumerated`` counts the grid models covered, not predicate
-evaluations.  Survivors (``on_survivor``, witness files, samples, violations)
-come from a pass over a composition's grid in flat-index order that maps
-each spec to its class and reads the class's verdicts.
+evaluations.  Survivors (``on_survivor`` and violations) come from a pass
+over a composition's grid in flat-index order that maps each spec to its
+class and reads the class's verdicts; a violation's hypothesis and evidence
+pair come from :func:`~oddsaudit.audit.relevant_evidence` on its model.
 
 Every integer formed, the identities' terms (at most D^{2m}) included, stays
 below the grid size (D+1)^{nm}; the arithmetic is int64 numpy while that is
@@ -43,14 +44,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy as np
 
+from .audit import relevant_evidence
 from .construct import ConditionalSpec, from_conditionals
 from .errors import InvalidModelError, SweepLimitError
-from .modelfile import dump
 
 #: Default enumeration budget; (n=4, m=2, D=4) needs ~13.7M of it.
 DEFAULT_MAX_MODELS = 20_000_000
@@ -100,7 +100,6 @@ class SweepResult:
     models_satisfying_all: int = 0
     theorem_violations: list[SweepViolation] = field(default_factory=list)
     witnesses_with_updating: int = 0
-    sample_witnesses: list[ConditionalSpec] = field(default_factory=list)
 
 
 def spec_from_grid(priors: GridPoint, cond_digits: GridPoint, denominator: int) -> ConditionalSpec:
@@ -140,16 +139,15 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _updating_pair(P, flat, n, m, D):
-    """First hypothesis with two updating propositions, as (i, j1, j2), else None."""
-    T = [sum(P[k] * flat[j * n + k] for k in range(n)) for j in range(m)]
-    for i in range(n):
-        if P[i] in (0, D):
-            continue
-        ups = [j + 1 for j in range(m) if flat[j * n + i] * D != T[j]]
-        if len(ups) >= 2:
-            return i + 1, ups[0], ups[1]
-    return None
+def _violation(P, digits, D) -> SweepViolation:
+    """Name the first hypothesis with two updating propositions, and its first two."""
+    spec = spec_from_grid(P, digits, D)
+    model = from_conditionals(spec)
+    for i in range(1, model.n + 1):
+        updating = sorted(relevant_evidence(model, i))
+        if len(updating) >= 2:
+            return SweepViolation(spec, i, (updating[0], updating[1]))
+    raise AssertionError(f"no hypothesis of {spec} has two updating propositions")
 
 
 def _scan(P, C, D, subsets, require_c1):
@@ -239,8 +237,8 @@ def _classify(stars, n, m, D, subsets, require_c1, dtype):
 
 
 def _members(P, keys, verdicts, n, m, D, negate, dtype):
-    """Survivors of composition ``P`` in flat-index order, as (digits, updates,
-    violates): each spec is mapped to its class and reads the class's verdicts."""
+    """Survivors of composition ``P`` in flat-index order, as (digits, violates):
+    each spec is mapped to its class and reads the class's verdicts."""
     base, N = D + 1, (D + 1) ** n
     # Place values that read a row's code with its columns sorted by prior.
     row_places = _places(base, n, dtype)[np.argsort(np.argsort([-p for p in P], kind="stable"))]
@@ -254,8 +252,8 @@ def _members(P, keys, verdicts, n, m, D, negate, dtype):
         codes.sort(axis=1)
         found = verdicts[np.searchsorted(keys, codes @ places)]
         survivors = np.nonzero(found[:, 0])[0]
-        for local, updates, violates in zip(survivors.tolist(), *found[survivors, 1:].T.tolist()):
-            yield tuple(digits[local].tolist()), updates, violates
+        for local, violates in zip(survivors.tolist(), found[survivors, 2].tolist()):
+            yield tuple(digits[local].tolist()), violates
 
 
 def _budget_exhausted(max_models: int, partial: SweepResult) -> SweepLimitError:
@@ -271,8 +269,6 @@ def sweep(
     config: SweepConfig,
     *,
     max_models: int = DEFAULT_MAX_MODELS,
-    sample_limit: int = 10,
-    witness_dir: str | Path | None = None,
     on_survivor: Callable[[GridPoint, GridPoint], None] | None = None,
 ) -> SweepResult:
     """Cover the grid, filter the assumption set, tally updating behaviour.
@@ -280,12 +276,9 @@ def sweep(
     ``on_survivor`` receives every survivor as integer grid coordinates
     ``(priors, cond_digits)``, in order of prior composition and then of flat
     index; :func:`spec_from_grid` turns them back into a ConditionalSpec.
-    ``witness_dir`` writes one model file per survivor under deterministic
-    names.  ``sample_witnesses`` holds the first ``sample_limit`` survivors
-    with updating, in the same order.  Exceeding ``max_models`` raises
-    :class:`SweepLimitError` carrying the partial tallies; the budget is
-    checked per prior composition, so partial results stop at a composition
-    boundary.
+    Exceeding ``max_models`` raises :class:`SweepLimitError` carrying the
+    partial tallies; the budget is checked per prior composition, so partial
+    results stop at a composition boundary.
     """
     n, m, D = config.n, config.m, config.denominator
     c1 = config.require_condition1
@@ -300,12 +293,6 @@ def sweep(
     stars = {tuple(sorted(P, reverse=True)) for P in _compositions(D, n) if not (c1 and 0 in P)}
     keys, verdicts = _classify(stars, n, m, D, subsets, c1, dtype) if stars else (None, {})
 
-    witness_path: Path | None = None
-    if witness_dir is not None:
-        witness_path = Path(witness_dir)
-        witness_path.mkdir(parents=True, exist_ok=True)
-    listing = on_survivor is not None or witness_path is not None
-
     for P in _compositions(D, n):
         if result.models_enumerated + block > max_models:
             raise _budget_exhausted(max_models, result)
@@ -315,25 +302,11 @@ def sweep(
         found, (satisfying, updating, violations) = verdicts[tuple(sorted(P, reverse=True))]
         result.models_satisfying_all += satisfying
         result.witnesses_with_updating += updating
-        samples_only = not (listing or violations)
-        wants_samples = updating and len(result.sample_witnesses) < sample_limit
-        if (listing and satisfying) or violations or wants_samples:
-            for digits, updates, violates in _members(P, keys, found, n, m, D, not c1, dtype):
+        if (on_survivor is not None and satisfying) or violations:
+            for digits, violates in _members(P, keys, found, n, m, D, not c1, dtype):
                 if violates:
-                    i, j1, j2 = _updating_pair(P, digits, n, m, D)
-                    result.theorem_violations.append(
-                        SweepViolation(spec_from_grid(P, digits, D), i, (j1, j2))
-                    )
-                if updates and len(result.sample_witnesses) < sample_limit:
-                    result.sample_witnesses.append(spec_from_grid(P, digits, D))
+                    result.theorem_violations.append(_violation(P, digits, D))
                 if on_survivor is not None:
                     on_survivor(P, digits)
-                if witness_path is not None:
-                    dump(
-                        from_conditionals(spec_from_grid(P, digits, D)),
-                        witness_path / witness_filename(P, digits),
-                    )
-                if samples_only and len(result.sample_witnesses) >= sample_limit:
-                    break
         result.models_enumerated += block
     return result

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DegeneratePriorError, ImpossibleEvidenceError, InvalidModelError
-from .model import Event, Model, Side
+from .model import Event, Model, Side, _exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,10 +31,7 @@ class OddsPair:
 
     def __post_init__(self) -> None:
         for name in ("for_h", "against_h"):
-            value = getattr(self, name)
-            if isinstance(value, float):
-                raise InvalidModelError(f"odds component {name} must be exact, got float")
-            value = Fraction(value)
+            value = _exact(getattr(self, name), f"odds component {name}")
             if value < 0:
                 raise InvalidModelError(f"odds component {name} must be >= 0, got {value}")
             object.__setattr__(self, name, value)

@@ -77,7 +77,7 @@ def sweep_records():
             def callback(priors, digits, _bucket=survivors):
                 _bucket.append((priors, digits))
         started = perf_counter()
-        result = sweep(SweepConfig(n, m, d), sample_limit=5, on_survivor=callback)
+        result = sweep(SweepConfig(n, m, d), on_survivor=callback)
         records[(n, m, d)] = SweepRecord(
             config=SweepConfig(n, m, d),
             result=result,

@@ -7,11 +7,10 @@ import pytest
 
 import _brute
 from oddsaudit import (
-    DEFAULT_MAX_EVIDENCE,
+    MAX_EVIDENCE,
     DegeneratePriorError,
     Model,
     Side,
-    SubsetCapError,
     assert_theorem,
     check_assumptions,
     check_independence,
@@ -109,12 +108,12 @@ def test_matches_oracle_on_random_models():
 
 
 def test_full_audit_at_the_evidence_cap_matches_oracle():
-    """A sparse n=3 table at m = DEFAULT_MAX_EVIDENCE, where only ten
+    """A sparse n=3 table at m = MAX_EVIDENCE, where only ten
     propositions are ever true: the full audit checks all 2**16 subsets on
     every side, and its verdicts agree with the oracle on every pair and on a
     fixed sample of larger subsets."""
     rng = random.Random(16)
-    m = DEFAULT_MAX_EVIDENCE
+    m = MAX_EVIDENCE
     live = sorted(rng.sample(range(1, m + 1), 10))
     weights = {}
     for i in (1, 2, 3):
@@ -160,14 +159,6 @@ def test_pairwise_mode_is_weaker():
     assert check_independence(model, 1, Side.GIVEN_H, pairwise=True) == []
     full = check_independence(model, 1, Side.GIVEN_H)
     assert [(v.subset, v.joint, v.product) for v in full] == [((1, 2, 3), F(0), F(1, 8))]
-
-
-def test_full_mode_cap():
-    model = Model(n=1, m=17, atoms={(1, (T,) * 17): 1}, max_evidence=17)
-    with pytest.raises(SubsetCapError, match="pairwise"):
-        check_independence(model, 1, Side.GIVEN_H)
-    assert check_independence(model, 1, Side.GIVEN_H, max_full_evidence=17) == []
-    assert check_independence(model, 1, Side.GIVEN_H, pairwise=True) == []
 
 
 # --- relevant_evidence ------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oddsaudit import dump, dumps, from_conditionals, load, measurement_scenario
+from oddsaudit import MAX_EVIDENCE, dump, dumps, from_conditionals, load, measurement_scenario
 from oddsaudit.cli import main, parse_observation
 
 from conftest import DEPENDENT_SPEC
@@ -100,6 +100,15 @@ def test_audit_rejects_hostile_hypothesis_count(tmp_path, capsys):
     assert main(["audit", str(path)]) == 2
     assert time.perf_counter() - start < 1
     assert "limit" in capsys.readouterr().err
+
+
+def test_audit_rejects_evidence_past_the_cap(tmp_path, capsys):
+    path = tmp_path / "wide.model"
+    path.write_text(f"hypotheses 3\nevidence 17\natom 1 {'1' * 17} 1\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["audit", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert f"exceeds the evidence cap {MAX_EVIDENCE}" in capsys.readouterr().err
 
 
 def test_audit_shares_the_check_of_zero_mass_hypotheses(tmp_path, capsys):

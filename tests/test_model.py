@@ -93,11 +93,10 @@ def test_construction_validates_shape_and_mass():
         Model(n=1, m=1, atoms={(1, (T,)): 1.0})  # float forbidden
 
 
-def test_evidence_cap_configurable():
+def test_evidence_cap_is_fixed():
     with pytest.raises(InvalidModelError):
         Model(n=1, m=17, atoms={(1, (T,) * 17): 1})
-    model = Model(n=1, m=17, atoms={(1, (T,) * 17): 1}, max_evidence=17)
-    assert model.m == 17
+    assert Model(n=1, m=16, atoms={(1, (T,) * 16): 1}).m == 16
 
 
 def test_zero_atoms_dropped_and_mapping_frozen(glymour):

@@ -16,6 +16,7 @@ from oddsaudit import (
     assert_theorem,
     check_assumptions,
     check_independence,
+    dumps,
     from_conditionals,
     load,
     relevant_evidence,
@@ -23,6 +24,8 @@ from oddsaudit import (
     sweep,
     witness_filename,
 )
+
+from oddsaudit.cli import main
 
 from conftest import nondegenerate_survivors
 
@@ -108,7 +111,7 @@ GOLDEN = {
 def test_golden_counts(sweep_records):
     for grid, (enum, satisfying, updating, violations) in GOLDEN.items():
         record = sweep_records.get(grid)
-        result = record.result if record else sweep(SweepConfig(*grid), sample_limit=0)
+        result = record.result if record else sweep(SweepConfig(*grid))
         assert result.models_enumerated == enum
         assert result.models_satisfying_all == satisfying
         assert result.witnesses_with_updating == updating
@@ -183,14 +186,12 @@ def test_object_kernel_matches_int64_kernel(grid, monkeypatch):
     assert fast.models_satisfying_all == slow.models_satisfying_all
     assert fast.witnesses_with_updating == slow.witnesses_with_updating
     assert fast.theorem_violations == slow.theorem_violations
-    assert fast.sample_witnesses == slow.sample_witnesses
-    assert len(fast.sample_witnesses) == 10
     assert fast_survivors == slow_survivors  # same enumeration order, same set
 
 
 def test_determinism():
-    first = sweep(SweepConfig(3, 2, 2), sample_limit=7)
-    second = sweep(SweepConfig(3, 2, 2), sample_limit=7)
+    first = sweep(SweepConfig(3, 2, 2))
+    second = sweep(SweepConfig(3, 2, 2))
     assert first == second
 
 
@@ -209,17 +210,18 @@ def test_nondegenerate_fallback_matches_collected(sweep_records):
 # --- survivors are what they claim to be ------------------------------------------
 
 
-def test_sample_witnesses_really_update(sweep_records):
-    result = sweep_records[(3, 2, 2)].result
-    assert 0 < len(result.sample_witnesses) <= 5
-    for spec in result.sample_witnesses:
-        model = from_conditionals(spec)
+def test_survivors_audit_clean_and_updating_ones_are_counted(sweep_records):
+    record = sweep_records[(3, 2, 2)]
+    updating = 0
+    for priors, flat in record.survivors:
+        model = from_conditionals(spec_from_grid(priors, flat, 2))
         assert not any(
             check_independence(model, i, side)
             for i in range(1, model.n + 1)
             for side in (Side.GIVEN_H, Side.GIVEN_NOT_H)
         )
-        assert any(relevant_evidence(model, i) for i in range(1, model.n + 1))
+        updating += any(relevant_evidence(model, i) for i in range(1, model.n + 1))
+    assert 0 < updating == record.result.witnesses_with_updating
 
 
 def test_cross_hypothesis_updating_witness_on_the_grid(sweep_records):
@@ -257,14 +259,17 @@ def test_reference_specs_survive_denominator_six():
 # --- witness files ------------------------------------------------------------------
 
 
-def test_witness_files(tmp_path, sweep_records):
-    result = sweep(SweepConfig(3, 2, 1), witness_dir=tmp_path)
+def test_witness_files(tmp_path, sweep_records, capsys):
+    argv = ["sweep", "--n", "3", "--m", "2", "--denominator", "1", "--witness-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert "models-satisfying-assumptions: 192" in capsys.readouterr().out
     files = sorted(tmp_path.iterdir())
-    assert len(files) == result.models_satisfying_all == 192
-    expected = {
-        witness_filename(priors, flat) for priors, flat in sweep_records[(3, 2, 1)].survivors
-    }
-    assert {f.name for f in files} == expected
+    assert len(files) == 192
+    survivors = sweep_records[(3, 2, 1)].survivors
+    assert {f.name for f in files} == {witness_filename(p, flat) for p, flat in survivors}
+    for priors, flat in survivors[::40]:
+        text = (tmp_path / witness_filename(priors, flat)).read_text(encoding="utf-8")
+        assert text == dumps(from_conditionals(spec_from_grid(priors, flat, 1)))
     sample = load(tmp_path / witness_filename((0, 0, 1), (0, 0, 0, 0, 0, 0)))
     assert sample.prior(3) == 1
     for path in files[:10]:
@@ -369,7 +374,7 @@ def test_violations_listed_from_classes(monkeypatch):
     monkeypatch.setattr(
         sweep_module, "_scan", lambda P, C, D, subsets, c1: original(P, C, D, [], c1)
     )
-    result = sweep(SweepConfig(n, m, d), sample_limit=4)
+    result = sweep(SweepConfig(n, m, d))
     expected = []
     for priors in compositions(d, n):
         for flat in product(range(d + 1), repeat=n * m):
@@ -381,4 +386,3 @@ def test_violations_listed_from_classes(monkeypatch):
     assert result.models_satisfying_all == result.models_enumerated == 4374
     assert [(v.spec, v.hypothesis, v.evidence) for v in result.theorem_violations] == expected
     assert len(expected) > 0
-    assert len(result.sample_witnesses) == 4
