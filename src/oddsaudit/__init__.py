@@ -14,7 +14,6 @@ from .audit import (
     IndependenceViolation,
     PairIdentities,
     TheoremOutcome,
-    assert_theorem,
     check_assumptions,
     check_independence,
     check_pair_identities,
@@ -46,7 +45,7 @@ from .model import (
     signs_to_bits,
 )
 from .modelfile import dump, dumps, load, loads
-from .rational import format_rational, parse_rational
+from .rational import parse_rational
 from .sweep import (
     DEFAULT_MAX_MODELS,
     SweepConfig,
@@ -82,7 +81,6 @@ __all__ = [
     "SweepViolation",
     "TheoremOutcome",
     "ZeroProbabilityError",
-    "assert_theorem",
     "bits_to_signs",
     "check_assumptions",
     "check_independence",
@@ -90,7 +88,6 @@ __all__ = [
     "dump",
     "dumps",
     "example_model",
-    "format_rational",
     "from_conditionals",
     "likelihood_pair",
     "load",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegeneratePriorError
@@ -61,10 +61,6 @@ class TheoremOutcome:
     evidence_pair: tuple[int, int] | None = None
     reason: str | None = None
 
-    @property
-    def holds(self) -> bool:
-        return self.status == "holds"
-
 
 @dataclass(frozen=True)
 class PairIdentities:
@@ -93,21 +89,14 @@ class AuditReport:
 
     n: int
     m: int
-    mode: str
-    n_ok: bool
-    partition_note: str
+    pairwise: bool
     independence_violations: tuple[IndependenceViolation, ...]
     relevance: dict[int, frozenset[int]]
     degenerate_hypotheses: frozenset[int]
-    condition1_holds: bool | None  # None: the all-evidence conjunction has probability 0
-    condition1_failures: tuple[int, ...] = ()
-    theorem: TheoremOutcome = field(default=TheoremOutcome("not-applicable"))
-
-    @property
-    def theorem_holds(self) -> bool | None:
-        if self.theorem.status == "not-applicable":
-            return None
-        return self.theorem.status == "holds"
+    # Hypotheses with no mass on the all-evidence conjunction; () when every
+    # all-evidence posterior is nonzero, None when the conjunction has probability 0.
+    condition1_failures: tuple[int, ...] | None
+    theorem: TheoremOutcome
 
     @property
     def clean(self) -> bool:
@@ -229,7 +218,6 @@ def _theorem_outcome(
     n: int,
     violations: tuple[IndependenceViolation, ...],
     relevance: dict[int, frozenset[int]],
-    degenerate: frozenset[int],
 ) -> TheoremOutcome:
     if n <= 2:
         return TheoremOutcome(
@@ -240,33 +228,22 @@ def _theorem_outcome(
             "not-applicable",
             reason=f"{len(violations)} independence violation(s) present",
         )
+    # Degenerate hypotheses have empty relevance, so they never match here.
     for i in sorted(relevance):
-        if i in degenerate:
-            continue
         updating = sorted(relevance[i])
         if len(updating) >= 2:
             return TheoremOutcome("violated", hypothesis=i, evidence_pair=(updating[0], updating[1]))
     return TheoremOutcome("holds")
 
 
-def assert_theorem(model: Model, *, mode: str = "full") -> TheoremOutcome:
-    """Check that no hypothesis has two or more updating evidence propositions.
+def check_assumptions(model: Model, *, pairwise: bool = False) -> AuditReport:
+    """Run every audit and collect the verdicts into one report.
 
-    Not applicable when n <= 2 or when any independence violation exists (the
-    structural claim only binds models that satisfy the assumptions).
+    ``pairwise`` is passed to :func:`check_independence`.  The theorem check
+    (no hypothesis has two or more updating evidence propositions) is not
+    applicable when n <= 2 or when any independence violation exists: the
+    structural claim only binds models that satisfy the assumptions.
     """
-    return check_assumptions(model, mode=mode).theorem
-
-
-def _parse_mode(mode: str) -> bool:
-    if mode not in ("full", "pairwise"):
-        raise ValueError(f"mode must be 'full' or 'pairwise', got {mode!r}")
-    return mode == "pairwise"
-
-
-def check_assumptions(model: Model, mode: str = "full") -> AuditReport:
-    """Run every audit and collect the verdicts into one report."""
-    pairwise = _parse_mode(mode)
     violations = tuple(
         violation
         for i in range(1, model.n + 1)
@@ -277,29 +254,23 @@ def check_assumptions(model: Model, mode: str = "full") -> AuditReport:
     relevance = {i: relevant_evidence(model, i) for i in range(1, model.n + 1)}
 
     all_true = {j: True for j in range(1, model.m + 1)}
-    if model.event_prob(all_true) == 0:
-        condition1: bool | None = None
-        failures: tuple[int, ...] = ()
-    else:
+    failures = None
+    if model.event_prob(all_true) != 0:
         failures = tuple(
             i
             for i in range(1, model.n + 1)
             if model.atom(i, (True,) * model.m) == 0
         )
-        condition1 = not failures
 
     return AuditReport(
         n=model.n,
         m=model.m,
-        mode=mode,
-        n_ok=model.n > 2,
-        partition_note=_PARTITION_NOTE,
+        pairwise=pairwise,
         independence_violations=violations,
         relevance=relevance,
         degenerate_hypotheses=degenerate,
-        condition1_holds=condition1,
         condition1_failures=failures,
-        theorem=_theorem_outcome(model.n, violations, relevance, degenerate),
+        theorem=_theorem_outcome(model.n, violations, relevance),
     )
 
 
@@ -349,9 +320,9 @@ def render_report(report: AuditReport) -> str:
         f"hypotheses: {report.n}",
         f"evidence: {report.m}",
         f"hypothesis-count (n > 2): "
-        + ("ok" if report.n_ok else f"failed (need n > 2, have n={report.n})"),
-        f"partition: {report.partition_note}",
-        f"independence-mode: {report.mode}",
+        + ("ok" if report.n > 2 else f"failed (need n > 2, have n={report.n})"),
+        f"partition: {_PARTITION_NOTE}",
+        f"independence-mode: {'pairwise' if report.pairwise else 'full'}",
     ]
     if report.independence_violations:
         lines.append(f"independence-violations: {len(report.independence_violations)}")
@@ -367,12 +338,12 @@ def render_report(report: AuditReport) -> str:
         "degenerate-hypotheses: "
         + (_hyp_list(report.degenerate_hypotheses) if report.degenerate_hypotheses else "none")
     )
-    if report.condition1_holds is None:
+    if report.condition1_failures is None:
         lines.append(
             "all-evidence-posteriors-nonzero: not-evaluable "
             "(the all-evidence conjunction has probability 0)"
         )
-    elif report.condition1_holds:
+    elif not report.condition1_failures:
         lines.append("all-evidence-posteriors-nonzero: yes")
     else:
         lines.append(

@@ -28,7 +28,7 @@ from .construct import EXAMPLE_NAMES, example_model, from_conditionals, measurem
 from .errors import ModelError, SweepLimitError
 from .model import Model, Side
 from .modelfile import dump, dumps, load
-from .rational import format_rational, parse_integer, parse_rational
+from .rational import parse_integer, parse_rational
 from .sweep import (
     DEFAULT_MAX_MODELS, SweepConfig, SweepResult, spec_from_grid, sweep, witness_filename
 )
@@ -91,7 +91,7 @@ def _noise_map(text: str) -> dict[Fraction, Fraction]:
 
 
 def _format_value(value: Fraction, approx: bool) -> str:
-    text = format_rational(value)
+    text = str(value)
     if approx:
         text += f" (approx {float(value):.9g})"
     return text
@@ -99,7 +99,7 @@ def _format_value(value: Fraction, approx: bool) -> str:
 
 def cmd_audit(args) -> int:
     model = load(args.file)
-    report = check_assumptions(model, mode="pairwise" if args.pairwise else "full")
+    report = check_assumptions(model, pairwise=args.pairwise)
     sys.stdout.write(render_report(report))
     return 0 if report.clean else 1
 

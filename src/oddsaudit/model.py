@@ -27,7 +27,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -65,8 +65,7 @@ def signs_to_bits(signs: Signs) -> str:
 
 def sign_vectors(m: int) -> Iterator[Signs]:
     """All 2**m sign vectors, ordered by their bitstring read as a binary number."""
-    for value in range(1 << m):
-        yield tuple(bool((value >> (m - 1 - k)) & 1) for k in range(m))
+    return product((False, True), repeat=m)
 
 
 def _exact(value, what: str) -> Fraction:
@@ -130,8 +129,9 @@ class Model:
                 )
             if (i, signs) in clean:
                 raise InvalidModelError(f"duplicate atom ({i}, {signs_to_bits(signs)})")
-            if value.numerator:
-                clean[(i, signs)] = value
+            clean[(i, signs)] = value
+        # Zero atoms are kept until here so that they count as duplicates too.
+        clean = {key: value for key, value in clean.items() if value.numerator}
         scale = math.lcm(*(value.denominator for value in clean.values()))
         bits = [1 << k for k in range(self.m)]
         columns: dict[int, list[tuple[int, int]]] = {}

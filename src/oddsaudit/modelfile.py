@@ -22,8 +22,8 @@ import os
 from pathlib import Path
 
 from .errors import ModelFormatError
-from .model import Model, bits_to_signs, signs_to_bits
-from .rational import format_rational, parse_integer, parse_rational
+from .model import Model, signs_to_bits
+from .rational import parse_integer, parse_rational
 
 #: Files declaring more hypotheses than this are refused: the audit does work
 #: per hypothesis whether or not it has mass.
@@ -35,7 +35,6 @@ def loads(text: str) -> Model:
     violations and :class:`InvalidModelError` on distribution violations."""
     n = m = None
     atoms = {}
-    seen: set[tuple[int, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -74,16 +73,15 @@ def loads(text: str) -> Model:
             if not 1 <= i <= n:
                 fail(f"hypothesis index {i} out of range 1..{n}")
             bits = tokens[2]
-            if len(bits) != m or any(ch not in "01" for ch in bits):
+            if len(bits) != m or bits.strip("01"):
                 fail(f"bitstring {bits!r} must have length {m} over {{0,1}}")
-            if (i, bits) in seen:
+            key = (i, tuple(ch == "1" for ch in bits))
+            if key in atoms:
                 fail(f"duplicate atom ({i}, {bits})")
-            seen.add((i, bits))
             try:
-                value = parse_rational(tokens[3])
+                atoms[key] = parse_rational(tokens[3])
             except ValueError as exc:
                 fail(str(exc))
-            atoms[(i, bits_to_signs(bits))] = value
         else:
             fail(f"unknown directive {keyword!r}")
     if n is None or m is None:
@@ -106,11 +104,11 @@ def _positive_int(tokens, fail):
 def dumps(model: Model) -> str:
     """Canonical text form; stable byte-for-byte for equal models."""
     lines = [f"hypotheses {model.n}", f"evidence {model.m}"]
-    entries = sorted(
-        ((i, signs_to_bits(signs), value) for (i, signs), value in model.atoms.items()),
-        key=lambda entry: (entry[0], int(entry[1], 2)),
+    # Sign tuples sort in bitstring order, since False < True.
+    lines.extend(
+        f"atom {i} {signs_to_bits(signs)} {value}"
+        for (i, signs), value in sorted(model.atoms.items())
     )
-    lines.extend(f"atom {i} {bits} {format_rational(value)}" for i, bits, value in entries)
     return "\n".join(lines) + "\n"
 
 

@@ -39,8 +39,3 @@ def parse_rational(text: str) -> Fraction:
     if denominator == 0:
         raise ValueError(f"zero denominator in rational literal: {text!r}")
     return Fraction(numerator, denominator)
-
-
-def format_rational(value: Fraction) -> str:
-    """Render reduced ``p/q``; integral values print without the ``/1``."""
-    return str(value)

@@ -54,7 +54,7 @@ def test_criterion_1_table_reproduction(tmp_path, capsys):
                 assert model.atom(i, signs) == raw[(i, signs)]
         audit = check_assumptions(model)
         assert audit.independence_violations == ()
-        assert audit.n_ok
+        assert audit.n > 2
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"table reproduction took {elapsed:.3f}s"
     report(1, f"table-reproduction ({elapsed * 1000:.0f} ms)")
@@ -73,9 +73,9 @@ def test_criterion_2_certainty_and_irrelevance_equalities(glymour):
 
 def test_criterion_3_modified_counterexample(modified):
     audit = check_assumptions(modified)
-    assert audit.n_ok
+    assert audit.n > 2
     assert audit.independence_violations == ()
-    assert audit.condition1_holds is True
+    assert audit.condition1_failures == ()
     conjunction = {1: T, 2: T}
     posteriors = [modified.posterior(conjunction, i) for i in (1, 2, 3)]
     assert posteriors == [F(1, 2), F(1, 3), F(1, 6)]

@@ -11,7 +11,6 @@ from oddsaudit import (
     DegeneratePriorError,
     Model,
     Side,
-    assert_theorem,
     check_assumptions,
     check_independence,
     check_pair_identities,
@@ -225,23 +224,23 @@ def test_irrelevance_implies_triple_equality(glymour, modified, four):
                 assert model.cond({j: T}, i, Side.GIVEN_NOT_H) == p
 
 
-# --- assert_theorem ----------------------------------------------------------------
+# --- the theorem outcome ----------------------------------------------------------
 
 
 def test_theorem_on_examples(glymour, modified, four):
     for model in (glymour, modified, four):
-        assert assert_theorem(model).status == "holds"
+        assert check_assumptions(model).theorem.status == "holds"
 
 
 def test_theorem_not_applicable_small_n():
     model = Model(n=2, m=2, atoms={(1, (T, T)): F(1, 2), (2, (N, N)): F(1, 2)})
-    outcome = assert_theorem(model)
+    outcome = check_assumptions(model).theorem
     assert outcome.status == "not-applicable"
     assert "n=2" in outcome.reason
 
 
 def test_theorem_not_applicable_when_dependent(dependent):
-    outcome = assert_theorem(dependent)
+    outcome = check_assumptions(dependent).theorem
     assert outcome.status == "not-applicable"
     assert "violation" in outcome.reason
 
@@ -249,9 +248,7 @@ def test_theorem_not_applicable_when_dependent(dependent):
 def test_theorem_violated_branch_is_reported():
     # No model satisfying the assumptions can reach this branch (that is the
     # point of the sweep suite); exercise the reporting logic directly.
-    outcome = _theorem_outcome(
-        3, (), {1: frozenset({1, 3}), 2: frozenset(), 3: frozenset()}, frozenset()
-    )
+    outcome = _theorem_outcome(3, (), {1: frozenset({1, 3}), 2: frozenset(), 3: frozenset()})
     assert outcome.status == "violated"
     assert outcome.hypothesis == 1
     assert outcome.evidence_pair == (1, 3)
@@ -306,34 +303,34 @@ def test_reports_on_examples(glymour, modified, four):
         (four, True, ()),
     ):
         report = check_assumptions(model)
-        assert report.n_ok
+        assert report.n > 2
         assert report.independence_violations == ()
         assert report.degenerate_hypotheses == frozenset()
-        assert report.condition1_holds is condition1
         assert report.condition1_failures == failures
-        assert report.theorem_holds is True
+        assert (report.condition1_failures == ()) is condition1
+        assert report.theorem.status == "holds"
         assert report.clean
 
 
 def test_report_on_dependent(dependent):
     report = check_assumptions(dependent)
     assert len(report.independence_violations) == 3
-    assert report.theorem_holds is None
+    assert report.theorem.status == "not-applicable"
     assert not report.clean
-    assert report.condition1_holds is True
+    assert report.condition1_failures == ()
 
 
 def test_report_not_evaluable_condition1():
     model = Model(n=3, m=2, atoms={(i, (N, N)): F(1, 3) for i in (1, 2, 3)})
     report = check_assumptions(model)
-    assert report.condition1_holds is None  # the all-evidence conjunction never happens
+    assert report.condition1_failures is None  # the all-evidence conjunction never happens
 
 
 def test_report_small_n():
     model = Model(n=2, m=2, atoms={(1, (T, T)): F(1, 2), (2, (N, N)): F(1, 2)})
     report = check_assumptions(model)
-    assert not report.n_ok
-    assert report.theorem_holds is None
+    assert report.n == 2
+    assert report.theorem.status == "not-applicable"
     assert report.clean  # no violations; the structural claim just does not bind
 
 
@@ -344,9 +341,12 @@ def test_report_records_degenerate_hypotheses():
 
 
 def test_mode_validation(glymour):
-    with pytest.raises(ValueError):
-        check_assumptions(glymour, mode="fast")
-    assert check_assumptions(glymour, mode="pairwise").mode == "pairwise"
+    assert not check_assumptions(glymour).pairwise
+    report = check_assumptions(glymour, pairwise=True)
+    assert report.pairwise
+    assert "independence-mode: pairwise\n" in render_report(report)
+    with pytest.raises(TypeError):  # the flag is keyword-only
+        check_assumptions(glymour, True)
 
 
 GLYMOUR_REPORT = """\

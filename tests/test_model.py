@@ -109,6 +109,16 @@ def test_zero_atoms_dropped_and_mapping_frozen(glymour):
         glymour.n = 5  # frozen dataclass
 
 
+def test_duplicate_atom_refused_even_when_zero():
+    # (1, (2,)) and (1, (True,)) normalise to the same key, whichever is zero.
+    for atoms in (
+        {(1, (2,)): 0, (1, (True,)): 1},
+        {(1, (True,)): 1, (1, (2,)): 0},
+    ):
+        with pytest.raises(InvalidModelError, match=r"duplicate atom \(1, 1\)"):
+            Model(n=1, m=1, atoms=atoms)
+
+
 def test_models_compare_by_value(glymour):
     clone = Model(n=3, m=2, atoms=dict(_brute.GLYMOUR_RAW))
     assert clone == glymour

@@ -13,7 +13,6 @@ from oddsaudit import (
     Side,
     SweepConfig,
     SweepLimitError,
-    assert_theorem,
     check_assumptions,
     check_independence,
     dumps,
@@ -51,7 +50,7 @@ def audit_route(n, m, d, require_condition1=False):
             enumerated += 1
             model = from_conditionals(spec_from_grid(priors, flat, d))
             if require_condition1:
-                if check_assumptions(model).condition1_holds is not True:
+                if check_assumptions(model).condition1_failures != ():
                     continue
             if any(
                 check_independence(model, i, side)
@@ -61,7 +60,7 @@ def audit_route(n, m, d, require_condition1=False):
                 continue
             satisfying += 1
             survivors.add((priors, flat))
-            if assert_theorem(model).status == "violated":
+            if check_assumptions(model).theorem.status == "violated":
                 violated += 1
             if any(relevant_evidence(model, i) for i in range(1, n + 1)):
                 updating += 1
@@ -230,7 +229,7 @@ def test_cross_hypothesis_updating_witness_on_the_grid(sweep_records):
     assert _brute.grid_survives(priors, flat, 4, 2, 4)
     assert (priors, flat) in set(nondegenerate_survivors(sweep_records, (4, 2, 4)))
     model = from_conditionals(spec_from_grid(priors, flat, 4))
-    assert assert_theorem(model).status == "holds"
+    assert check_assumptions(model).theorem.status == "holds"
     assert {i: relevant_evidence(model, i) for i in range(1, 5)} == {
         1: {1},
         2: {1},
