@@ -9,13 +9,32 @@ Survivors satisfy the full two-sided assumption set; on every one of them the
 audit's multiple-updating check is expected to come back clean.
 
 The filter runs on grid *numerators*: with priors P_k/D and conditionals
-C_{j,k}/D, independence of subset J given not-H_i is equivalent to the
-integer identity
+C_{j,k}/D, independence of the pair E_j, E_l given not-H_i is equivalent to
+the integer identity
 
-    (sum_{k!=i} P_k prod_{j in J} C_{j,k}) * (D - P_i)^{|J|-1}
-        = prod_{j in J} (sum_{k!=i} P_k C_{j,k})
+    (sum_{k!=i} P_k C_{j,k} C_{l,k}) * (D - P_i)
+        = (sum_{k!=i} P_k C_{j,k}) * (sum_{k!=i} P_k C_{l,k})
 
 and "E_j updates H_i" is equivalent to C_{j,i} * D != sum_k P_k C_{j,k}.
+
+Only the m(m-1)/2 pairs are tested, not the 2^m - m - 1 subsets, and that
+decides every subset: on a product spec with n > 2, two-sided independence
+of every evidence subset holds if and only if no hypothesis is updated by two
+propositions.  This is the package's extension of the paper's salvage
+theorem.  Write pi_k for the priors, c_{jk} for P(E_j | H_k), p_j = P(E_j),
+x_k = c_{jk} - p_j, y_k = c_{lk} - p_l and S = sum_k pi_k x_k y_k.
+
+* Pairs force disjoint updating (the paper's direction, needing n > 2).  As
+  sum_k pi_k x_k = sum_k pi_k y_k = 0, independence of E_j and E_l given
+  not-H_i (pi_i < 1) reads S (1 - pi_i) = pi_i x_i y_i.  If some pi_i is 1
+  nothing is updated; otherwise summing over the n cells gives S (n - 1) = S,
+  so S = 0 and pi_i x_i y_i = 0: no hypothesis of positive prior is updated
+  by both E_j and E_l.
+* Disjoint updating factors every subset.  If the sets R_j of hypotheses
+  that E_j updates are pairwise disjoint, then c_{jk} = p_j off R_j wherever
+  pi_k > 0, so sum_{k in R_j} pi_k c_{jk} = p_j pi(R_j) and
+  sum_k pi_k prod_{j in J} c_{jk} = prod_{j in J} p_j.  Removing one cell H_i
+  keeps the factorisation, as c_{ji} = p_j for all but at most one j in J.
 
 Both predicates are unchanged by relabelling hypotheses (priors and columns
 of C together), relabelling evidence (rows of C) and negating a proposition
@@ -27,15 +46,17 @@ m!/prod(mult!) times for the row orders, times 2 for each row that is not its
 own negation.  Negation does not keep conditionals nonzero, so
 ``require_condition1`` only sorts the rows.
 ``models_enumerated`` counts the grid models covered, not predicate
-evaluations.  Survivors (``on_survivor`` and violations) come from a pass
-over a composition's grid in flat-index order that maps each spec to its
-class and reads the class's verdicts; a violation's hypothesis and evidence
-pair come from :func:`~oddsaudit.audit.relevant_evidence` on its model.
+evaluations.  Survivors (``on_survivor`` and violations) come from running
+the same identities over a composition's whole grid in flat-index order, and
+their verdicts must add up to the composition's class-weighted tallies; a
+violation's hypothesis and evidence pair come from
+:func:`~oddsaudit.audit.relevant_evidence` on its model.
 
-Every integer formed, the identities' terms (at most D^{2m}) included, stays
+Every integer formed, the identities' terms (at most D^4) included, stays
 below the grid size (D+1)^{nm}; the arithmetic is int64 numpy while that is
 below 2^62, and the same code runs on Python integers (``dtype=object``)
-beyond.  The tests check both against the audit route and a full-grid tally.
+beyond.  The tests check both against the audit route and against full-grid
+tallies that test every subset.
 """
 
 from __future__ import annotations
@@ -44,7 +65,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -129,16 +150,6 @@ def witness_filename(priors: GridPoint, cond_digits: GridPoint) -> str:
     )
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` nonnegative integers summing to ``total``, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _violation(P, digits, D) -> SweepViolation:
     """Name the first hypothesis with two updating propositions, and its first two."""
     spec = spec_from_grid(P, digits, D)
@@ -151,34 +162,28 @@ def _violation(P, digits, D) -> SweepViolation:
 
 
 def _scan(P, C, D, subsets, require_c1):
-    """The integer identities on a stack of conditional matrices ``C`` of
-    shape (specs, m, n), all with priors ``P``.  Column 0 of the result says
-    whether a spec survives; columns 1 and 2 whether it survives with some
-    hypothesis updated by at least one, or two, propositions."""
-    n = len(P)
+    """The pair identities on a stack of conditional matrices ``C`` of shape
+    (specs, m, n), all with priors ``P``, for the evidence pairs ``subsets``.
+    Column 0 of the result says whether a spec survives; columns 1 and 2
+    whether it survives with some hypothesis updated by at least one, or two,
+    propositions."""
     P_arr = np.array(P, dtype=C.dtype)
     T1 = C @ P_arr  # (specs, m): D^2 * P(E_j) per spec
     ok = np.ones(len(C), dtype=bool)
     if require_c1:
         ok &= (C > 0).all(axis=(1, 2))
-    for J in subsets:
-        M = C[:, J[0], :].copy()
-        for j in J[1:]:
-            M *= C[:, j, :]
+    for j, l in subsets:
+        M = C[:, j, :] * C[:, l, :]
         TJ = M @ P_arr
-        power = len(J) - 1
-        for i in range(n):
-            remainder = D - P[i]
-            if remainder == 0:
+        for i, p in enumerate(P):
+            if p == D:
                 continue
-            lhs = (TJ - M[:, i] * P[i]) * remainder**power
-            rhs = T1[:, J[0]] - C[:, J[0], i] * P[i]
-            for j in J[1:]:
-                rhs = rhs * (T1[:, j] - C[:, j, i] * P[i])
+            lhs = (TJ - M[:, i] * p) * (D - p)
+            rhs = (T1[:, j] - C[:, j, i] * p) * (T1[:, l] - C[:, l, i] * p)
             ok &= lhs == rhs
     most = np.zeros(len(C), dtype=np.int64)  # updating propositions of the most updated hypothesis
-    for i in range(n):
-        if P[i] not in (0, D):
+    for i, p in enumerate(P):
+        if p not in (0, D):
             most = np.maximum(most, (C[:, :, i] * D != T1).sum(axis=1))
     return np.stack([ok, ok & (most >= 1), ok & (most >= 2)], axis=1)
 
@@ -190,11 +195,10 @@ def _places(base, width, dtype):
 
 def _classes(n, m, D, negate, dtype):
     """The symmetry classes of the conditional matrices, in chunks of
-    (C, keys, weights): one canonical member each, of shape (classes, m, n),
-    the key of each class and the number of matrices it stands for.
+    (C, weights): one canonical member each, of shape (classes, m, n), and the
+    number of matrices each class stands for.
 
-    A class is a nondecreasing m-tuple of canonical row codes, keyed by the
-    tuple read as m base-(D+1)^n digits, so the keys come out sorted.
+    A class is a nondecreasing m-tuple of canonical row codes.
     """
     base, N = D + 1, (D + 1) ** n
     codes = np.array([c for c in range(N) if not negate or c <= N - 1 - c], dtype=dtype)
@@ -214,46 +218,40 @@ def _classes(n, m, D, negate, dtype):
         for k in range(1, m):
             run = np.where(ranks[:, k] == ranks[:, k - 1], run + 1, 1)
             weights = weights // run * doubles[ranks[:, k]]
-        yield rows[ranks], codes[ranks] @ _places(N, m, dtype), weights
+        yield rows[ranks], weights
 
 
 def _classify(stars, n, m, D, subsets, require_c1, dtype):
     """Run the identities once per class for each sorted composition in
-    ``stars``.  Returns the sorted class keys and, per composition, the
-    :func:`_scan` verdicts of every class and the grid models behind each
-    verdict column."""
-    keys, verdicts = [], {P: [] for P in stars}
+    ``stars``.  Returns, per composition, the grid models behind each
+    :func:`_scan` verdict column."""
     counts = {P: [0, 0, 0] for P in stars}
     covered = 0
-    for C, chunk_keys, weights in _classes(n, m, D, not require_c1, dtype):
-        keys.append(chunk_keys)
+    for C, weights in _classes(n, m, D, not require_c1, dtype):
         covered += int(weights.sum())
         for P in stars:
             found = _scan(P, C, D, subsets, require_c1)
-            verdicts[P].append(found)
             counts[P] = [c + int(weights[f].sum()) for c, f in zip(counts[P], found.T)]
     assert covered == (D + 1) ** (n * m), "the classes must cover the grid"
-    return np.concatenate(keys), {P: (np.concatenate(verdicts[P]), counts[P]) for P in stars}
+    return counts
 
 
-def _members(P, keys, verdicts, n, m, D, negate, dtype):
-    """Survivors of composition ``P`` in flat-index order, as (digits, violates):
-    each spec is mapped to its class and reads the class's verdicts."""
-    base, N = D + 1, (D + 1) ** n
-    # Place values that read a row's code with its columns sorted by prior.
-    row_places = _places(base, n, dtype)[np.argsort(np.argsort([-p for p in P], kind="stable"))]
-    powers, places = _places(base, n * m, dtype), _places(N, m, dtype)
-    for start in range(0, N**m, _CHUNK_ROWS):
-        digits = np.arange(start, min(start + _CHUNK_ROWS, N**m), dtype=dtype)[:, None] // powers
+def _members(P, counts, n, m, D, subsets, require_c1, dtype):
+    """Survivors of composition ``P`` in flat-index order, as (digits, violates),
+    from the identities run on every spec of its grid.  The grid's verdict
+    columns must add up to the class-weighted ``counts``."""
+    base, size = D + 1, (D + 1) ** (n * m)
+    powers = _places(base, n * m, dtype)
+    listed = [0, 0, 0]
+    for start in range(0, size, _CHUNK_ROWS):
+        digits = np.arange(start, min(start + _CHUNK_ROWS, size), dtype=dtype)[:, None] // powers
         digits %= base
-        codes = digits.reshape(-1, m, n) @ row_places
-        if negate:
-            codes = np.minimum(codes, N - 1 - codes)
-        codes.sort(axis=1)
-        found = verdicts[np.searchsorted(keys, codes @ places)]
+        found = _scan(P, digits.reshape(-1, m, n), D, subsets, require_c1)
+        listed = [c + int(f.sum()) for c, f in zip(listed, found.T)]
         survivors = np.nonzero(found[:, 0])[0]
-        for local, violates in zip(survivors.tolist(), found[survivors, 2].tolist()):
-            yield tuple(digits[local].tolist()), violates
+        for row, violates in zip(digits[survivors].tolist(), found[survivors, 2].tolist()):
+            yield tuple(row), violates
+    assert listed == counts, "the listing must match the classes"
 
 
 def _budget_exhausted(max_models: int, partial: SweepResult) -> SweepLimitError:
@@ -286,24 +284,24 @@ def sweep(
     result = SweepResult()
     if block > max_models:
         raise _budget_exhausted(max_models, result)
-    subsets = [
-        J for size in range(2, m + 1) for J in itertools.combinations(range(m), size)
-    ]
+    subsets = list(itertools.combinations(range(m), 2))
     dtype = np.int64 if block < _INT64_HEADROOM else object
-    stars = {tuple(sorted(P, reverse=True)) for P in _compositions(D, n) if not (c1 and 0 in P)}
-    keys, verdicts = _classify(stars, n, m, D, subsets, c1, dtype) if stars else (None, {})
+    compositions = [P for P in itertools.product(range(D + 1), repeat=n) if sum(P) == D]
+    stars = {tuple(sorted(P, reverse=True)) for P in compositions if not (c1 and 0 in P)}
+    tallies = _classify(stars, n, m, D, subsets, c1, dtype) if stars else {}
 
-    for P in _compositions(D, n):
+    for P in compositions:
         if result.models_enumerated + block > max_models:
             raise _budget_exhausted(max_models, result)
         if c1 and 0 in P:
             result.models_enumerated += block  # nothing on this composition can qualify
             continue
-        found, (satisfying, updating, violations) = verdicts[tuple(sorted(P, reverse=True))]
+        counts = tallies[tuple(sorted(P, reverse=True))]
+        satisfying, updating, violations = counts
         result.models_satisfying_all += satisfying
         result.witnesses_with_updating += updating
         if (on_survivor is not None and satisfying) or violations:
-            for digits, violates in _members(P, keys, found, n, m, D, not c1, dtype):
+            for digits, violates in _members(P, counts, n, m, D, subsets, c1, dtype):
                 if violates:
                     result.theorem_violations.append(_violation(P, digits, D))
                 if on_survivor is not None:

@@ -184,3 +184,36 @@ def grid_updating_sets(P, flat, n, m, D):
             continue
         sets[i + 1] = {j + 1 for j in range(m) if flat[j * n + i] * D != T[j]}
     return sets
+
+
+def grid_counts_by_relevance(n, m, D, c1=False):
+    """(enumerated, satisfying, with updating) counts of the grid sweep, from
+    the converse of the at-most-one-updater theorem instead of identities.
+
+    For each prior composition the (D+1)^n rows are tallied by the set of
+    hypotheses they update, as a bitmask; a survivor is an m-tuple of rows
+    whose sets are pairwise disjoint, counted by a DP over the union mask.
+    With ``c1`` zero priors and zero conditionals are excluded.
+    """
+    low = 1 if c1 else 0
+    compositions = [P for P in product(range(D + 1), repeat=n) if sum(P) == D]
+    satisfying = updating = 0
+    for P in compositions:
+        if c1 and 0 in P:
+            continue
+        tally = {}
+        for row in product(range(low, D + 1), repeat=n):
+            total = sum(p * c for p, c in zip(P, row))
+            mask = sum(1 << i for i in range(n) if 0 < P[i] < D and row[i] * D != total)
+            tally[mask] = tally.get(mask, 0) + 1
+        unions = {0: 1}
+        for _ in range(m):
+            grown = {}
+            for union, ways in unions.items():
+                for mask, count in tally.items():
+                    if not union & mask:
+                        grown[union | mask] = grown.get(union | mask, 0) + ways * count
+            unions = grown
+        satisfying += sum(unions.values())
+        updating += sum(ways for union, ways in unions.items() if union)
+    return len(compositions) * (D + 1) ** (n * m), satisfying, updating

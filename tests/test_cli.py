@@ -276,7 +276,7 @@ def test_sweep_reaches_grid_4_3_3(capsys):
 
 
 def test_sweep_budget_checked_before_enumerating_subsets(capsys):
-    # 2**40 evidence subsets would not fit in memory; the budget refuses first.
+    # The grid holds 2**120 models; the budget refuses it before any class is built.
     assert main(["sweep", "--n", "3", "--m", "40", "--denominator", "1"]) == 3
     captured = capsys.readouterr()
     assert "budget" in captured.err

@@ -1,6 +1,7 @@
-"""Property tests: the model file format round-trips, and on product specs
-where only one proposition depends on the hypothesis the audit is clean and
-the odds route equals direct conditioning."""
+"""Property tests: the model file format round-trips; on product specs the
+audit is clean exactly when no hypothesis has two updating propositions, in
+full and pairwise mode alike; and where only one proposition depends on the
+hypothesis the odds route equals direct conditioning."""
 
 from fractions import Fraction as F
 
@@ -16,6 +17,7 @@ from oddsaudit import (
     from_conditionals,
     loads,
     odds_posterior,
+    relevant_evidence,
 )
 
 
@@ -94,3 +96,35 @@ def test_one_varying_row_odds_route_is_exact(spec):
             if model.prior(i) in (0, 1):
                 continue
             assert odds_posterior(model, event, i) == model.posterior(event, i)
+
+
+@st.composite
+def product_specs(draw):
+    """Product specs on a grid of denominator 2..4 over n = 3..4 hypotheses
+    and m = 2..5 propositions, some hypotheses without mass; in half of them
+    most rows are constant, so that both audit verdicts occur."""
+    n, m, d = draw(st.integers(3, 4)), draw(st.integers(2, 5)), draw(st.integers(2, 4))
+    priors = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    varying = draw(st.sets(st.integers(0, m - 1))) if draw(st.booleans()) else range(m)
+    rows = [
+        draw(st.lists(st.integers(0, d), min_size=n, max_size=n))
+        if j in varying
+        else [draw(st.integers(0, d))] * n
+        for j in range(m)
+    ]
+    return ConditionalSpec(
+        priors=tuple(F(p, sum(priors)) for p in priors),
+        cond=tuple(tuple(F(c, d) for c in row) for row in rows),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_specs())
+def test_product_models_are_independent_iff_updating_is_disjoint(spec):
+    """On product models (n > 2) the full audit, the pairwise audit and "no
+    hypothesis has two updating propositions" agree."""
+    model = from_conditionals(spec)
+    full = not check_assumptions(model).independence_violations
+    pairwise = not check_assumptions(model, pairwise=True).independence_violations
+    disjoint = all(len(relevant_evidence(model, i)) < 2 for i in range(1, model.n + 1))
+    assert full == pairwise == disjoint

@@ -1,6 +1,8 @@
+import functools
 import importlib
 from fractions import Fraction as F
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -123,6 +125,66 @@ def test_smallest_grid_with_updating_witness(sweep_records):
     with an updating witness."""
     assert sweep_records[(3, 2, 1)].result.witnesses_with_updating == 0
     assert sweep_records[(3, 2, 2)].result.witnesses_with_updating > 0
+
+
+def test_relevance_counts_match_golden():
+    for grid, (enum, satisfying, updating, _) in GOLDEN.items():
+        assert _brute.grid_counts_by_relevance(*grid) == (enum, satisfying, updating)
+
+
+@pytest.mark.parametrize(
+    "grid", [(3, 5, 3, False), (4, 4, 2, False), (5, 3, 2, False), (3, 4, 3, True)]
+)
+def test_sweep_matches_relevance_counts_on_large_grids(grid):
+    """Grids of 10^8-10^10 models, counted by the converse of the theorem."""
+    enum, satisfying, updating = _brute.grid_counts_by_relevance(*grid)
+    result = sweep(SweepConfig(*grid), max_models=enum)
+    assert result.models_enumerated == enum
+    assert result.models_satisfying_all == satisfying
+    assert result.witnesses_with_updating == updating
+    assert not result.theorem_violations
+
+
+@functools.cache
+def sweep_pairs(m):
+    """The evidence subsets sweep() hands its kernel on an m-proposition grid."""
+    seen = set()
+    original = sweep_module._scan
+
+    def spy(P, C, D, subsets, c1):
+        seen.add(tuple(subsets))
+        return original(P, C, D, subsets, c1)
+
+    with mock.patch.object(sweep_module, "_scan", spy):
+        sweep(SweepConfig(3, m, 1), max_models=3 * 2 ** (3 * m))
+    (subsets,) = seen
+    return list(subsets)
+
+
+@st.composite
+def wide_grid_specs(draw):
+    """One spec of an m = 4-5 grid (n 3-4, D 2-3), half of them with most
+    rows constant so that survivors and failures both occur."""
+    n, m, d = draw(st.integers(3, 4)), draw(st.integers(4, 5)), draw(st.integers(2, 3))
+    priors = draw(st.sampled_from(list(compositions(d, n))))
+    varying = draw(st.sets(st.integers(0, m - 1))) if draw(st.booleans()) else range(m)
+    rows = [
+        draw(st.lists(st.integers(0, d), min_size=n, max_size=n))
+        if j in varying
+        else [draw(st.integers(0, d))] * n
+        for j in range(m)
+    ]
+    return n, m, d, priors, tuple(c for row in rows for c in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_grid_specs())
+def test_pairwise_filter_matches_all_subsets(case):
+    """The kernel's pairs-only verdict equals the all-subsets oracle for m > 3."""
+    n, m, d, priors, flat = case
+    C = np.array(flat, dtype=np.int64).reshape(1, m, n)
+    found = sweep_module._scan(priors, C, d, sweep_pairs(m), False)
+    assert bool(found[0, 0]) == _brute.grid_survives(priors, flat, n, m, d)
 
 
 # --- cross-checks against the Fraction-based audit route -------------------------
@@ -342,7 +404,7 @@ def test_orbit_counts_match_full_grid(grid):
     n, m, d, c1, max_models = grid
     block = (d + 1) ** (n * m)
     for negate in {True, not c1}:
-        weights = sum(int(w.sum()) for _, _, w in sweep_module._classes(n, m, d, negate, np.int64))
+        weights = sum(int(w.sum()) for _, w in sweep_module._classes(n, m, d, negate, np.int64))
         assert weights == block
     listed = []
     try:
