@@ -16,7 +16,6 @@ asserted as a property by the test suite rather than assumed here.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,25 +132,27 @@ def _totals(model: Model) -> list[int]:
 
 
 def _failing_subsets(table: list[int], m: int, pairwise: bool) -> list[tuple]:
-    """(subset, joint, product) for each J whose identity fails on the superset
-    sums ``table``, which this overwrites; sorted by size, then subset."""
-    # Masks run upward, so J's lower part (J minus its top bit) comes first and
-    # has had its table entry replaced by its product of singletons.
-    powers = [table[0] ** size for size in range(m)]
+    """(subset, joint, product) for each J of size 2 to m (2 only if ``pairwise``)
+    whose identity fails on the superset sums ``table``, which this overwrites.
+
+    Each size's masks extend the previous size's by a higher index, so J comes
+    in order of size, then subset, and J minus its top bit has already had its
+    table entry replaced by its product of singletons.
+    """
+    base = table[0]
+    level = [1 << j for j in range(m)]
+    denominator = base
     failing = []
-    for mask in range(3, len(table)):
-        top = 1 << (mask.bit_length() - 1)
-        size = mask.bit_count()
-        if mask == top or (pairwise and size > 2):
-            continue
-        joint = table[mask]
-        table[mask] = product = table[mask ^ top] * table[top]
-        if joint * powers[size - 1] != product:
-            subset = tuple(j + 1 for j in range(m) if mask >> j & 1)
-            failing.append(
-                (subset, Fraction(joint, table[0]), Fraction(product, table[0] ** size))
-            )
-    failing.sort(key=lambda found: (len(found[0]), found[0]))
+    for size in range(2, 3 if pairwise else m + 1):
+        level = [mask | 1 << j for mask in level for j in range(mask.bit_length(), m)]
+        power, denominator = denominator, denominator * base  # base ** (size - 1), base ** size
+        for mask in level:
+            top = 1 << (mask.bit_length() - 1)
+            joint = table[mask]
+            table[mask] = product = table[mask ^ top] * table[top]
+            if joint * power != product:
+                subset = tuple(j + 1 for j in range(m) if mask >> j & 1)
+                failing.append((subset, Fraction(joint, base), Fraction(product, denominator)))
     return failing
 
 
@@ -200,12 +201,10 @@ def relevant_evidence(model: Model, i: int) -> frozenset[int]:
     empty set.  With ``g`` and ``T`` as in :func:`check_independence`, the
     test is ``g[{j}] * T[{}] != T[{j}] * g[{}]``.
     """
-    model.check_hypothesis(i)
-    prior = model.prior(i)
-    if prior == 0 or prior == 1:
-        return frozenset()
     column = model.numerators(i)
     mass = sum(num for _, num in column)
+    if mass == 0 or mass == model.denominator:
+        return frozenset()
     totals = _totals(model)
     return frozenset(
         j + 1
@@ -253,14 +252,10 @@ def check_assumptions(model: Model, *, pairwise: bool = False) -> AuditReport:
     degenerate = frozenset(i for i in range(1, model.n + 1) if model.prior(i) in (0, 1))
     relevance = {i: relevant_evidence(model, i) for i in range(1, model.n + 1)}
 
-    all_true = {j: True for j in range(1, model.m + 1)}
     failures = None
-    if model.event_prob(all_true) != 0:
-        failures = tuple(
-            i
-            for i in range(1, model.n + 1)
-            if model.atom(i, (True,) * model.m) == 0
-        )
+    if _totals(model)[-1] != 0:  # L * P(every E_j true)
+        everything = (True,) * model.m
+        failures = tuple(i for i in range(1, model.n + 1) if model.atom(i, everything) == 0)
 
     return AuditReport(
         n=model.n,
@@ -281,33 +276,34 @@ def check_pair_identities(model: Model, j: int, k: int) -> PairIdentities:
     condition on each H_i).  On a model that is fully independent given each
     cell and its complement, all residuals and bracket products are exactly 0
     and the marginals factorize.
+
+    Everything is read from integer sums over the atom numerators: with
+    ``M_i, a_i, b_i, c_i`` equal to ``L`` times P(H_i), P(E_j, H_i),
+    P(E_k, H_i) and P(E_j E_k, H_i), and ``A, B, C`` their sums over i,
+    residual i is ``(AB - A b_i - a_i B - C (L - M_i) + c_i L) / L^2``,
+    bracket i is ``(A M_i - a_i L)(B M_i - b_i L) / (L M_i)^2``, and the
+    marginals factorize iff ``AB = CL``.
     """
     if j == k:
         raise ValueError(f"need two distinct evidence indices, got j=k={j}")
     model.validate_event({j: True, k: True})
-    priors = {i: model.prior(i) for i in range(1, model.n + 1)}
-    for i, p in priors.items():
-        if p == 0 or p == 1:
-            raise DegeneratePriorError(
-                f"pair identities need 0 < P(H{i}) < 1, got {p}"
-            )
-    p_j = model.event_prob({j: True})
-    p_k = model.event_prob({k: True})
-    p_jk = model.event_prob({j: True, k: True})
-    residuals: dict[int, Fraction] = {}
-    brackets: dict[int, Fraction] = {}
+    L = model.denominator
+    bits = (1 << (j - 1), 1 << (k - 1), 1 << (j - 1) | 1 << (k - 1))
+    sums = {}
     for i in range(1, model.n + 1):
-        lhs = p_j * p_k - p_j * model.joint_prob({k: True}, i) - model.joint_prob({j: True}, i) * p_k
-        rhs = p_jk * (1 - priors[i]) - model.joint_prob({j: True, k: True}, i)
-        residuals[i] = lhs - rhs
-        brackets[i] = (p_j - model.cond({j: True}, i, Side.GIVEN_H)) * (
-            p_k - model.cond({k: True}, i, Side.GIVEN_H)
-        )
-    return PairIdentities(
-        residuals=residuals,
-        factorization_holds=p_j * p_k == p_jk,
-        bracket_products=brackets,
-    )
+        column = model.numerators(i)
+        mass = sum(num for _, num in column)
+        if mass == 0 or mass == L:
+            raise DegeneratePriorError(
+                f"pair identities need 0 < P(H{i}) < 1, got {Fraction(mass, L)}"
+            )
+        sums[i] = (mass, *(sum(num for mask, num in column if mask & want == want) for want in bits))
+    _, A, B, C = map(sum, zip(*sums.values()))
+    residuals, brackets = {}, {}
+    for i, (M, a, b, c) in sums.items():
+        residuals[i] = Fraction(A * B - A * b - a * B - C * (L - M) + c * L, L * L)
+        brackets[i] = Fraction((A * M - a * L) * (B * M - b * L), (L * M) ** 2)
+    return PairIdentities(residuals, A * B == C * L, brackets)
 
 
 def _hyp_list(indices) -> str:

@@ -48,8 +48,6 @@ def loads(text: str) -> Model:
         if keyword == "hypotheses":
             if n is not None:
                 fail("duplicate 'hypotheses' header")
-            if m is not None or atoms:
-                fail("'hypotheses' must be the first directive")
             n = _positive_int(tokens, fail)
             if n > MAX_HYPOTHESES:
                 fail(f"hypothesis count {n} exceeds the limit {MAX_HYPOTHESES}")
@@ -58,8 +56,6 @@ def loads(text: str) -> Model:
                 fail("'evidence' must follow the 'hypotheses' header")
             if m is not None:
                 fail("duplicate 'evidence' header")
-            if atoms:
-                fail("'evidence' must precede atom lines")
             m = _positive_int(tokens, fail)
         elif keyword == "atom":
             if n is None or m is None:

@@ -275,8 +275,9 @@ def sweep(
     ``(priors, cond_digits)``, in order of prior composition and then of flat
     index; :func:`spec_from_grid` turns them back into a ConditionalSpec.
     Exceeding ``max_models`` raises :class:`SweepLimitError` carrying the
-    partial tallies; the budget is checked per prior composition, so partial
-    results stop at a composition boundary.
+    partial tallies; the budget admits the prior compositions whose blocks fit
+    in it whole, and only those are classified, so partial results stop at a
+    composition boundary.
     """
     n, m, D = config.n, config.m, config.denominator
     c1 = config.require_condition1
@@ -287,12 +288,11 @@ def sweep(
     subsets = list(itertools.combinations(range(m), 2))
     dtype = np.int64 if block < _INT64_HEADROOM else object
     compositions = [P for P in itertools.product(range(D + 1), repeat=n) if sum(P) == D]
-    stars = {tuple(sorted(P, reverse=True)) for P in compositions if not (c1 and 0 in P)}
+    admitted = compositions[: max_models // block]
+    stars = {tuple(sorted(P, reverse=True)) for P in admitted if not (c1 and 0 in P)}
     tallies = _classify(stars, n, m, D, subsets, c1, dtype) if stars else {}
 
-    for P in compositions:
-        if result.models_enumerated + block > max_models:
-            raise _budget_exhausted(max_models, result)
+    for P in admitted:
         if c1 and 0 in P:
             result.models_enumerated += block  # nothing on this composition can qualify
             continue
@@ -307,4 +307,6 @@ def sweep(
                 if on_survivor is not None:
                     on_survivor(P, digits)
         result.models_enumerated += block
+    if len(admitted) < len(compositions):
+        raise _budget_exhausted(max_models, result)
     return result

@@ -8,9 +8,11 @@ import pytest
 import _brute
 from oddsaudit import (
     MAX_EVIDENCE,
+    AuditReport,
     DegeneratePriorError,
     Model,
     Side,
+    TheoremOutcome,
     check_assumptions,
     check_independence,
     check_pair_identities,
@@ -287,6 +289,61 @@ def test_identities_errors(glymour):
         check_pair_identities(degenerate, 1, 2)
 
 
+def papers_identities(model, j, k):
+    """The paper's forms of the pair identities, by the oracle's sums."""
+    raw = dict(model.atoms)
+    p_j, p_k = _brute.event_prob(raw, {j: T}), _brute.event_prob(raw, {k: T})
+    p_jk = _brute.event_prob(raw, {j: T, k: T})
+    residuals, brackets = {}, {}
+    for i in range(1, model.n + 1):
+        lhs = (
+            p_j * p_k
+            - p_j * _brute.joint_prob(raw, {k: T}, i)
+            - _brute.joint_prob(raw, {j: T}, i) * p_k
+        )
+        rhs = p_jk * (1 - _brute.prior(raw, i)) - _brute.joint_prob(raw, {j: T, k: T}, i)
+        residuals[i] = lhs - rhs
+        brackets[i] = (p_j - _brute.cond_h(raw, {j: T}, i)) * (p_k - _brute.cond_h(raw, {k: T}, i))
+    return residuals, p_j * p_k == p_jk, brackets
+
+
+def test_identities_match_the_papers_formulas():
+    """Exact residuals, factorization and brackets on random dense and sparse
+    models, for every ordered pair j != k."""
+    rng = random.Random(1304)
+    models = [random_model(rng, rng.randint(2, 5), rng.randint(2, 5)) for _ in range(10)]
+    models += [
+        sparse_model(rng, rng.randint(2, 5), rng.randint(2, 8), rng.choice((0.1, 0.3)))
+        for _ in range(10)
+    ]
+    checked = nonzero = 0
+    for model in models:
+        if any(model.prior(i) in (0, 1) for i in range(1, model.n + 1)):
+            continue
+        for j, k in itertools.permutations(range(1, model.m + 1), 2):
+            identities = check_pair_identities(model, j, k)
+            assert (
+                identities.residuals, identities.factorization_holds, identities.bracket_products
+            ) == papers_identities(model, j, k)
+            checked += 1
+            nonzero += any(identities.residuals.values())
+    assert checked > 100 and nonzero > 50
+
+
+def test_identities_error_order_and_messages():
+    """j == k is refused first, then a bad index, then the first degenerate prior."""
+    zero_second = Model(n=3, m=2, atoms={(1, (T, T)): F(1, 2), (3, (N, T)): F(1, 2)})
+    with pytest.raises(ValueError, match="got j=k=1"):
+        check_pair_identities(zero_second, 1, 1)
+    with pytest.raises(ValueError, match=r"out of range 1\.\.2: 3"):
+        check_pair_identities(zero_second, 1, 3)
+    with pytest.raises(DegeneratePriorError, match=r"^pair identities need 0 < P\(H2\) < 1, got 0$"):
+        check_pair_identities(zero_second, 1, 2)
+    certain_first = Model(n=3, m=2, atoms={(1, (T, N)): F(1, 3), (1, (N, T)): F(2, 3)})
+    with pytest.raises(DegeneratePriorError, match=r"^pair identities need 0 < P\(H1\) < 1, got 1$"):
+        check_pair_identities(certain_first, 2, 1)
+
+
 def test_identities_break_without_independence(dependent):
     identities = check_pair_identities(dependent, 1, 2)
     assert not identities.factorization_holds  # 13/36 * 2/5 != 23/180
@@ -383,6 +440,25 @@ degenerate-hypotheses: none
 all-evidence-posteriors-nonzero: yes
 multiple-updating: not-applicable (3 independence violation(s) present)
 """
+
+
+def test_render_reports_multiple_updating():
+    """No model meeting the assumptions reaches the violated outcome, so the
+    report is built by hand."""
+    report = AuditReport(
+        n=3,
+        m=2,
+        pairwise=False,
+        independence_violations=(),
+        relevance={1: frozenset({1, 2}), 2: frozenset(), 3: frozenset()},
+        degenerate_hypotheses=frozenset(),
+        condition1_failures=(),
+        theorem=TheoremOutcome("violated", hypothesis=1, evidence_pair=(1, 2)),
+    )
+    text = render_report(report)
+    assert text.endswith("multiple-updating: FOUND (H1 updated by E1 and E2)\n")
+    assert "  H1: E1, E2\n" in text
+    assert not report.clean
 
 
 def test_render_golden(glymour, dependent):

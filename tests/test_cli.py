@@ -369,6 +369,36 @@ def test_scenario_bad_flags(override, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "override,message",
+    [
+        ({"--values": " , "}, "values list is empty"),
+        ({"--noise": "0:1/2,0:1/2"}, "duplicate noise offset 0"),
+        ({"--noise": ","}, "noise list is empty"),
+    ],
+)
+def test_scenario_list_errors(override, message, tmp_path, capsys):
+    args = {
+        "--values": "0,10,20", "--weights": "1/3,1/3,1/3", "--noise": "0:1", "--thresholds": "9,9"
+    }
+    args.update(override)
+    argv = ["scenario", *(f"{key}={value}" for key, value in args.items())]
+    assert main([*argv, "-o", str(tmp_path / "x.model")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_scenario_skips_empty_tokens(tmp_path, capsys):
+    paths = [tmp_path / "plain.model", tmp_path / "gaps.model"]
+    for path, values, noise in (
+        (paths[0], "0,10,20", "-1:1/3,0:1/3,1:1/3"),
+        (paths[1], ",0,,10,20,", "-1:1/3,,0:1/3,1:1/3,"),
+    ):
+        argv = ["scenario", f"--values={values}", "--weights=1/3,1/3,1/3", f"--noise={noise}"]
+        assert main([*argv, "--thresholds=9,9", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert paths[0].read_text() == paths[1].read_text()
+
+
 # --- top level -------------------------------------------------------------------
 
 

@@ -256,6 +256,10 @@ def test_scenario_validation():
         measurement_scenario(ok["values"], ok["weights"], {F(0): F(1, 2)}, bool, bool)
     with pytest.raises(InvalidModelError, match="nonempty"):
         measurement_scenario(ok["values"], ok["weights"], {}, bool, bool)
+    with pytest.raises(InvalidModelError, match="nonnegative"):
+        measurement_scenario(
+            ok["values"], ok["weights"], {F(0): F(3, 2), F(1): F(-1, 2)}, bool, bool
+        )
     with pytest.raises(InvalidModelError, match="float"):
         measurement_scenario([0.0, 10.0], ok["weights"], ok["noise"], bool, bool)
     with pytest.raises(InvalidModelError, match="selects no"):

@@ -91,6 +91,14 @@ def test_construction_validates_shape_and_mass():
         Model(n=1, m=2, atoms={(1, (T,)): 1})  # wrong sign length
     with pytest.raises(InvalidModelError):
         Model(n=1, m=1, atoms={(1, (T,)): 1.0})  # float forbidden
+    with pytest.raises(InvalidModelError, match=r"atom probability for \(1, 1\) is not a rational"):
+        Model(n=1, m=1, atoms={(1, (T,)): "one"})
+    with pytest.raises(InvalidModelError, match=r"atom key must be \(i, signs\): 1"):
+        Model(n=1, m=1, atoms={1: 1})
+
+
+def test_repr_counts_nonzero_atoms(glymour):
+    assert repr(glymour) == "Model(n=3, m=2, 6 nonzero atoms)"
 
 
 def test_evidence_cap_is_fixed():

@@ -72,6 +72,9 @@ def test_file_round_trip(tmp_path, modified):
         ("evidence 2\nhypotheses 3\n", "follow"),
         ("atom 1 1 1\n", "before"),
         ("hypotheses 3\nhypotheses 3\n", "duplicate"),
+        ("hypotheses 1\nevidence 1\natom 1 1 1\nhypotheses 1\n", "duplicate 'hypotheses'"),
+        ("hypotheses 1\nevidence 1\natom 1 1 1\nevidence 1\n", "duplicate 'evidence'"),
+        ("hypotheses 1\natom 1 1 1\nevidence 1\n", "before"),
         ("hypotheses 3\nevidence 2\nevidence 2\n", "duplicate"),
         ("hypotheses x\nevidence 2\n", "integer"),
         ("hypotheses 0\nevidence 2\n", "positive"),

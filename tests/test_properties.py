@@ -1,7 +1,8 @@
 """Property tests: the model file format round-trips; on product specs the
 audit is clean exactly when no hypothesis has two updating propositions, in
 full and pairwise mode alike; and where only one proposition depends on the
-hypothesis the odds route equals direct conditioning."""
+hypothesis, or the propositions update disjoint sets of hypotheses, the odds
+route equals direct conditioning."""
 
 from fractions import Fraction as F
 
@@ -128,3 +129,56 @@ def test_product_models_are_independent_iff_updating_is_disjoint(spec):
     pairwise = not check_assumptions(model, pairwise=True).independence_violations
     disjoint = all(len(relevant_evidence(model, i)) < 2 for i in range(1, model.n + 1))
     assert full == pairwise == disjoint
+
+
+@st.composite
+def disjoint_updating_specs(draw):
+    """Product specs over n = 4..6 hypotheses of positive prior, with the
+    propositions each hypothesis is updated by.  The hypotheses that E_j may
+    update form a set R_j, empty or of size 2 or 3, disjoint from the others.
+    Off R_j the conditional is p_j = P(E_j); on R_j it deviates from p_j by
+    rationals whose prior-weighted sum is 0, scaled to keep it in [0, 1]."""
+    n, m = draw(st.integers(4, 6)), draw(st.integers(2, 4))
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    priors = [F(w, sum(weights)) for w in weights]
+    order = draw(st.permutations(range(n)))
+    updating = {i: set() for i in range(1, n + 1)}
+    rows, start = [], 0
+    for j in range(1, m + 1):
+        size = min(draw(st.sampled_from((2, 2, 3, 0))), n - start)
+        group = order[start : start + size] if size >= 2 else []
+        start += len(group)
+        p = F(draw(st.integers(1, 5)), 6)
+        values = st.lists(st.integers(-3, 3), min_size=size, max_size=size, unique=True)
+        raw = dict(zip(group, draw(values))) if group else {}
+        mass = sum(priors[k] for k in group)
+        mean = sum(priors[k] * w for k, w in raw.items()) / mass if group else 0
+        deviations = {k: w - mean for k, w in raw.items()}
+        bounds = [(1 - p) / d if d > 0 else p / -d for d in deviations.values() if d]
+        scale = min(bounds, default=0) * F(draw(st.integers(1, 4)), 4)
+        row = [p] * n
+        for k, d in deviations.items():
+            row[k] = p + scale * d
+            if d:
+                updating[k + 1].add(j)
+        rows.append(tuple(row))
+    return ConditionalSpec(priors=tuple(priors), cond=tuple(rows)), updating
+
+
+@settings(max_examples=60, deadline=None)
+@given(disjoint_updating_specs())
+def test_disjoint_updating_audits_clean_and_odds_are_exact(drawn):
+    """The converse of the salvage theorem on models with several updating
+    propositions: disjoint updating passes the full two-sided audit, and the
+    odds route then equals direct conditioning on every event."""
+    spec, updating = drawn
+    model = from_conditionals(spec)
+    report = check_assumptions(model)
+    assert report.independence_violations == ()
+    assert report.theorem.status == "holds"
+    assert {i: relevant_evidence(model, i) for i in range(1, model.n + 1)} == updating
+    for event in _brute.all_events(model.m):
+        if model.event_prob(event) == 0:
+            continue
+        for i in range(1, model.n + 1):
+            assert odds_posterior(model, event, i) == model.posterior(event, i)

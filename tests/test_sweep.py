@@ -360,6 +360,23 @@ def test_budget_zero_blocks():
     assert info.value.partial.models_enumerated == 0
 
 
+def test_budget_bounds_the_kernel(monkeypatch):
+    """A budget of one block admits only the first composition, (0, 0, 2), so
+    the kernel runs on its sorted form alone."""
+    seen = set()
+    original = sweep_module._scan
+
+    def spy(P, C, D, subsets, c1):
+        seen.add(P)
+        return original(P, C, D, subsets, c1)
+
+    monkeypatch.setattr(sweep_module, "_scan", spy)
+    with pytest.raises(SweepLimitError) as info:
+        sweep(SweepConfig(3, 2, 2), max_models=3**6)
+    assert info.value.partial.models_enumerated == 3**6
+    assert seen == {(2, 0, 0)}
+
+
 # --- orbit reduction -------------------------------------------------------------------
 
 
@@ -447,3 +464,27 @@ def test_violations_listed_from_classes(monkeypatch):
     assert result.models_satisfying_all == result.models_enumerated == 4374
     assert [(v.spec, v.hypothesis, v.evidence) for v in result.theorem_violations] == expected
     assert len(expected) > 0
+
+
+def test_cli_lists_violations_and_exits_1(monkeypatch, capsys):
+    """With the independence filter emptied, ``sweep`` prints one line per
+    violation after the counts and exits 1."""
+    original = sweep_module._scan
+    monkeypatch.setattr(
+        sweep_module, "_scan", lambda P, C, D, subsets, c1: original(P, C, D, [], c1)
+    )
+    result = sweep(SweepConfig(3, 2, 2))
+    violations = result.theorem_violations
+    assert main(["sweep", "--n", "3", "--m", "2", "--denominator", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == [
+        "models-enumerated: 4374",
+        "models-satisfying-assumptions: 4374",
+        f"witnesses-with-updating: {result.witnesses_with_updating}",
+        f"multiple-updating-violations: {len(violations)}",
+    ]
+    assert lines[4:] == [
+        f"  violation: H{v.hypothesis} updated by E{v.evidence[0]} and E{v.evidence[1]} in {v.spec}"
+        for v in violations
+    ]
+    assert len(violations) > 0
