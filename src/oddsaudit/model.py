@@ -68,6 +68,11 @@ def sign_vectors(m: int) -> Iterator[Signs]:
     return product((False, True), repeat=m)
 
 
+def _check_signs(signs, m: int, error: type) -> None:
+    if type(signs) is not tuple or len(signs) != m or not all(s is True or s is False for s in signs):
+        raise error(f"sign vector must be a tuple of m={m} bools, got {signs!r}")
+
+
 def _exact(value, what: str) -> Fraction:
     if type(value) is Fraction:
         return value
@@ -83,10 +88,10 @@ def _exact(value, what: str) -> Fraction:
 class Model:
     """Exact joint distribution over ``n`` hypotheses and ``m`` evidence bits.
 
-    ``atoms`` maps ``(i, signs)`` to the atom probability; omitted atoms are
-    zero.  Construction validates nonnegativity and that the total mass is
-    exactly 1, then normalises the mapping (zero entries dropped, values
-    coerced to ``Fraction``) and freezes it.
+    ``atoms`` maps ``(i, signs)`` (an int in ``1..n``, a tuple of ``m`` bools;
+    nothing else is accepted) to the atom probability; omitted atoms are zero.
+    Construction checks that values are nonnegative and total exactly 1, drops
+    zero entries, coerces values to ``Fraction`` and freezes the mapping.
 
     Every query is an integer sum over :meth:`numerators`, the atoms scaled
     by :attr:`denominator` ``L`` (the lcm of the atom denominators).
@@ -97,9 +102,9 @@ class Model:
     atoms: Mapping[AtomKey, Fraction]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise InvalidModelError(f"need at least one hypothesis, got n={self.n!r}")
-        if not isinstance(self.m, int) or self.m < 1:
+        if type(self.m) is not int or self.m < 1:
             raise InvalidModelError(f"need at least one evidence proposition, got m={self.m!r}")
         if self.m > MAX_EVIDENCE:
             raise InvalidModelError(
@@ -107,31 +112,21 @@ class Model:
                 f"(audits enumerate 2**m subsets)"
             )
         clean: dict[AtomKey, Fraction] = {}
-        for key, raw in self.atoms.items():
-            try:
-                i, signs = key
-            except (TypeError, ValueError) as exc:
-                raise InvalidModelError(f"atom key must be (i, signs): {key!r}") from exc
-            if not isinstance(i, int) or not 1 <= i <= self.n:
+        for key, value in self.atoms.items():
+            if type(key) is not tuple or len(key) != 2:
+                raise InvalidModelError(f"atom key must be (i, signs): {key!r}")
+            i, signs = key
+            if type(i) is not int or not 1 <= i <= self.n:
                 raise InvalidModelError(f"hypothesis index out of range 1..{self.n}: {i!r}")
-            signs = tuple(bool(s) for s in signs)
-            if len(signs) != self.m:
-                raise InvalidModelError(
-                    f"sign vector {signs!r} has length {len(signs)}, expected m={self.m}"
-                )
-            if isinstance(raw, (int, Fraction)):
-                value = raw if type(raw) is Fraction else Fraction(raw)
-            else:
-                value = _exact(raw, f"atom probability for ({i}, {signs_to_bits(signs)})")
+            _check_signs(signs, self.m, InvalidModelError)
+            if type(value) is not Fraction:
+                value = _exact(value, f"atom probability for ({i}, {signs_to_bits(signs)})")
             if value.numerator < 0:
                 raise InvalidModelError(
                     f"negative atom probability {value} for ({i}, {signs_to_bits(signs)})"
                 )
-            if (i, signs) in clean:
-                raise InvalidModelError(f"duplicate atom ({i}, {signs_to_bits(signs)})")
-            clean[(i, signs)] = value
-        # Zero atoms are kept until here so that they count as duplicates too.
-        clean = {key: value for key, value in clean.items() if value.numerator}
+            if value.numerator:
+                clean[key] = value
         scale = math.lcm(*(value.denominator for value in clean.values()))
         bits = [1 << k for k in range(self.m)]
         columns: dict[int, list[tuple[int, int]]] = {}
@@ -156,19 +151,21 @@ class Model:
     # -- lookups ---------------------------------------------------------
 
     def check_hypothesis(self, i: int) -> None:
-        if not isinstance(i, int) or not 1 <= i <= self.n:
+        if type(i) is not int or not 1 <= i <= self.n:
             raise IndexError(f"hypothesis index out of range 1..{self.n}: {i!r}")
 
     def validate_event(self, event: Event) -> None:
         for j, sign in event.items():
-            if not isinstance(j, int) or not 1 <= j <= self.m:
+            if type(j) is not int or not 1 <= j <= self.m:
                 raise ValueError(f"evidence index out of range 1..{self.m}: {j!r}")
             if not isinstance(sign, bool):
                 raise ValueError(f"evidence sign for E{j} must be a bool, got {sign!r}")
 
     def atom(self, i: int, signs: Signs) -> Fraction:
         """P(H_i AND the full conjunction described by ``signs``)."""
-        return self.atoms.get((i, tuple(signs)), Fraction(0))
+        self.check_hypothesis(i)
+        _check_signs(signs, self.m, ValueError)
+        return self.atoms.get((i, signs), Fraction(0))
 
     def numerators(self, i: int) -> tuple[tuple[int, int], ...]:
         """H_i's nonzero atoms as ``(mask, L * probability)`` pairs, ``L`` being

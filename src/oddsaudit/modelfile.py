@@ -98,7 +98,10 @@ def _positive_int(tokens, fail):
 
 
 def dumps(model: Model) -> str:
-    """Canonical text form; stable byte-for-byte for equal models."""
+    """Canonical text form; stable byte-for-byte for equal models.  Raises
+    :class:`ModelFormatError` past :data:`MAX_HYPOTHESES`, as :func:`loads` does."""
+    if model.n > MAX_HYPOTHESES:
+        raise ModelFormatError(f"hypothesis count {model.n} exceeds the limit {MAX_HYPOTHESES}")
     lines = [f"hypotheses {model.n}", f"evidence {model.m}"]
     # Sign tuples sort in bitstring order, since False < True.
     lines.extend(

@@ -281,9 +281,9 @@ def sweep(
     """
     n, m, D = config.n, config.m, config.denominator
     c1 = config.require_condition1
-    block = (D + 1) ** (n * m)
     result = SweepResult()
-    if block > max_models:
+    # (D+1)**(n*m) >= 2**(n*m) > max_models once n*m reaches its bit length.
+    if n * m >= max_models.bit_length() or (block := (D + 1) ** (n * m)) > max_models:
         raise _budget_exhausted(max_models, result)
     subsets = list(itertools.combinations(range(m), 2))
     dtype = np.int64 if block < _INT64_HEADROOM else object

@@ -5,6 +5,7 @@ import pytest
 
 from oddsaudit import MAX_EVIDENCE, dump, dumps, from_conditionals, load, measurement_scenario
 from oddsaudit.cli import main, parse_observation
+from oddsaudit.modelfile import MAX_HYPOTHESES
 
 from conftest import DEPENDENT_SPEC
 from test_audit import DEPENDENT_REPORT, GLYMOUR_REPORT
@@ -70,6 +71,16 @@ def test_audit_dependent(model_file, capsys):
     path = model_file("dependent.model", from_conditionals(DEPENDENT_SPEC))
     assert main(["audit", path]) == 1
     assert capsys.readouterr().out == DEPENDENT_REPORT
+
+
+def test_audit_condition1_not_evaluable(model_file, capsys):
+    text = "hypotheses 3\nevidence 2\n" + "".join(f"atom {i} 00 1/3\n" for i in (1, 2, 3))
+    assert main(["audit", model_file("never.model", text=text)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "all-evidence-posteriors-nonzero: not-evaluable "
+        "(the all-evidence conjunction has probability 0)",
+        "multiple-updating: none (at most one updating evidence item per hypothesis)",
+    ]
 
 
 def test_audit_missing_file(tmp_path, capsys):
@@ -283,6 +294,14 @@ def test_sweep_budget_checked_before_enumerating_subsets(capsys):
     assert "models-enumerated: 0" in captured.err
 
 
+def test_sweep_budget_refuses_a_huge_grid_without_building_its_size(capsys):
+    # The grid has 2**(2 * 10**18) models, a number too large to build.
+    assert main(["sweep", "--n", str(10**18), "--m", "2", "--denominator", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: enumeration budget ")
+    assert "models-enumerated: 0" in captured.err
+
+
 @pytest.mark.parametrize("count", ["\uff13", "0_3", "\u0663"])
 def test_integer_options_take_ascii_digits_only(count, capsys):
     assert main(["sweep", "--n", count, "--m", "2", "--denominator", "1"]) == 2
@@ -385,6 +404,23 @@ def test_scenario_list_errors(override, message, tmp_path, capsys):
     argv = ["scenario", *(f"{key}={value}" for key, value in args.items())]
     assert main([*argv, "-o", str(tmp_path / "x.model")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_scenario_refuses_what_it_could_not_read_back(tmp_path, capsys):
+    count = MAX_HYPOTHESES + 1
+    out_path = tmp_path / "big.model"
+    argv = [
+        "scenario",
+        f"--values={','.join(map(str, range(count)))}",
+        f"--weights={','.join([f'1/{count}'] * count)}",
+        "--noise=0:1",
+        "--thresholds=9,9",
+    ]
+    assert main([*argv, "-o", str(out_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: hypothesis count {count} exceeds the limit {MAX_HYPOTHESES}\n"
+    )
+    assert not out_path.exists()
 
 
 def test_scenario_skips_empty_tokens(tmp_path, capsys):

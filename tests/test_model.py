@@ -118,13 +118,26 @@ def test_zero_atoms_dropped_and_mapping_frozen(glymour):
 
 
 def test_duplicate_atom_refused_even_when_zero():
-    # (1, (2,)) and (1, (True,)) normalise to the same key, whichever is zero.
+    # Keys are not normalised, so (1, (2,)) never merges with (1, (True,)):
+    # it is refused as it is read, whichever of the two is zero.
     for atoms in (
         {(1, (2,)): 0, (1, (True,)): 1},
         {(1, (True,)): 1, (1, (2,)): 0},
     ):
-        with pytest.raises(InvalidModelError, match=r"duplicate atom \(1, 1\)"):
+        with pytest.raises(InvalidModelError, match=r"tuple of m=1 bools, got \(2,\)"):
             Model(n=1, m=1, atoms=atoms)
+
+
+def test_atom_checks_its_key():
+    model = Model(n=1, m=2, atoms={(1, (T, T)): 1})
+    assert model.atom(1, (T, T)) == 1
+    assert model.atom(1, (T, N)) == 0
+    for bad in (0, 2, 99, True):
+        with pytest.raises(IndexError):
+            model.atom(bad, (T, T))
+    for bad in ("11", [T, T], (1, 1), (T,), (T, T, T)):
+        with pytest.raises(ValueError, match="tuple of m=2 bools"):
+            model.atom(1, bad)
 
 
 def test_models_compare_by_value(glymour):
@@ -176,7 +189,7 @@ def test_prior_values(glymour, four):
 
 
 def test_prior_bad_index(glymour):
-    for bad in (0, 4, -1):
+    for bad in (0, 4, -1, True):
         with pytest.raises(IndexError):
             glymour.prior(bad)
 
@@ -225,6 +238,8 @@ def test_event_validation(glymour):
         glymour.event_prob({0: T})
     with pytest.raises(ValueError):
         glymour.event_prob({1: 1})  # sign must be a bool
+    with pytest.raises(ValueError, match="evidence index out of range"):
+        glymour.event_prob({True: T})  # so must the index be an int
 
 
 # --- cond ----------------------------------------------------------------------

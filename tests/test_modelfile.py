@@ -121,6 +121,12 @@ def test_hypothesis_count_limit_is_inclusive():
     assert loads(f"hypotheses {MAX_HYPOTHESES}\nevidence 1\natom 1 1 1\n").n == MAX_HYPOTHESES
 
 
+def test_dumps_refuses_what_loads_refuses():
+    model = Model(n=MAX_HYPOTHESES + 1, m=1, atoms={(1, (True,)): 1})
+    with pytest.raises(ModelFormatError, match=f"hypothesis count {MAX_HYPOTHESES + 1} exceeds"):
+        dumps(model)
+
+
 def test_headers_only_whitespace_and_comments():
     text = "   # leading comment\n\nhypotheses 1\n\t\nevidence 1\natom 1 1 1 # done\n"
     model = loads(text)

@@ -1,4 +1,5 @@
-"""Property tests: the model file format round-trips; on product specs the
+"""Property tests: the model file format round-trips, and a model is built
+only from canonical ``(i, signs)`` keys; on product specs the
 audit is clean exactly when no hypothesis has two updating propositions, in
 full and pairwise mode alike; and where only one proposition depends on the
 hypothesis, or the propositions update disjoint sets of hypotheses, the odds
@@ -6,12 +7,14 @@ route equals direct conditioning."""
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _brute
 from oddsaudit import (
     ConditionalSpec,
+    InvalidModelError,
     Model,
     check_assumptions,
     dumps,
@@ -53,6 +56,47 @@ def test_model_file_round_trips(model):
     assert all(value != "0" for *_, value in atoms)
     # Insertion order does not reach the canonical text.
     assert dumps(Model(n=model.n, m=model.m, atoms=dict(sorted(model.atoms.items())))) == text
+
+
+@st.composite
+def mistyped_keys(draw):
+    """A one-atom model's shape and canonical key, and a mistyped variant of
+    them: the signs as a bitstring, bytes, ints, None, an int or a tuple of
+    the wrong length; the index as a bool, None or a string; or a bool shape."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    i, signs = draw(st.integers(1, n)), draw(st.tuples(*[st.booleans()] * m))
+    bits = "".join("1" if s else "0" for s in signs)
+    mixed = st.lists(st.sampled_from([0, 1, 2, False, True]), min_size=m, max_size=m)
+    bad_signs = st.one_of(
+        st.sampled_from([bits, bits.encode(), tuple(map(int, signs)), None, signs + (True,)]),
+        mixed.filter(lambda xs: any(type(x) is not bool for x in xs)).map(tuple),
+        st.integers(),
+        st.tuples(*[st.booleans()] * (m - 1)),
+    )
+    bad = st.one_of(
+        bad_signs.map(lambda bad: (n, m, (i, bad))),
+        st.sampled_from([True, None, str(i)]).map(lambda bad: (n, m, (bad, signs))),
+    )
+    if i == 1:
+        bad = st.one_of(bad, st.just((True, m, (i, signs))))
+    if m == 1:
+        bad = st.one_of(bad, st.just((n, True, (i, signs))))
+    return (n, m, (i, signs)), draw(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mistyped_keys())
+@example(((1, 2, (1, (False, True))), (1, 2, (1, "01"))))  # "0" is truthy
+@example(((1, 1, (1, (True,))), (1, 1, (1, 5))))  # not iterable
+@example(((2, 1, (1, (True,))), (2, 1, (True, (True,)))))  # True is not H1
+@example(((1, 1, (1, (True,))), (True, True, (1, (True,)))))
+def test_only_canonical_keys_build_models(drawn):
+    (n, m, key), (bad_n, bad_m, bad_key) = drawn
+    model = Model(n=n, m=m, atoms={key: 1})
+    assert loads(dumps(model)) == model
+    # Refused with the package's own error, never coerced nor a TypeError.
+    with pytest.raises(InvalidModelError):
+        Model(n=bad_n, m=bad_m, atoms={bad_key: 1})
 
 
 @st.composite
