@@ -2,11 +2,11 @@
 
 The package represents joint distributions over a hypothesis partition and
 binary evidence propositions with exact rationals, implements the
-odds-product updating scheme over projective odds pairs, audits conditional
-independence given each hypothesis and given each complement, and verifies —
-by exact identity checks and exhaustive grid sweeps — that models satisfying
-the full two-sided assumption set never let two evidence propositions update
-the same hypothesis.
+odds-product updating scheme over projective integer odds pairs, audits
+conditional independence given each hypothesis and given each complement, and
+verifies — by exact identity checks and exhaustive grid sweeps — that models
+satisfying the full two-sided assumption set never let two evidence
+propositions update the same hypothesis.
 """
 
 from .audit import (
@@ -55,7 +55,7 @@ from .sweep import (
     sweep,
     witness_filename,
 )
-from .updating import OddsPair, likelihood_pair, odds_posterior, odds_update, prior_odds
+from .updating import odds_posterior
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "Model",
     "ModelError",
     "ModelFormatError",
-    "OddsPair",
     "PairIdentities",
     "Side",
     "SweepConfig",
@@ -89,14 +88,11 @@ __all__ = [
     "dumps",
     "example_model",
     "from_conditionals",
-    "likelihood_pair",
     "load",
     "loads",
     "measurement_scenario",
     "odds_posterior",
-    "odds_update",
     "parse_rational",
-    "prior_odds",
     "relevant_evidence",
     "render_report",
     "sign_vectors",

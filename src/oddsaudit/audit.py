@@ -174,11 +174,10 @@ def check_independence(
     (given not-H: ``T - g``), P(AND_J E_j | side) is ``g[J] / g[{}]``, so J
     factorizes iff ``g[J] * g[{}]**(|J|-1) == prod_{j in J} g[{j}]``.
     """
-    model.check_hypothesis(i)
-    prior = model.prior(i)
-    if prior == (0 if side is Side.GIVEN_H else 1):
+    mass = model.mass(i)
+    if mass == (0 if side is Side.GIVEN_H else model.denominator):
         return []
-    if prior == 0:
+    if mass == 0:
         # The complement of an empty cell is the whole model, the same for
         # every such hypothesis: its failing subsets are found once per mode.
         kept = f"_whole_model_failures_{pairwise}"
@@ -201,11 +200,10 @@ def relevant_evidence(model: Model, i: int) -> frozenset[int]:
     empty set.  With ``g`` and ``T`` as in :func:`check_independence`, the
     test is ``g[{j}] * T[{}] != T[{j}] * g[{}]``.
     """
-    column = model.numerators(i)
-    mass = sum(num for _, num in column)
-    if mass == 0 or mass == model.denominator:
+    mass = model.mass(i)
+    if mass in (0, model.denominator):
         return frozenset()
-    totals = _totals(model)
+    column, totals = model.numerators(i), _totals(model)
     return frozenset(
         j + 1
         for j in range(model.m)
@@ -249,7 +247,9 @@ def check_assumptions(model: Model, *, pairwise: bool = False) -> AuditReport:
         for side in Side
         for violation in check_independence(model, i, side, pairwise=pairwise)
     )
-    degenerate = frozenset(i for i in range(1, model.n + 1) if model.prior(i) in (0, 1))
+    degenerate = frozenset(
+        i for i in range(1, model.n + 1) if model.mass(i) in (0, model.denominator)
+    )
     relevance = {i: relevant_evidence(model, i) for i in range(1, model.n + 1)}
 
     failures = None
@@ -291,9 +291,8 @@ def check_pair_identities(model: Model, j: int, k: int) -> PairIdentities:
     bits = (1 << (j - 1), 1 << (k - 1), 1 << (j - 1) | 1 << (k - 1))
     sums = {}
     for i in range(1, model.n + 1):
-        column = model.numerators(i)
-        mass = sum(num for _, num in column)
-        if mass == 0 or mass == L:
+        mass, column = model.mass(i), model.numerators(i)
+        if mass in (0, L):
             raise DegeneratePriorError(
                 f"pair identities need 0 < P(H{i}) < 1, got {Fraction(mass, L)}"
             )

@@ -111,6 +111,8 @@ class Model:
                 f"m={self.m} exceeds the evidence cap {MAX_EVIDENCE} "
                 f"(audits enumerate 2**m subsets)"
             )
+        if not isinstance(self.atoms, Mapping):
+            raise InvalidModelError(f"atoms must be a mapping, got {type(self.atoms).__name__}")
         clean: dict[AtomKey, Fraction] = {}
         for key, value in self.atoms.items():
             if type(key) is not tuple or len(key) != 2:
@@ -173,20 +175,29 @@ class Model:
         self.check_hypothesis(i)
         return self._columns.get(i, ())
 
+    def mass(self, i: int) -> int:
+        """L * P(H_i): the total of the hypothesis' column of numerators."""
+        self.check_hypothesis(i)
+        return self._masses.get(i, 0)
+
+    def _masked_sum(self, care: int, want: int, i: int | None = None) -> int:
+        """L * P(the evidence bits in ``care`` equal those of ``want``), AND H_i
+        when ``i`` is given; ``i`` and the masks are taken as already checked."""
+        columns = self._columns.values() if i is None else (self._columns.get(i, ()),)
+        return sum(num for column in columns for mask, num in column if mask & care == want)
+
     def _numerator(self, event: Event, i: int | None = None) -> int:
         """L * P(event), or L * P(event AND H_i) when ``i`` is given."""
         self.validate_event(event)
         care = sum(1 << (j - 1) for j in event)
         want = sum(1 << (j - 1) for j, sign in event.items() if sign)
-        columns = self._columns.values() if i is None else (self._columns.get(i, ()),)
-        return sum(num for column in columns for mask, num in column if mask & care == want)
+        return self._masked_sum(care, want, i)
 
     # -- marginals and conditionals --------------------------------------
 
     def prior(self, i: int) -> Fraction:
         """P(H_i): total mass of the hypothesis' column."""
-        self.check_hypothesis(i)
-        return Fraction(self._masses.get(i, 0), self.denominator)
+        return Fraction(self.mass(i), self.denominator)
 
     def event_prob(self, event: Event) -> Fraction:
         """P(event): mass of all atoms consistent with every literal."""
@@ -205,8 +216,7 @@ class Model:
         """
         if not isinstance(side, Side):
             raise ValueError(f"side must be a Side member, got {side!r}")
-        self.check_hypothesis(i)
-        mass, top = self._masses.get(i, 0), self._numerator(event, i)
+        mass, top = self.mass(i), self._numerator(event, i)
         if side is Side.GIVEN_NOT_H:
             mass, top = self.denominator - mass, self._numerator(event) - top
         if mass == 0:

@@ -87,6 +87,33 @@ def posterior(atoms, event, i):
     return joint_prob(atoms, event, i) / event_prob(atoms, event)
 
 
+class DegeneratePrior(Exception):
+    """The odds rule has no likelihood ratio: P(H_i) is 0 or 1."""
+
+
+class ImpossibleEvidence(Exception):
+    """A literal, or the whole combination, has probability 0 on both sides."""
+
+
+def odds_posterior(atoms, event, i):
+    """P(H_i | event) by the odds-product rule: the prior odds P(H_i) : P(not-H_i)
+    times P(E_j^s | H_i) : P(E_j^s | not-H_i) per literal, in index order."""
+    p = prior(atoms, i)
+    if not event:
+        return p
+    if p in (0, 1):
+        raise DegeneratePrior(i)
+    for_h, against_h = p, 1 - p
+    for j, sign in sorted(event.items()):
+        given_h, given_not_h = cond_h(atoms, {j: sign}, i), cond_not_h(atoms, {j: sign}, i)
+        if given_h == given_not_h == 0:
+            raise ImpossibleEvidence(j)
+        for_h, against_h = for_h * given_h, against_h * given_not_h
+    if for_h == against_h == 0:
+        raise ImpossibleEvidence(None)
+    return for_h / (for_h + against_h)
+
+
 def independence_violations(atoms, i, side):
     """All subsets |J| >= 2 where the conditional fails to factorize.
 

@@ -97,6 +97,13 @@ def test_construction_validates_shape_and_mass():
         Model(n=1, m=1, atoms={1: 1})
 
 
+def test_atoms_must_be_a_mapping():
+    # Refused with the package's error, not an AttributeError from `.items()`.
+    for atoms in (None, [((1, (T,)), 1)], ((1, (T,)),)):
+        with pytest.raises(InvalidModelError, match=r"atoms must be a mapping, got \w+$"):
+            Model(n=1, m=1, atoms=atoms)
+
+
 def test_repr_counts_nonzero_atoms(glymour):
     assert repr(glymour) == "Model(n=3, m=2, 6 nonzero atoms)"
 
@@ -154,6 +161,7 @@ def test_integer_form_matches_atoms():
             for mask, num in model.numerators(i):
                 signs = tuple(bool(mask >> k & 1) for k in range(model.m))
                 rebuilt[(i, signs)] = F(num, model.denominator)
+            assert model.mass(i) == sum(num for _, num in model.numerators(i))
         assert rebuilt == dict(model.atoms)
     assert Model(n=2, m=1, atoms={(1, (T,)): F(1, 6), (2, (N,)): F(5, 6)}).denominator == 6
 
@@ -192,6 +200,8 @@ def test_prior_bad_index(glymour):
     for bad in (0, 4, -1, True):
         with pytest.raises(IndexError):
             glymour.prior(bad)
+        with pytest.raises(IndexError):
+            glymour.mass(bad)
 
 
 def test_priors_total_one_everywhere(glymour, modified, four):

@@ -1,11 +1,13 @@
 """Property tests: the model file format round-trips, and a model is built
-only from canonical ``(i, signs)`` keys; on product specs the
+only from canonical ``(i, signs)`` keys; the odds route equals an
+independent oracle of the product rule; on product specs the
 audit is clean exactly when no hypothesis has two updating propositions, in
 full and pairwise mode alike; and where only one proposition depends on the
 hypothesis, or the propositions update disjoint sets of hypotheses, the odds
 route equals direct conditioning."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 import _brute
 from oddsaudit import (
     ConditionalSpec,
+    DegeneratePriorError,
+    ImpossibleEvidenceError,
     InvalidModelError,
     Model,
     check_assumptions,
@@ -97,6 +101,42 @@ def test_only_canonical_keys_build_models(drawn):
     # Refused with the package's own error, never coerced nor a TypeError.
     with pytest.raises(InvalidModelError):
         Model(n=bad_n, m=bad_m, atoms={bad_key: 1})
+
+
+@st.composite
+def odds_queries(draw):
+    """A sparse model from :func:`models` or a dense one with a weight on every
+    cell (such models are almost never conditionally independent), an event
+    on it and a hypothesis index."""
+    if draw(st.booleans()):
+        model = draw(models())
+    else:
+        n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        cells = list(product(range(1, n + 1), product((False, True), repeat=m)))
+        weights = draw(st.lists(st.integers(0, 6), min_size=len(cells), max_size=len(cells)))
+        weights[-1] += not any(weights)
+        total = sum(weights)
+        model = Model(n=n, m=m, atoms={c: F(w, total) for c, w in zip(cells, weights)})
+    event = draw(st.dictionaries(st.integers(1, model.m), st.booleans()))
+    return model, event, draw(st.integers(1, model.n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(odds_queries())
+def test_odds_route_matches_the_product_rule_oracle(drawn):
+    """The integer odds route equals the Fraction oracle of the product rule
+    in value, or raises the error that matches the oracle's."""
+    model, event, i = drawn
+    try:
+        expected = _brute.odds_posterior(dict(model.atoms), event, i)
+    except _brute.DegeneratePrior:
+        with pytest.raises(DegeneratePriorError):
+            odds_posterior(model, event, i)
+    except _brute.ImpossibleEvidence:
+        with pytest.raises(ImpossibleEvidenceError):
+            odds_posterior(model, event, i)
+    else:
+        assert odds_posterior(model, event, i) == expected
 
 
 @st.composite

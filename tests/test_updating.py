@@ -8,157 +8,91 @@ from oddsaudit import (
     ConditionalSpec,
     DegeneratePriorError,
     ImpossibleEvidenceError,
-    InvalidModelError,
     Model,
-    OddsPair,
+    Side,
+    ZeroProbabilityError,
     from_conditionals,
-    likelihood_pair,
     odds_posterior,
-    odds_update,
-    prior_odds,
 )
 
-from test_model import random_model, single_atom_model
+from test_model import random_model, single_atom_model, sparse_model
 
 T, N = True, False
 
-
-# --- OddsPair ----------------------------------------------------------------
-
-
-def test_odds_pair_validation():
-    with pytest.raises(ImpossibleEvidenceError):
-        OddsPair(F(0), F(0))
-    with pytest.raises(InvalidModelError):
-        OddsPair(F(-1), F(1))
-    with pytest.raises(InvalidModelError):
-        OddsPair(0.5, F(1))
-    assert OddsPair(1, 0).against_h == 0  # zero on one side is fine
+#: Certain under H1 for E1 = 0, certain under not-H1 for E2 = 1: each literal
+#: alone is fine, both together give the odds (0, 0).
+COLLAPSE_SPEC = ConditionalSpec(
+    priors=(F(1, 3),) * 3,
+    cond=((F(0), F(1, 2), F(1, 2)), (F(1), F(0), F(0))),
+)
 
 
-def test_odds_pair_projective_equality():
-    assert OddsPair(F(1), F(2)) == OddsPair(F(2), F(4))
-    assert OddsPair(F(1), F(0)) == OddsPair(F(5), F(0))
-    assert OddsPair(F(0), F(3)) == OddsPair(F(0), F(1, 7))
-    assert OddsPair(F(1), F(2)) != OddsPair(F(2), F(1))
-    assert hash(OddsPair(F(1), F(2))) == hash(OddsPair(F(3), F(6)))
-    assert OddsPair(F(1), F(2)) != "not odds"
+def outcome(model, event, i):
+    """The value of ``odds_posterior``, or its exception's type and message."""
+    try:
+        return odds_posterior(model, event, i)
+    except (DegeneratePriorError, ImpossibleEvidenceError) as exc:
+        return type(exc), str(exc)
 
 
-def test_odds_pair_posterior():
-    assert OddsPair(F(1), F(2)).posterior() == F(1, 3)
-    assert OddsPair(F(1), F(0)).posterior() == 1
-    assert OddsPair(F(0), F(2)).posterior() == 0
-
-
-# --- prior_odds ----------------------------------------------------------------
+# --- prior odds and single literals ----------------------------------------------
 
 
 def test_prior_odds_values(glymour, four):
-    assert prior_odds(glymour, 1) == OddsPair(F(1, 3), F(2, 3))
-    assert prior_odds(four, 3) == OddsPair(F(1, 4), F(3, 4))
-    assert prior_odds(single_atom_model(), 1) == OddsPair(F(1), F(0))
+    # With no literals the odds stay (P(H_i), P(not-H_i)).
+    assert odds_posterior(glymour, {}, 1) == F(1, 3)
+    assert odds_posterior(four, {}, 3) == F(1, 4)
+    assert odds_posterior(single_atom_model(), {}, 1) == 1
     with pytest.raises(IndexError):
-        prior_odds(glymour, 0)
+        odds_posterior(glymour, {}, 0)
 
 
-# --- likelihood_pair -------------------------------------------------------------
+def test_odds_pair_posterior(glymour):
+    # Infinite odds (P(E2 | H1), P(E2 | not-H1)) = (1, 0), and zero odds for H2.
+    assert odds_posterior(glymour, {2: T}, 1) == 1
+    assert odds_posterior(glymour, {2: T}, 2) == 0
+    assert odds_posterior(glymour, {2: T, 1: N}, 3) == 0
 
 
 def test_likelihood_pair_values(glymour, modified):
-    assert likelihood_pair(glymour, 2, T, 1) == OddsPair(F(1), F(0))
-    assert likelihood_pair(glymour, 1, T, 1) == OddsPair(F(1, 2), F(1, 2))
-    assert likelihood_pair(modified, 2, T, 1) == OddsPair(F(1, 2), F(1, 4))
+    # Pairs (1/2, 1/2) and (1/2, 1/4) on the prior odds (1/3, 2/3).
+    assert odds_posterior(glymour, {1: T}, 1) == F(1, 3)
+    assert odds_posterior(modified, {2: T}, 1) == F(1, 2)
+    assert odds_posterior(modified, {2: N}, 1) == F(1, 4)
 
 
 def test_likelihood_pair_degenerate_prior():
     model = Model(n=2, m=1, atoms={(1, (T,)): 1})  # P(H1)=1, P(H2)=0
-    for i in (1, 2):
-        with pytest.raises(DegeneratePriorError):
-            likelihood_pair(model, 1, T, i)
+    for i, prior in ((1, 1), (2, 0)):
+        assert odds_posterior(model, {}, i) == prior
+        with pytest.raises(
+            DegeneratePriorError, match=rf"for H{i} needs 0 < P\(H{i}\) < 1, got {prior}$"
+        ):
+            odds_posterior(model, {1: T}, i)
 
 
 def test_likelihood_pair_impossible_on_both_sides():
-    model = Model(n=2, m=1, atoms={(1, (N,)): F(1, 2), (2, (N,)): F(1, 2)})
-    with pytest.raises(ImpossibleEvidenceError):
-        likelihood_pair(model, 1, T, 1)  # E1 never happens
+    # E1 never happens; it is refused as the first literal in index order,
+    # wherever the event lists it.
+    model = Model(n=2, m=2, atoms={(1, (N, N)): F(1, 2), (2, (N, T)): F(1, 2)})
+    assert odds_posterior(model, {2: N}, 1) == 1
+    for event in ({1: T}, {2: N, 1: T}, {1: T, 2: T}):
+        with pytest.raises(
+            ImpossibleEvidenceError,
+            match="^E1=1 has probability 0 both given H1 and given not-H1$",
+        ):
+            odds_posterior(model, event, 1)
 
 
 def test_negated_literal_is_complement(glymour, modified, four):
     for model in (glymour, modified, four):
         for i in range(1, model.n + 1):
+            p = model.prior(i)
             for j in range(1, model.m + 1):
-                pos = likelihood_pair(model, j, T, i)
-                neg = likelihood_pair(model, j, N, i)
-                assert neg.for_h == 1 - pos.for_h
-                assert neg.against_h == 1 - pos.against_h
-
-
-# --- odds_update ------------------------------------------------------------------
-
-
-def test_odds_update_examples():
-    start = OddsPair(F(1, 2), F(1, 2))
-    assert odds_update(start, []) == start
-    glymour_chain = odds_update(
-        OddsPair(F(1, 3), F(2, 3)), [OddsPair(F(1, 2), F(1, 2)), OddsPair(F(1), F(0))]
-    )
-    assert glymour_chain == OddsPair(F(1, 6), F(0))
-    modified_chain = odds_update(
-        OddsPair(F(1, 3), F(2, 3)), [OddsPair(F(1, 2), F(1, 2)), OddsPair(F(1, 2), F(1, 4))]
-    )
-    assert modified_chain == OddsPair(F(1, 12), F(1, 12))
-
-
-def test_odds_update_collapse_is_an_error():
-    with pytest.raises(ImpossibleEvidenceError):
-        odds_update(OddsPair(F(1), F(1)), [OddsPair(F(0), F(1)), OddsPair(F(1), F(0))])
-
-
-def test_odds_update_order_independent():
-    def random_pair(rng):
-        for_h = rng.randint(0, 6)
-        against_h = rng.randint(1, 6) if for_h == 0 else rng.randint(0, 6)
-        return OddsPair(F(for_h, 7), F(against_h, 7))
-
-    rng = random.Random(29)
-    for _ in range(50):
-        factors = [random_pair(rng) for _ in range(rng.randint(0, 5))]
-        prior = OddsPair(F(rng.randint(1, 9), 10), F(rng.randint(1, 9), 10))
-        shuffled = factors[:]
-        rng.shuffle(shuffled)
-        try:
-            left = odds_update(prior, factors)
-        except ImpossibleEvidenceError:
-            with pytest.raises(ImpossibleEvidenceError):
-                odds_update(prior, shuffled)
-            continue
-        assert left == odds_update(prior, shuffled)
-
-
-# --- odds_posterior ------------------------------------------------------------------
-
-
-def test_odds_posterior_examples(glymour, modified):
-    assert odds_posterior(glymour, {1: T, 2: T}, 1) == 1
-    assert odds_posterior(modified, {1: T, 2: T}, 1) == F(1, 2)
-    for i in (1, 2, 3):
-        assert odds_posterior(modified, {}, i) == modified.prior(i)
-
-
-def test_odds_posterior_empty_event_works_even_degenerate():
-    model = single_atom_model()
-    assert odds_posterior(model, {}, 1) == 1  # no factors, prior odds (1, 0)
-
-
-def test_odds_posterior_impossible_combination():
-    spec = ConditionalSpec(
-        priors=(F(1, 3),) * 3,
-        cond=((F(0), F(1, 2), F(1, 2)), (F(1), F(0), F(0))),
-    )
-    model = from_conditionals(spec)
-    with pytest.raises(ImpossibleEvidenceError):
-        odds_posterior(model, {1: T, 2: T}, 1)
+                x = model.cond({j: T}, i, Side.GIVEN_H)
+                y = model.cond({j: T}, i, Side.GIVEN_NOT_H)
+                expected = p * (1 - x) / (p * (1 - x) + (1 - p) * (1 - y))
+                assert odds_posterior(model, {j: N}, i) == expected
 
 
 def test_single_literal_matches_exact_everywhere():
@@ -177,6 +111,65 @@ def test_single_literal_matches_exact_everywhere():
                     assert odds_posterior(model, event, i) == model.posterior(event, i)
 
 
+# --- products of several literals ------------------------------------------------
+
+
+def test_odds_posterior_examples(glymour, modified):
+    assert odds_posterior(glymour, {1: T, 2: T}, 1) == 1
+    assert odds_posterior(modified, {1: T, 2: T}, 1) == F(1, 2)
+    for i in (1, 2, 3):
+        assert odds_posterior(modified, {}, i) == modified.prior(i)
+
+
+def test_odds_update_examples(dependent):
+    # Dependent given not-H1: (1/3 * 1/2 * 1/5, 2/3 * 7/24 * 1/2) gives 12/47,
+    # where direct conditioning gives 6/23.
+    assert odds_posterior(dependent, {1: T, 2: T}, 1) == F(12, 47)
+    assert dependent.posterior({1: T, 2: T}, 1) == F(6, 23)
+
+
+def test_odds_posterior_empty_event_works_even_degenerate():
+    model = single_atom_model()
+    assert odds_posterior(model, {}, 1) == 1  # no factors, prior odds (1, 0)
+
+
+def test_odds_update_collapse_is_an_error():
+    model = from_conditionals(COLLAPSE_SPEC)
+    assert odds_posterior(model, {1: T}, 1) == 0
+    assert odds_posterior(model, {2: T}, 1) == 1
+    with pytest.raises(
+        ImpossibleEvidenceError,
+        match="^evidence combination is impossible both given H and given not-H$",
+    ):
+        odds_posterior(model, {1: T, 2: T}, 1)
+
+
+def test_odds_posterior_impossible_combination():
+    # The collapse is no artefact of the odds route: direct conditioning on
+    # the same event finds it impossible too.
+    model = from_conditionals(COLLAPSE_SPEC)
+    with pytest.raises(ZeroProbabilityError):
+        model.posterior({1: T, 2: T}, 1)
+    with pytest.raises(ImpossibleEvidenceError):
+        odds_posterior(model, {2: T, 1: T}, 1)
+
+
+def test_odds_update_order_independent():
+    # The literals' insertion order changes neither the value nor which
+    # error, with which message, is raised.
+    rng = random.Random(29)
+    for _ in range(60):
+        n, m = rng.randint(1, 4), rng.randint(1, 5)
+        model = sparse_model(rng, n, m, rng.choice((0.2, 0.5, 1.0)))
+        for _ in range(10):
+            chosen = rng.sample(range(1, m + 1), rng.randint(0, m))
+            event = {j: rng.random() < 0.5 for j in chosen}
+            items = list(event.items())
+            rng.shuffle(items)
+            i = rng.randint(1, n)
+            assert outcome(model, dict(items), i) == outcome(model, event, i)
+
+
 def test_matches_exact_on_independent_examples(glymour, modified, four):
     """On models passing the two-sided audit, the odds route is exact."""
     for model in (glymour, modified, four):
@@ -185,3 +178,4 @@ def test_matches_exact_on_independent_examples(glymour, modified, four):
                 continue
             for i in range(1, model.n + 1):
                 assert odds_posterior(model, event, i) == model.posterior(event, i)
+
