@@ -122,15 +122,6 @@ def _superset_sums(model: Model, hypotheses) -> list[int]:
     return table
 
 
-def _totals(model: Model) -> list[int]:
-    """The superset sums of the whole model, built once and kept on it; never mutated."""
-    totals = vars(model).get("_superset_totals")
-    if totals is None:
-        totals = _superset_sums(model, range(1, model.n + 1))
-        object.__setattr__(model, "_superset_totals", totals)
-    return totals
-
-
 def _failing_subsets(table: list[int], m: int, pairwise: bool) -> list[tuple]:
     """(subset, joint, product) for each J of size 2 to m (2 only if ``pairwise``)
     whose identity fails on the superset sums ``table``, which this overwrites.
@@ -168,28 +159,20 @@ def check_independence(
     In pairwise mode only |J| = 2 subsets are tested — a strictly weaker
     check.  If the conditioning cell has probability zero there are no
     conditionals to audit and the result is empty; callers track degeneracy
-    separately.
+    separately.  A ``side`` that is not a :class:`Side` is a ``ValueError``.
 
-    With ``g`` the superset sums of H_i (given H) or of the other cells
-    (given not-H: ``T - g``), P(AND_J E_j | side) is ``g[J] / g[{}]``, so J
-    factorizes iff ``g[J] * g[{}]**(|J|-1) == prod_{j in J} g[{j}]``.
+    With ``g`` the superset sums of the cell's atoms (H_i's given H, the
+    other hypotheses' given not-H), built afresh by each call,
+    P(AND_J E_j | side) is ``g[J] / g[{}]``, so J factorizes iff
+    ``g[J] * g[{}]**(|J|-1) == prod_{j in J} g[{j}]``.
     """
+    if not isinstance(side, Side):
+        raise ValueError(f"side must be a Side member, got {side!r}")
     mass = model.mass(i)
     if mass == (0 if side is Side.GIVEN_H else model.denominator):
         return []
-    if mass == 0:
-        # The complement of an empty cell is the whole model, the same for
-        # every such hypothesis: its failing subsets are found once per mode.
-        kept = f"_whole_model_failures_{pairwise}"
-        failing = vars(model).get(kept)
-        if failing is None:
-            failing = _failing_subsets(list(_totals(model)), model.m, pairwise)
-            object.__setattr__(model, kept, failing)
-    else:
-        table = _superset_sums(model, (i,))
-        if side is Side.GIVEN_NOT_H:
-            table[:] = map(operator.sub, _totals(model), table)
-        failing = _failing_subsets(table, model.m, pairwise)
+    cell = (i,) if side is Side.GIVEN_H else (k for k in range(1, model.n + 1) if k != i)
+    failing = _failing_subsets(_superset_sums(model, cell), model.m, pairwise)
     return [IndependenceViolation(i, side, *found) for found in failing]
 
 
@@ -197,17 +180,16 @@ def relevant_evidence(model: Model, i: int) -> frozenset[int]:
     """Evidence indices able to update H_i: { j : P(E_j | H_i) != P(E_j) }.
 
     Degenerate hypotheses (prior 0 or 1) admit no updating and return the
-    empty set.  With ``g`` and ``T`` as in :func:`check_independence`, the
-    test is ``g[{j}] * T[{}] != T[{j}] * g[{}]``.
+    empty set.  With ``a_j`` and ``A_j`` the masked sums ``L`` times
+    P(E_j, H_i) and P(E_j), the test is ``a_j * L != A_j * L * P(H_i)``.
     """
-    mass = model.mass(i)
-    if mass in (0, model.denominator):
+    mass, L = model.mass(i), model.denominator
+    if mass in (0, L):
         return frozenset()
-    column, totals = model.numerators(i), _totals(model)
     return frozenset(
         j + 1
         for j in range(model.m)
-        if sum(num for mask, num in column if mask >> j & 1) * totals[0] != totals[1 << j] * mass
+        if model._masked_sum(1 << j, 1 << j, i) * L != model._masked_sum(1 << j, 1 << j) * mass
     )
 
 
@@ -236,34 +218,53 @@ def _theorem_outcome(
 def check_assumptions(model: Model, *, pairwise: bool = False) -> AuditReport:
     """Run every audit and collect the verdicts into one report.
 
-    ``pairwise`` is passed to :func:`check_independence`.  The theorem check
+    The report equals :func:`check_independence` (by hypothesis, then side)
+    and :func:`relevant_evidence` run on each hypothesis.  The theorem check
     (no hypothesis has two or more updating evidence propositions) is not
     applicable when n <= 2 or when any independence violation exists: the
     structural claim only binds models that satisfy the assumptions.
+
+    The tables are local to the run: the whole model's ``T`` once, then one
+    ``g`` per hypothesis of nonzero mass, read for relevance, walked given H
+    and, as ``T - g``, given not-H.  Every empty cell's complement is the
+    whole model, whose walk runs at most once.
     """
-    violations = tuple(
-        violation
-        for i in range(1, model.n + 1)
-        for side in Side
-        for violation in check_independence(model, i, side, pairwise=pairwise)
-    )
-    degenerate = frozenset(
-        i for i in range(1, model.n + 1) if model.mass(i) in (0, model.denominator)
-    )
-    relevance = {i: relevant_evidence(model, i) for i in range(1, model.n + 1)}
+    L, m, hypotheses = model.denominator, model.m, range(1, model.n + 1)
+    totals = _superset_sums(model, hypotheses)
+    whole_model = None  # failing subsets of T, once some cell is empty
+    found: list[IndependenceViolation] = []
+    relevance = dict.fromkeys(hypotheses, frozenset())
+    for i in hypotheses:
+        mass = model.mass(i)
+        if mass == 0:
+            if whole_model is None:
+                whole_model = _failing_subsets(list(totals), m, pairwise)
+            found += (IndependenceViolation(i, Side.GIVEN_NOT_H, *f) for f in whole_model)
+            continue
+        table = _superset_sums(model, (i,))
+        sides = [(Side.GIVEN_H, table)]
+        if mass != L:
+            relevance[i] = frozenset(
+                j + 1 for j in range(m) if table[1 << j] * L != totals[1 << j] * mass
+            )
+            sides.append((Side.GIVEN_NOT_H, list(map(operator.sub, totals, table))))
+        for side, cells in sides:
+            failing = _failing_subsets(cells, m, pairwise)
+            found += (IndependenceViolation(i, side, *f) for f in failing)
+    violations = tuple(found)
 
     failures = None
-    if _totals(model)[-1] != 0:  # L * P(every E_j true)
-        everything = (True,) * model.m
-        failures = tuple(i for i in range(1, model.n + 1) if model.atom(i, everything) == 0)
+    if totals[-1] != 0:  # L * P(every E_j true)
+        everything = (True,) * m
+        failures = tuple(i for i in hypotheses if model.atom(i, everything) == 0)
 
     return AuditReport(
         n=model.n,
-        m=model.m,
+        m=m,
         pairwise=pairwise,
         independence_violations=violations,
         relevance=relevance,
-        degenerate_hypotheses=degenerate,
+        degenerate_hypotheses=frozenset(i for i in hypotheses if model.mass(i) in (0, L)),
         condition1_failures=failures,
         theorem=_theorem_outcome(model.n, violations, relevance),
     )
@@ -291,12 +292,12 @@ def check_pair_identities(model: Model, j: int, k: int) -> PairIdentities:
     bits = (1 << (j - 1), 1 << (k - 1), 1 << (j - 1) | 1 << (k - 1))
     sums = {}
     for i in range(1, model.n + 1):
-        mass, column = model.mass(i), model.numerators(i)
+        mass = model.mass(i)
         if mass in (0, L):
             raise DegeneratePriorError(
                 f"pair identities need 0 < P(H{i}) < 1, got {Fraction(mass, L)}"
             )
-        sums[i] = (mass, *(sum(num for mask, num in column if mask & want == want) for want in bits))
+        sums[i] = (mass, *(model._masked_sum(want, want, i) for want in bits))
     _, A, B, C = map(sum, zip(*sums.values()))
     residuals, brackets = {}, {}
     for i, (M, a, b, c) in sums.items():

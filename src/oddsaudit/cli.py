@@ -23,10 +23,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .audit import check_assumptions, check_independence, render_report
+from .audit import check_assumptions, render_report
 from .construct import EXAMPLE_NAMES, example_model, from_conditionals, measurement_scenario
 from .errors import ModelError, SweepLimitError
-from .model import Model, Side
+from .model import Side
 from .modelfile import dump, dumps, load
 from .rational import parse_integer, parse_rational
 from .sweep import (
@@ -179,19 +179,12 @@ def cmd_scenario(args) -> int:
     )
     dump(model, args.output)
     print(f"wrote {args.output} (hypotheses={model.n}, evidence={model.m})")
-    _print_side_summary(model, Side.GIVEN_H, "independence given each hypothesis")
-    _print_side_summary(model, Side.GIVEN_NOT_H, "independence given each complement")
+    found = check_assumptions(model).independence_violations
+    for side, label in ((Side.GIVEN_H, "hypothesis"), (Side.GIVEN_NOT_H, "complement")):
+        violated = sorted({v.hypothesis for v in found if v.side is side})
+        verdict = f"violated ({', '.join(f'H{i}' for i in violated)})" if violated else "holds"
+        print(f"independence given each {label}: {verdict}")
     return 0
-
-
-def _print_side_summary(model: Model, side: Side, label: str) -> None:
-    violated = sorted(
-        i for i in range(1, model.n + 1) if check_independence(model, i, side)
-    )
-    if violated:
-        print(f"{label}: violated ({', '.join(f'H{i}' for i in violated)})")
-    else:
-        print(f"{label}: holds")
 
 
 def build_parser() -> argparse.ArgumentParser:

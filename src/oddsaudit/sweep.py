@@ -96,6 +96,9 @@ class SweepConfig:
     require_condition1: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("n", "m", "denominator"):
+            if type(getattr(self, name)) is not int:
+                raise InvalidModelError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.n <= 2:
             raise InvalidModelError(
                 f"sweeps target the multiple-updating property, which needs n > 2; got n={self.n}"

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
@@ -19,6 +20,7 @@ from oddsaudit import (
     relevant_evidence,
     render_report,
 )
+from oddsaudit import audit
 from oddsaudit.audit import _theorem_outcome
 
 from test_model import random_model, sparse_model
@@ -153,6 +155,16 @@ def test_degenerate_side_returns_empty():
     model = Model(n=2, m=2, atoms={(1, (T, T)): 1})
     assert check_independence(model, 2, Side.GIVEN_H) == []  # P(H2) = 0
     assert check_independence(model, 1, Side.GIVEN_NOT_H) == []  # complement empty
+
+
+def test_side_must_be_a_side_member():
+    """As in ``Model.cond``: a string or None is refused, also on a
+    hypothesis of prior 0, rather than read as one of the sides."""
+    model = Model(n=3, m=2, atoms={(1, (T, T)): F(1, 2), (2, (N, T)): F(1, 2)})
+    for i in (1, 3):
+        for side in ("given-H", "given-not-H", None):
+            with pytest.raises(ValueError, match="side must be a Side member"):
+                check_independence(model, i, side)
 
 
 def test_pairwise_mode_is_weaker():
@@ -395,6 +407,40 @@ def test_report_records_degenerate_hypotheses():
     model = Model(n=3, m=2, atoms={(1, (T, T)): 1})
     report = check_assumptions(model)
     assert report.degenerate_hypotheses == {1, 2, 3}
+
+
+def test_audits_leave_the_model_as_built():
+    """Models are immutable: no audit keeps a table or a result on one."""
+    rng = random.Random(10)
+    for model in (sparse_model(rng, 4, 3, 0.6, live=(1, 3)), random_model(rng, 3, 3)):
+        built = dict(vars(model))
+        for pairwise in (False, True):
+            check_assumptions(model, pairwise=pairwise)
+            for i in range(1, model.n + 1):
+                relevant_evidence(model, i)
+                for side in Side:
+                    check_independence(model, i, side, pairwise=pairwise)
+        assert vars(model) == built
+
+
+def test_whole_audit_builds_one_table_per_hypothesis_with_mass(monkeypatch):
+    """One superset-sum table for the whole model and one for each hypothesis
+    of nonzero prior (prior 1 included); the empty cells build none."""
+    spy = mock.Mock(wraps=audit._superset_sums)
+    monkeypatch.setattr(audit, "_superset_sums", spy)
+    rng = random.Random(11)
+    models = [
+        random_model(rng, 4, 3),
+        sparse_model(rng, 5, 4, 0.5, live=(2, 4)),
+        sparse_model(rng, 3, 3, 0.5, live=(3,)),
+        Model(n=1024, m=16, atoms={(1, (T,) * 16): 1}),
+    ]
+    for model in models:
+        with_mass = sum(model.mass(i) > 0 for i in range(1, model.n + 1))
+        for pairwise in (False, True):
+            spy.reset_mock()
+            check_assumptions(model, pairwise=pairwise)
+            assert spy.call_count == 1 + with_mass
 
 
 def test_mode_validation(glymour):

@@ -1,6 +1,7 @@
 """Property tests: the model file format round-trips, and a model is built
 only from canonical ``(i, signs)`` keys; the odds route equals an
-independent oracle of the product rule; on product specs the
+independent oracle of the product rule; the whole-model audit equals the
+per-hypothesis audit functions; on product specs the
 audit is clean exactly when no hypothesis has two updating propositions, in
 full and pairwise mode alike; and where only one proposition depends on the
 hypothesis, or the propositions update disjoint sets of hypotheses, the odds
@@ -20,7 +21,9 @@ from oddsaudit import (
     ImpossibleEvidenceError,
     InvalidModelError,
     Model,
+    Side,
     check_assumptions,
+    check_independence,
     dumps,
     from_conditionals,
     loads,
@@ -104,19 +107,24 @@ def test_only_canonical_keys_build_models(drawn):
 
 
 @st.composite
-def odds_queries(draw):
+def dense_or_sparse_models(draw):
     """A sparse model from :func:`models` or a dense one with a weight on every
-    cell (such models are almost never conditionally independent), an event
-    on it and a hypothesis index."""
+    cell (such models are almost never conditionally independent)."""
     if draw(st.booleans()):
-        model = draw(models())
-    else:
-        n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-        cells = list(product(range(1, n + 1), product((False, True), repeat=m)))
-        weights = draw(st.lists(st.integers(0, 6), min_size=len(cells), max_size=len(cells)))
-        weights[-1] += not any(weights)
-        total = sum(weights)
-        model = Model(n=n, m=m, atoms={c: F(w, total) for c, w in zip(cells, weights)})
+        return draw(models())
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = list(product(range(1, n + 1), product((False, True), repeat=m)))
+    weights = draw(st.lists(st.integers(0, 6), min_size=len(cells), max_size=len(cells)))
+    weights[-1] += not any(weights)
+    total = sum(weights)
+    return Model(n=n, m=m, atoms={c: F(w, total) for c, w in zip(cells, weights)})
+
+
+@st.composite
+def odds_queries(draw):
+    """A model from :func:`dense_or_sparse_models`, an event on it and a
+    hypothesis index."""
+    model = draw(dense_or_sparse_models())
     event = draw(st.dictionaries(st.integers(1, model.m), st.booleans()))
     return model, event, draw(st.integers(1, model.n))
 
@@ -137,6 +145,29 @@ def test_odds_route_matches_the_product_rule_oracle(drawn):
             odds_posterior(model, event, i)
     else:
         assert odds_posterior(model, event, i) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_or_sparse_models(), st.booleans())
+@example(Model(n=3, m=2, atoms={(2, (True, False)): F(1)}), False)  # H2 has prior 1
+@example(  # H2 has prior 0
+    Model(n=3, m=3, atoms={(1, (True, True, False)): F(1, 2), (3, (False, True, True)): F(1, 2)}),
+    True,
+)
+def test_whole_audit_equals_the_standalone_route(model, pairwise):
+    """``check_assumptions`` reports, in order, what ``check_independence``
+    finds for each hypothesis and then each side, and what
+    ``relevant_evidence`` finds for each hypothesis, on models with empty
+    cells and with a cell of prior 1 too."""
+    report = check_assumptions(model, pairwise=pairwise)
+    hypotheses = range(1, model.n + 1)
+    assert report.independence_violations == tuple(
+        violation
+        for i in hypotheses
+        for side in Side
+        for violation in check_independence(model, i, side, pairwise=pairwise)
+    )
+    assert report.relevance == {i: relevant_evidence(model, i) for i in hypotheses}
 
 
 @st.composite

@@ -79,6 +79,10 @@ def test_config_validation():
         SweepConfig(3, 1, 2)
     with pytest.raises(InvalidModelError):
         SweepConfig(3, 2, 0)
+    # Like ``Model``, a float or a bool is refused, never swept or coerced.
+    for fields in ((3, 2, True), (3, 2, 2.0), (3.0, 2, 2), (3, 2.0, 2), (3, True, 2), ("3", 2, 2)):
+        with pytest.raises(InvalidModelError, match="must be an int"):
+            SweepConfig(*fields)
 
 
 def test_spec_from_grid():
