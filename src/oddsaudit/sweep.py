@@ -8,14 +8,12 @@ construction and only independence given the complements has to be filtered.
 Survivors satisfy the full two-sided assumption set; on every one of them the
 audit's multiple-updating check is expected to come back clean.
 
-The filter runs on grid *numerators*: with priors P_k/D and conditionals
-C_{j,k}/D, independence of the pair E_j, E_l given not-H_i is equivalent to
-the integer identity
-
-    (sum_{k!=i} P_k C_{j,k} C_{l,k}) * (D - P_i)
-        = (sum_{k!=i} P_k C_{j,k}) * (sum_{k!=i} P_k C_{l,k})
-
-and "E_j updates H_i" is equivalent to C_{j,i} * D != sum_k P_k C_{j,k}.
+The filter runs on grid *numerators*, priors P_k/D and conditionals C_{j,k}/D.
+For rows a, b of C write t_a = sum_k P_k a_k, X_{a,i} = D a_i - t_a and K_ab =
+D sum_k P_k a_k b_k - t_a t_b.  Independence of the two propositions given
+not-H_i (P_i < D) is the integer identity K_ab (D - P_i) = P_i X_{a,i} X_{b,i},
+D times (sum_{k!=i} P_k a_k b_k)(D - P_i) = (sum_{k!=i} P_k a_k)(sum_{k!=i}
+P_k b_k); "row a updates H_i" is 0 < P_i < D and X_{a,i} != 0.
 
 Only the m(m-1)/2 pairs are tested, not the 2^m - m - 1 subsets, and that
 decides every subset: on a product spec with n > 2, two-sided independence
@@ -36,33 +34,39 @@ x_k = c_{jk} - p_j, y_k = c_{lk} - p_l and S = sum_k pi_k x_k y_k.
   sum_k pi_k prod_{j in J} c_{jk} = prod_{j in J} p_j.  Removing one cell H_i
   keeps the factorisation, as c_{ji} = p_j for all but at most one j in J.
 
-Both predicates are unchanged by relabelling hypotheses (priors and columns
-of C together), relabelling evidence (rows of C) and negating a proposition
-(row j becomes D minus row j).  So the identities run only on nonincreasing
-prior compositions, each composition reading the tallies of its sorted form,
-and there once per symmetry class of C: a nondecreasing m-tuple of canonical
-rows (of a row's base-(D+1) code and its negation's, the smaller), counted
-m!/prod(mult!) times for the row orders, times 2 for each row that is not its
-own negation.  Negation does not keep conditionals nonzero, so
-``require_condition1`` only sorts the rows.
-``models_enumerated`` counts the grid models covered, not predicate
-evaluations.  Survivors (``on_survivor`` and violations) come from running
-the same identities over a composition's whole grid in flat-index order, and
-their verdicts must add up to the composition's class-weighted tallies; a
-violation's hypothesis and evidence pair come from
-:func:`~oddsaudit.audit.relevant_evidence` on its model.
+So on one prior composition the rows form a graph G: a-b is an edge when the
+identity holds for every i, and a spec survives iff every pair of its rows is
+an edge (loops count: two equal rows must pass too).  A row's update mask has
+bit i set iff it updates H_i.  A zero-prior column enters neither t, K nor a
+mask, but its identity reads K_ab = 0; so G's rows range over the columns of
+nonzero prior, each standing for (D+1)^z grid rows when z priors are zero,
+and G also requires K_ab = 0 when z > 0.  ``require_condition1`` keeps the
+rows of nonzero entries, and nothing of a zero-prior composition.
 
-Every integer formed, the identities' terms (at most D^4) included, stays
-below the grid size (D+1)^{nm}; the arithmetic is int64 numpy while that is
-below 2^62, and the same code runs on Python integers (``dtype=object``)
-beyond.  The tests check both against the audit route and against full-grid
-tallies that test every subset.
+Thus the m = 2 sweep certifies every m: a violation at any m has two rows whose
+masks meet, an edge of G (a loop if they are equal) and so on its own a
+violating m = 2 survivor on the same composition.  If no edge of G, loops
+included, joins meeting masks on (n, 2, D), nothing violates on any (n, m, D).
+
+Survivors, the ordered m-tuples of pairwise adjacent rows, are counted by
+recursion over neighbourhoods; less the tuples of rows with empty masks they
+leave those with updating, and less the tuples still pairwise adjacent once
+the edges between meeting masks go, the violations.  Counts do not change
+when hypotheses are relabelled (priors and columns together), so each
+nonincreasing composition is counted once; ``models_enumerated`` counts grid
+models covered.  Survivors (``on_survivor`` and violations) are listed from
+each composition's own graph in flat-index order and must match the sorted
+form's counts, a cross-check of that symmetry; a violation's hypothesis and
+evidence pair come from :func:`~oddsaudit.audit.relevant_evidence`.
+
+Every identity term is at most D^5, so the arithmetic is int64 and
+:func:`sweep` refuses a D with D^5 >= 2^63 (D > 6208).  The tests check the
+counts against the audit route and against oracles that test every subset.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -76,8 +80,7 @@ from .errors import InvalidModelError, SweepLimitError
 #: Default enumeration budget; (n=4, m=2, D=4) needs ~13.7M of it.
 DEFAULT_MAX_MODELS = 20_000_000
 
-_CHUNK_ROWS = 1 << 18
-_INT64_HEADROOM = 1 << 62
+_CHUNK_ROWS = 1 << 16
 
 GridPoint = tuple[int, ...]
 
@@ -164,97 +167,90 @@ def _violation(P, digits, D) -> SweepViolation:
     raise AssertionError(f"no hypothesis of {spec} has two updating propositions")
 
 
-def _scan(P, C, D, subsets, require_c1):
-    """The pair identities on a stack of conditional matrices ``C`` of shape
-    (specs, m, n), all with priors ``P``, for the evidence pairs ``subsets``.
-    Column 0 of the result says whether a spec survives; columns 1 and 2
-    whether it survives with some hypothesis updated by at least one, or two,
-    propositions."""
-    P_arr = np.array(P, dtype=C.dtype)
-    T1 = C @ P_arr  # (specs, m): D^2 * P(E_j) per spec
-    ok = np.ones(len(C), dtype=bool)
-    if require_c1:
-        ok &= (C > 0).all(axis=(1, 2))
-    for j, l in subsets:
-        M = C[:, j, :] * C[:, l, :]
-        TJ = M @ P_arr
-        for i, p in enumerate(P):
-            if p == D:
-                continue
-            lhs = (TJ - M[:, i] * p) * (D - p)
-            rhs = (T1[:, j] - C[:, j, i] * p) * (T1[:, l] - C[:, l, i] * p)
-            ok &= lhs == rhs
-    most = np.zeros(len(C), dtype=np.int64)  # updating propositions of the most updated hypothesis
-    for i, p in enumerate(P):
-        if p not in (0, D):
-            most = np.maximum(most, (C[:, :, i] * D != T1).sum(axis=1))
-    return np.stack([ok, ok & (most >= 1), ok & (most >= 2)], axis=1)
+def _rows(width, D, c1):
+    """Every row of ``width`` entries, 1..D with ``c1`` and 0..D otherwise, in
+    lexicographic order (the grid's digit order)."""
+    return np.indices((D + 1 - c1,) * width, dtype=np.int64).reshape(width, -1).T + c1
 
 
-def _places(base, width, dtype):
-    """Place values of a ``width``-digit number in ``base``, most significant first."""
-    return np.array([base ** (width - 1 - k) for k in range(width)], dtype=dtype)
+def _graph(P, D, c1):
+    """The row-pair graph of prior composition ``P``: ``G[a, b]`` says whether
+    rows a and b, over the columns of nonzero prior in :func:`_rows` order,
+    pass the pair identity for every hypothesis, and ``mask[a]`` has bit k set
+    iff row a updates the k-th hypothesis of nonzero prior."""
+    live = np.array([p for p in P if p], dtype=np.int64)
+    rows = _rows(len(live), D, c1)
+    t = rows @ live
+    X = D * rows - t[:, None]
+    G = np.empty((len(rows), len(rows)), dtype=bool)
+    step = max(1, _CHUNK_ROWS // len(rows))
+    for s in range(0, len(rows), step):  # the upper triangle, one block of rows at a time
+        block = slice(s, s + step)
+        K = (D * live * rows[block]) @ rows[s:].T - np.multiply.outer(t[block], t[s:])
+        ok = (K == 0) | (len(live) == len(P))  # a zero prior needs K == 0
+        for k in np.flatnonzero(live < D):
+            ok &= K * (D - live[k]) == np.multiply.outer(live[k] * X[block, k], X[s:, k])
+        G[block, s:] = ok
+        G[s:, block] = ok.T
+    mask = ((X != 0) & (live < D)) @ (1 << np.arange(len(live), dtype=np.int64))
+    return G, mask
 
 
-def _classes(n, m, D, negate, dtype):
-    """The symmetry classes of the conditional matrices, in chunks of
-    (C, weights): one canonical member each, of shape (classes, m, n), and the
-    number of matrices each class stands for.
-
-    A class is a nondecreasing m-tuple of canonical row codes.
-    """
-    base, N = D + 1, (D + 1) ** n
-    codes = np.array([c for c in range(N) if not negate or c <= N - 1 - c], dtype=dtype)
-    rows = codes[:, None] // _places(base, n, dtype) % base
-    # A canonical row stands for itself and, unless it is its own negation, for that.
-    doubles = np.where(negate & (2 * codes != N - 1), 2, 1).astype(dtype)
-    tuples = itertools.combinations_with_replacement(range(len(codes)), m)
-    while True:
-        chunk = itertools.chain.from_iterable(itertools.islice(tuples, _CHUNK_ROWS))
-        ranks = np.fromiter(chunk, dtype=np.intp).reshape(-1, m)
-        if not len(ranks):
-            return
-        # Orders of the rows: m! over the factorial of each run of equal rows
-        # (``run`` is the length of the current run so far), times each row's doubling.
-        weights = math.factorial(m) * doubles[ranks[:, 0]]
-        run = np.ones(len(ranks), dtype=dtype)
-        for k in range(1, m):
-            run = np.where(ranks[:, k] == ranks[:, k - 1], run + 1, 1)
-            weights = weights // run * doubles[ranks[:, k]]
-        yield rows[ranks], weights
+def _cliques(G, k, S, memo):
+    """Ordered k-tuples of the rows in ``S`` whose every pair is an edge of
+    ``G``; a repeated row needs its loop.  ``memo`` caches counts on ``G``."""
+    key = (k, S.tobytes())
+    if key not in memo:
+        if k == 2:
+            memo[key] = int(np.count_nonzero(G if S.all() else G[np.ix_(S, S)]))
+        else:
+            memo[key] = sum(_cliques(G, k - 1, S & G[a], memo) for a in np.flatnonzero(S))
+    return memo[key]
 
 
-def _classify(stars, n, m, D, subsets, require_c1, dtype):
-    """Run the identities once per class for each sorted composition in
-    ``stars``.  Returns, per composition, the grid models behind each
-    :func:`_scan` verdict column."""
-    counts = {P: [0, 0, 0] for P in stars}
-    covered = 0
-    for C, weights in _classes(n, m, D, not require_c1, dtype):
-        covered += int(weights.sum())
-        for P in stars:
-            found = _scan(P, C, D, subsets, require_c1)
-            counts[P] = [c + int(weights[f].sum()) for c, f in zip(counts[P], found.T)]
-    assert covered == (D + 1) ** (n * m), "the classes must cover the grid"
-    return counts
+def _counts(P, m, D, c1):
+    """Grid models of sorted composition ``P`` that survive, that survive with
+    some hypothesis updated, and that survive with one updated twice."""
+    G, mask = _graph(P, D, c1)
+    apart = G.copy()  # G without the edges between rows whose masks meet
+    step = max(1, _CHUNK_ROWS // len(G))
+    for s in range(0, len(G), step):
+        apart[s : s + step] &= (mask[s : s + step, None] & mask) == 0
+    weight = (D + 1) ** (P.count(0) * m)
+    every, memo = np.ones(len(G), dtype=bool), {}
+    survivors, quiet = _cliques(G, m, every, memo), _cliques(G, m, mask == 0, memo)
+    disjoint = _cliques(apart, m, every, {})
+    return [weight * survivors, weight * (survivors - quiet), weight * (survivors - disjoint)]
 
 
-def _members(P, counts, n, m, D, subsets, require_c1, dtype):
+def _members(P, counts, n, m, D, c1):
     """Survivors of composition ``P`` in flat-index order, as (digits, violates),
-    from the identities run on every spec of its grid.  The grid's verdict
-    columns must add up to the class-weighted ``counts``."""
-    base, size = D + 1, (D + 1) ** (n * m)
-    powers = _places(base, n * m, dtype)
-    listed = [0, 0, 0]
-    for start in range(0, size, _CHUNK_ROWS):
-        digits = np.arange(start, min(start + _CHUNK_ROWS, size), dtype=dtype)[:, None] // powers
-        digits %= base
-        found = _scan(P, digits.reshape(-1, m, n), D, subsets, require_c1)
-        listed = [c + int(f.sum()) for c, f in zip(listed, found.T)]
-        survivors = np.nonzero(found[:, 0])[0]
-        for row, violates in zip(digits[survivors].tolist(), found[survivors, 2].tolist()):
-            yield tuple(row), violates
-    assert listed == counts, "the listing must match the classes"
+    from its own graph: prefixes of grid rows, in chunks, extend by the grid
+    rows adjacent to all of their rows.  The verdicts must add up to ``counts``."""
+    G, mask = _graph(P, D, c1)
+    live = np.flatnonzero(P)
+    grid_rows = _rows(n, D, c1)
+    node = np.ravel_multi_index((grid_rows[:, live] - c1).T, (D + 1 - c1,) * len(live))
+    reach = G[:, node]  # graph row -> the grid rows adjacent to it
+    step = max(1, _CHUNK_ROWS // len(grid_rows))
+    listed = np.zeros(3, dtype=np.int64)
+    stack = [np.arange(len(grid_rows))[:, None]]  # prefixes still to extend, the next on top
+    while stack:
+        tuples = stack.pop()
+        if tuples.shape[1] < m and len(tuples) > step:
+            stack += [tuples[step:], tuples[:step]]
+        elif tuples.shape[1] < m:
+            which, following = np.nonzero(np.logical_and.reduce(reach[node[tuples]], axis=1))
+            stack.append(np.column_stack([tuples[which], following]))
+        else:
+            masks = mask[node[tuples]]
+            union = np.bitwise_or.accumulate(masks, axis=1)
+            violates = (union[:, :-1] & masks[:, 1:] != 0).any(axis=1)
+            listed += (len(tuples), np.count_nonzero(union[:, -1]), np.count_nonzero(violates))
+            digits = grid_rows[tuples].reshape(len(tuples), n * m)
+            for row, violation in zip(digits.tolist(), violates.tolist()):
+                yield tuple(row), violation
+    assert listed.tolist() == counts, "the listing must match the counts"
 
 
 def _budget_exhausted(max_models: int, partial: SweepResult) -> SweepLimitError:
@@ -277,23 +273,26 @@ def sweep(
     ``on_survivor`` receives every survivor as integer grid coordinates
     ``(priors, cond_digits)``, in order of prior composition and then of flat
     index; :func:`spec_from_grid` turns them back into a ConditionalSpec.
-    Exceeding ``max_models`` raises :class:`SweepLimitError` carrying the
-    partial tallies; the budget admits the prior compositions whose blocks fit
-    in it whole, and only those are classified, so partial results stop at a
-    composition boundary.
+    ``max_models`` must be a non-negative int.  Exceeding it raises
+    :class:`SweepLimitError` carrying the partial tallies; the budget admits
+    the prior compositions whose blocks fit in it whole, and only those are
+    counted, so partial results stop at a composition boundary.  A
+    denominator past 6208 is refused the same way, with empty tallies.
     """
+    if type(max_models) is not int or max_models < 0:
+        raise InvalidModelError(f"max_models must be a non-negative int, got {max_models!r}")
     n, m, D = config.n, config.m, config.denominator
     c1 = config.require_condition1
     result = SweepResult()
     # (D+1)**(n*m) >= 2**(n*m) > max_models once n*m reaches its bit length.
     if n * m >= max_models.bit_length() or (block := (D + 1) ** (n * m)) > max_models:
         raise _budget_exhausted(max_models, result)
-    subsets = list(itertools.combinations(range(m), 2))
-    dtype = np.int64 if block < _INT64_HEADROOM else object
+    if D**5 >= 2**63:  # an identity term would overflow int64
+        raise SweepLimitError(f"denominator {D} is past the int64 kernel", partial=result)
     compositions = [P for P in itertools.product(range(D + 1), repeat=n) if sum(P) == D]
     admitted = compositions[: max_models // block]
     stars = {tuple(sorted(P, reverse=True)) for P in admitted if not (c1 and 0 in P)}
-    tallies = _classify(stars, n, m, D, subsets, c1, dtype) if stars else {}
+    tallies = {P: _counts(P, m, D, c1) for P in stars}
 
     for P in admitted:
         if c1 and 0 in P:
@@ -304,7 +303,7 @@ def sweep(
         result.models_satisfying_all += satisfying
         result.witnesses_with_updating += updating
         if (on_survivor is not None and satisfying) or violations:
-            for digits, violates in _members(P, counts, n, m, D, subsets, c1, dtype):
+            for digits, violates in _members(P, counts, n, m, D, c1):
                 if violates:
                     result.theorem_violations.append(_violation(P, digits, D))
                 if on_survivor is not None:

@@ -274,8 +274,16 @@ def test_sweep_budget_exit_code(capsys):
     assert "models-enumerated: 729" in captured.err
 
 
+def test_sweep_refuses_a_negative_budget(capsys):
+    argv = ["sweep", "--n", "3", "--m", "2", "--denominator", "2", "--max-models", "-5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: max_models must be a non-negative int, got -5\n"
+    assert captured.out == ""
+
+
 def test_sweep_reaches_grid_4_3_3(capsys):
-    """335M grid models, covered through about 1.1M symmetry classes."""
+    """335M grid models, counted on the pair graphs of its three sorted compositions."""
     argv = ["sweep", "--n", "4", "--m", "3", "--denominator", "3", "--max-models", "335544320"]
     assert main(argv) == 0
     assert capsys.readouterr().out == (
@@ -287,7 +295,7 @@ def test_sweep_reaches_grid_4_3_3(capsys):
 
 
 def test_sweep_budget_checked_before_enumerating_subsets(capsys):
-    # The grid holds 2**120 models; the budget refuses it before any class is built.
+    # The grid holds 2**120 models; the budget refuses it before any graph is built.
     assert main(["sweep", "--n", "3", "--m", "40", "--denominator", "1"]) == 3
     captured = capsys.readouterr()
     assert "budget" in captured.err

@@ -1,8 +1,7 @@
-import functools
 import importlib
 from fractions import Fraction as F
-from itertools import product
-from unittest import mock
+from itertools import combinations, product
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from oddsaudit import (
     Side,
     SweepConfig,
     SweepLimitError,
+    SweepResult,
     check_assumptions,
     check_independence,
     dumps,
@@ -137,10 +137,19 @@ def test_relevance_counts_match_golden():
 
 
 @pytest.mark.parametrize(
-    "grid", [(3, 5, 3, False), (4, 4, 2, False), (5, 3, 2, False), (3, 4, 3, True)]
+    "grid",
+    [
+        (3, 5, 3, False),
+        (4, 4, 2, False),
+        (5, 3, 2, False),
+        (3, 4, 3, True),
+        (4, 5, 3, False),
+        (5, 3, 4, False),
+        (3, 6, 3, False),
+    ],
 )
 def test_sweep_matches_relevance_counts_on_large_grids(grid):
-    """Grids of 10^8-10^10 models, counted by the converse of the theorem."""
+    """Grids of 10^8-10^13 models, counted by the converse of the theorem."""
     enum, satisfying, updating = _brute.grid_counts_by_relevance(*grid)
     result = sweep(SweepConfig(*grid), max_models=enum)
     assert result.models_enumerated == enum
@@ -149,20 +158,16 @@ def test_sweep_matches_relevance_counts_on_large_grids(grid):
     assert not result.theorem_violations
 
 
-@functools.cache
-def sweep_pairs(m):
-    """The evidence subsets sweep() hands its kernel on an m-proposition grid."""
-    seen = set()
-    original = sweep_module._scan
-
-    def spy(P, C, D, subsets, c1):
-        seen.add(tuple(subsets))
-        return original(P, C, D, subsets, c1)
-
-    with mock.patch.object(sweep_module, "_scan", spy):
-        sweep(SweepConfig(3, m, 1), max_models=3 * 2 ** (3 * m))
-    (subsets,) = seen
-    return list(subsets)
+def graph_survives(priors, flat, n, m, d):
+    """A spec's verdict read off its composition's pair graph: every pair of
+    its rows, over the columns of nonzero prior, is an edge."""
+    G, _ = sweep_module._graph(priors, d, False)
+    live = [i for i, p in enumerate(priors) if p]
+    nodes = [
+        sum(flat[j * n + i] * (d + 1) ** (len(live) - 1 - k) for k, i in enumerate(live))
+        for j in range(m)
+    ]
+    return all(G[a, b] for a, b in combinations(nodes, 2))
 
 
 @st.composite
@@ -184,11 +189,9 @@ def wide_grid_specs(draw):
 @settings(max_examples=300, deadline=None)
 @given(wide_grid_specs())
 def test_pairwise_filter_matches_all_subsets(case):
-    """The kernel's pairs-only verdict equals the all-subsets oracle for m > 3."""
+    """The pair graph's verdict equals the all-subsets oracle for m > 3."""
     n, m, d, priors, flat = case
-    C = np.array(flat, dtype=np.int64).reshape(1, m, n)
-    found = sweep_module._scan(priors, C, d, sweep_pairs(m), False)
-    assert bool(found[0, 0]) == _brute.grid_survives(priors, flat, n, m, d)
+    assert graph_survives(priors, flat, n, m, d) == _brute.grid_survives(priors, flat, n, m, d)
 
 
 # --- cross-checks against the Fraction-based audit route -------------------------
@@ -236,22 +239,53 @@ def test_require_condition1_agrees_with_audit_route():
 
 
 @pytest.mark.parametrize("grid", [(3, 2, 3), (4, 2, 2)])
-def test_object_kernel_matches_int64_kernel(grid, monkeypatch):
-    n, m, d = grid
-    fast_survivors, slow_survivors = [], []
-    fast = sweep(SweepConfig(n, m, d), on_survivor=lambda p, c: fast_survivors.append((p, c)))
-    monkeypatch.setattr(sweep_module, "_INT64_HEADROOM", 0)
-    dtypes, scan = set(), sweep_module._scan
-    monkeypatch.setattr(
-        sweep_module, "_scan", lambda P, C, *rest: dtypes.add(C.dtype) or scan(P, C, *rest)
-    )
-    slow = sweep(SweepConfig(n, m, d), on_survivor=lambda p, c: slow_survivors.append((p, c)))
-    assert dtypes == {np.dtype(object)}
-    assert fast.models_enumerated == slow.models_enumerated
-    assert fast.models_satisfying_all == slow.models_satisfying_all
-    assert fast.witnesses_with_updating == slow.witnesses_with_updating
-    assert fast.theorem_violations == slow.theorem_violations
-    assert fast_survivors == slow_survivors  # same enumeration order, same set
+def test_object_kernel_matches_int64_kernel(grid):
+    """The int64 graph and masks equal those of the uncentred pair identity,
+    evaluated in Python integers, on every prior composition of the grid."""
+    n, _, d = grid
+    for P in product(range(d + 1), repeat=n):
+        if sum(P) != d:
+            continue
+        live = [p for p in P if p]
+        for c1 in (False, True):
+            G, mask = sweep_module._graph(P, d, c1)
+            rows = sweep_module._rows(len(live), d, c1).astype(object)
+            t = rows @ np.array(live, dtype=object)
+            T = (rows * np.array(live, dtype=object)) @ rows.T
+            exact = np.ones(G.shape, dtype=bool)
+            if len(live) < n:  # a zero-prior hypothesis: its remainder is D
+                exact &= T * d == np.multiply.outer(t, t)
+            bits = np.zeros(len(rows), dtype=object)
+            for k, p in enumerate(live):
+                if p == d:
+                    continue
+                own = t - p * rows[:, k]
+                exact &= (T - p * np.multiply.outer(rows[:, k], rows[:, k])) * (d - p) == (
+                    np.multiply.outer(own, own)
+                )
+                bits += np.where(rows[:, k] * d != t, 1 << k, 0)
+            assert np.array_equal(G, exact), (P, c1)
+            assert [int(b) for b in bits] == mask.tolist(), (P, c1)
+
+
+def test_denominator_past_the_int64_kernel_is_refused(capsys):
+    """Every identity term is at most D^5, so D = 6209 is refused before any
+    array is built, with empty tallies, whatever the budget."""
+    assert 6208**5 < 2**63 <= 6209**5
+    started = perf_counter()
+    with pytest.raises(SweepLimitError, match="denominator 6209") as info:
+        sweep(SweepConfig(3, 2, 6209), max_models=10**100)
+    assert info.value.partial == SweepResult()
+    argv = ["sweep", "--n", "3", "--m", "2", "--denominator", "6209", "--max-models", str(10**100)]
+    assert main(argv) == 3
+    assert "models-enumerated: 0" in capsys.readouterr().err
+    assert perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("budget", [2.5e7, None, True, False, -5, "100", np.int64(10**6)])
+def test_budget_must_be_a_non_negative_int(budget):
+    with pytest.raises(InvalidModelError, match="max_models must be a non-negative int"):
+        sweep(SweepConfig(3, 2, 1), max_models=budget)
 
 
 def test_determinism():
@@ -366,15 +400,15 @@ def test_budget_zero_blocks():
 
 def test_budget_bounds_the_kernel(monkeypatch):
     """A budget of one block admits only the first composition, (0, 0, 2), so
-    the kernel runs on its sorted form alone."""
+    the kernel builds the graph of its sorted form alone."""
     seen = set()
-    original = sweep_module._scan
+    original = sweep_module._graph
 
-    def spy(P, C, D, subsets, c1):
+    def spy(P, D, c1):
         seen.add(P)
-        return original(P, C, D, subsets, c1)
+        return original(P, D, c1)
 
-    monkeypatch.setattr(sweep_module, "_scan", spy)
+    monkeypatch.setattr(sweep_module, "_graph", spy)
     with pytest.raises(SweepLimitError) as info:
         sweep(SweepConfig(3, 2, 2), max_models=3**6)
     assert info.value.partial.models_enumerated == 3**6
@@ -424,9 +458,6 @@ def tiny_sweeps(draw):
 def test_orbit_counts_match_full_grid(grid):
     n, m, d, c1, max_models = grid
     block = (d + 1) ** (n * m)
-    for negate in {True, not c1}:
-        weights = sum(int(w.sum()) for _, w in sweep_module._classes(n, m, d, negate, np.int64))
-        assert weights == block
     listed = []
     try:
         result = sweep(
@@ -447,15 +478,23 @@ def test_orbit_counts_match_full_grid(grid):
     assert all(a < b for a, b in zip(order, order[1:]))
 
 
+def every_pair_an_edge(monkeypatch):
+    """Patch the sweep so that every pair of rows is an edge of its graph."""
+    original = sweep_module._graph
+
+    def graph(P, D, c1):
+        G, mask = original(P, D, c1)
+        return np.ones_like(G), mask
+
+    monkeypatch.setattr(sweep_module, "_graph", graph)
+
+
 def test_violations_listed_from_classes(monkeypatch):
-    """With the independence filter emptied every spec survives, so the weighted
-    violation count and the listed violations are checked against the oracle's
-    updating sets, in grid order."""
+    """With every pair of rows an edge every spec survives, so the counted
+    violations and the listed ones are checked against the oracle's updating
+    sets, in grid order."""
     n, m, d = 3, 2, 2
-    original = sweep_module._scan
-    monkeypatch.setattr(
-        sweep_module, "_scan", lambda P, C, D, subsets, c1: original(P, C, D, [], c1)
-    )
+    every_pair_an_edge(monkeypatch)
     result = sweep(SweepConfig(n, m, d))
     expected = []
     for priors in compositions(d, n):
@@ -471,12 +510,9 @@ def test_violations_listed_from_classes(monkeypatch):
 
 
 def test_cli_lists_violations_and_exits_1(monkeypatch, capsys):
-    """With the independence filter emptied, ``sweep`` prints one line per
+    """With every pair of rows an edge, ``sweep`` prints one line per
     violation after the counts and exits 1."""
-    original = sweep_module._scan
-    monkeypatch.setattr(
-        sweep_module, "_scan", lambda P, C, D, subsets, c1: original(P, C, D, [], c1)
-    )
+    every_pair_an_edge(monkeypatch)
     result = sweep(SweepConfig(3, 2, 2))
     violations = result.theorem_violations
     assert main(["sweep", "--n", "3", "--m", "2", "--denominator", "2"]) == 1
@@ -492,3 +528,38 @@ def test_cli_lists_violations_and_exits_1(monkeypatch, capsys):
         for v in violations
     ]
     assert len(violations) > 0
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_an_injected_clashing_edge_is_reported(m, monkeypatch):
+    """One edge between two rows that update the same hypothesis, added to the
+    graph of (1, 1, 1) on D = 3, is reported as violations at m = 2 and m = 3:
+    exactly the new survivors, the specs holding both rows."""
+    d = 3
+    clean = sweep(SweepConfig(3, m, d))
+    G, mask = sweep_module._graph((1, 1, 1), d, False)
+    a, b = next(
+        (a, b)
+        for a, b in combinations(range(len(G)), 2)
+        if mask[a] & mask[b] and not G[a, b]
+    )
+    original = sweep_module._graph
+
+    def graph(P, D, c1):
+        G, mask = original(P, D, c1)
+        if P == (1, 1, 1):
+            G[a, b] = G[b, a] = True
+        return G, mask
+
+    monkeypatch.setattr(sweep_module, "_graph", graph)
+    result = sweep(SweepConfig(3, m, d))
+    violations = result.theorem_violations
+    assert len(violations) == result.models_satisfying_all - clean.models_satisfying_all > 0
+    rows = [tuple(F(r // (d + 1) ** (2 - k) % (d + 1), d) for k in range(3)) for r in (a, b)]
+    shared = int(mask[a] & mask[b])
+    for v in violations:
+        assert v.spec.priors == (F(1, 3),) * 3
+        assert set(rows) <= set(v.spec.cond)
+        assert shared >> (v.hypothesis - 1) & 1
+    if m == 2:
+        assert [v.spec.cond for v in violations] == [tuple(rows), tuple(rows[::-1])]
