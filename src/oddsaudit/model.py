@@ -27,7 +27,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product
+from itertools import compress, product, repeat
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -69,7 +69,7 @@ def sign_vectors(m: int) -> Iterator[Signs]:
 
 
 def _check_signs(signs, m: int, error: type) -> None:
-    if type(signs) is not tuple or len(signs) != m or not all(s is True or s is False for s in signs):
+    if type(signs) is not tuple or len(signs) != m or not all(map(isinstance, signs, repeat(bool))):
         raise error(f"sign vector must be a tuple of m={m} bools, got {signs!r}")
 
 
@@ -114,28 +114,39 @@ class Model:
         if not isinstance(self.atoms, Mapping):
             raise InvalidModelError(f"atoms must be a mapping, got {type(self.atoms).__name__}")
         clean: dict[AtomKey, Fraction] = {}
+        entries: list[tuple[int, int, int, int]] = []  # (i, mask, p, q) of each nonzero p/q
+        # Each distinct sign tuple is checked and masked once, keyed by identity:
+        # unhashable signs are never hashed, an equal tuple of other types such as
+        # (1, 0) for (True, False) gets a check of its own, and as an entry holds
+        # its tuple, no other object can take that id while the memo lives.
+        checked: dict[int, tuple[Signs, int]] = {}
+        bits = [1 << k for k in range(self.m)]
         for key, value in self.atoms.items():
             if type(key) is not tuple or len(key) != 2:
                 raise InvalidModelError(f"atom key must be (i, signs): {key!r}")
             i, signs = key
             if type(i) is not int or not 1 <= i <= self.n:
                 raise InvalidModelError(f"hypothesis index out of range 1..{self.n}: {i!r}")
-            _check_signs(signs, self.m, InvalidModelError)
+            entry = checked.get(id(signs))
+            if entry is None:
+                _check_signs(signs, self.m, InvalidModelError)
+                entry = checked[id(signs)] = (signs, sum(compress(bits, signs)))
             if type(value) is not Fraction:
                 value = _exact(value, f"atom probability for ({i}, {signs_to_bits(signs)})")
-            if value.numerator < 0:
+            numerator = value.numerator
+            if numerator < 0:
                 raise InvalidModelError(
                     f"negative atom probability {value} for ({i}, {signs_to_bits(signs)})"
                 )
-            if value.numerator:
+            if numerator:
                 clean[key] = value
-        scale = math.lcm(*(value.denominator for value in clean.values()))
-        bits = [1 << k for k in range(self.m)]
+                entries.append((i, entry[1], numerator, value.denominator))
+        denominators = {q for *_, q in entries}
+        scale = math.lcm(*denominators)
+        factors = {q: scale // q for q in denominators}
         columns: dict[int, list[tuple[int, int]]] = {}
-        for (i, signs), value in clean.items():
-            columns.setdefault(i, []).append(
-                (sum(compress(bits, signs)), value.numerator * (scale // value.denominator))
-            )
+        for i, mask, p, q in entries:
+            columns.setdefault(i, []).append((mask, p * factors[q]))
         masses = {i: sum(num for _, num in column) for i, column in columns.items()}
         total = sum(masses.values())
         if total != scale:

@@ -35,16 +35,18 @@ def loads(text: str) -> Model:
     violations and :class:`InvalidModelError` on distribution violations."""
     n = m = None
     atoms = {}
+    # Per-file memos: each distinct index, bitstring and rational token is
+    # parsed and checked once, at its first line; only checked results enter.
+    indices, signs_of, values = {}, {}, {}
+
+    def fail(message: str):
+        raise ModelFormatError(f"line {lineno}: {message}")
+
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         keyword = tokens[0]
-
-        def fail(message: str):
-            raise ModelFormatError(f"line {lineno}: {message}")
-
         if keyword == "hypotheses":
             if n is not None:
                 fail("duplicate 'hypotheses' header")
@@ -61,23 +63,33 @@ def loads(text: str) -> Model:
             if n is None or m is None:
                 fail("atom line before the 'hypotheses'/'evidence' headers")
             if len(tokens) != 4:
+                line = raw.split("#", 1)[0].strip()
                 fail(f"expected 'atom <i> <bitstring> <rational>', got {line!r}")
-            try:
-                i = parse_integer(tokens[1])
-            except ValueError:
-                fail(f"hypothesis index is not an integer: {tokens[1]!r}")
-            if not 1 <= i <= n:
-                fail(f"hypothesis index {i} out of range 1..{n}")
-            bits = tokens[2]
-            if len(bits) != m or bits.strip("01"):
-                fail(f"bitstring {bits!r} must have length {m} over {{0,1}}")
-            key = (i, tuple(ch == "1" for ch in bits))
+            _, index, bits, rational = tokens
+            i = indices.get(index)
+            if i is None:
+                try:
+                    i = parse_integer(index)
+                except ValueError:
+                    fail(f"hypothesis index is not an integer: {index!r}")
+                if not 1 <= i <= n:
+                    fail(f"hypothesis index {i} out of range 1..{n}")
+                indices[index] = i
+            signs = signs_of.get(bits)
+            if signs is None:
+                if len(bits) != m or bits.strip("01"):
+                    fail(f"bitstring {bits!r} must have length {m} over {{0,1}}")
+                signs = signs_of[bits] = tuple(map("1".__eq__, bits))
+            key = (i, signs)
             if key in atoms:
                 fail(f"duplicate atom ({i}, {bits})")
-            try:
-                atoms[key] = parse_rational(tokens[3])
-            except ValueError as exc:
-                fail(str(exc))
+            value = values.get(rational)
+            if value is None:
+                try:
+                    value = values[rational] = parse_rational(rational)
+                except ValueError as exc:
+                    fail(str(exc))
+            atoms[key] = value
         else:
             fail(f"unknown directive {keyword!r}")
     if n is None or m is None:

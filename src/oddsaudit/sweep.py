@@ -66,7 +66,7 @@ counts against the audit route and against oracles that test every subset.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -165,6 +165,20 @@ def _violation(P, digits, D) -> SweepViolation:
         if len(updating) >= 2:
             return SweepViolation(spec, i, (updating[0], updating[1]))
     raise AssertionError(f"no hypothesis of {spec} has two updating propositions")
+
+
+def _compositions(n, D):
+    """The prior compositions, n-tuples of non-negative ints summing to D, in
+    lexicographic order: the next one moves a unit from the last nonzero part
+    k > 0 to part k - 1 and the rest of part k to the end."""
+    P = [0] * (n - 1) + [D]
+    while True:
+        yield tuple(P)
+        k = next((k for k in range(n - 1, 0, -1) if P[k]), 0)
+        if k == 0:
+            return
+        P[k - 1] += 1
+        P[k], P[-1] = 0, P[k] - 1
 
 
 def _rows(width, D, c1):
@@ -289,8 +303,9 @@ def sweep(
         raise _budget_exhausted(max_models, result)
     if D**5 >= 2**63:  # an identity term would overflow int64
         raise SweepLimitError(f"denominator {D} is past the int64 kernel", partial=result)
-    compositions = [P for P in itertools.product(range(D + 1), repeat=n) if sum(P) == D]
-    admitted = compositions[: max_models // block]
+    # The budget admits the first max_models // block compositions (a range, as
+    # islice would refuse a bound past sys.maxsize).
+    admitted = [P for _, P in zip(range(max_models // block), _compositions(n, D))]
     stars = {tuple(sorted(P, reverse=True)) for P in admitted if not (c1 and 0 in P)}
     tallies = {P: _counts(P, m, D, c1) for P in stars}
 
@@ -309,6 +324,6 @@ def sweep(
                 if on_survivor is not None:
                     on_survivor(P, digits)
         result.models_enumerated += block
-    if len(admitted) < len(compositions):
+    if len(admitted) < math.comb(D + n - 1, n - 1):
         raise _budget_exhausted(max_models, result)
     return result

@@ -1,4 +1,5 @@
 import random
+from collections.abc import Mapping
 from fractions import Fraction as F
 
 import pytest
@@ -133,6 +134,28 @@ def test_duplicate_atom_refused_even_when_zero():
     ):
         with pytest.raises(InvalidModelError, match=r"tuple of m=1 bools, got \(2,\)"):
             Model(n=1, m=1, atoms=atoms)
+
+
+class Pairs(Mapping):
+    """A read-only mapping over a list of pairs, whose keys need not be hashable."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def __getitem__(self, key):
+        return next(value for k, value in self.pairs if k == key)
+
+    def __iter__(self):
+        return (key for key, _ in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
+
+
+def test_unhashable_signs_get_the_package_error():
+    for pairs in ([((1, ([T],)), 1)], [((1, (T,)), F(1, 2)), ((1, ([T],)), F(1, 2))]):
+        with pytest.raises(InvalidModelError, match=r"tuple of m=1 bools, got \(\[True\],\)"):
+            Model(n=1, m=1, atoms=Pairs(pairs))
 
 
 def test_atom_checks_its_key():

@@ -64,6 +64,9 @@ def test_file_round_trip(tmp_path, modified):
     assert path.read_text() == dumps(modified)
 
 
+TWO_BY_TWO = "hypotheses 2\nevidence 2\n"
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -94,6 +97,15 @@ def test_file_round_trip(tmp_path, modified):
         ("hypotheses 3\nevidence 1\natom 1_0 1 1\n", "integer"),
         ("hypotheses 3\nevidence 1\natom \u0661 1 1\n", "integer"),
         ("hypotheses 1\nevidence 1\natom 1 1 \u0661\n", "rational"),
+        # Each distinct token is checked once per file: an error is still
+        # raised at the first line that holds it, and "+1" is the index 1.
+        (TWO_BY_TWO + "atom 1 10 1/2\natom +1 10 1/2\n", r"^line 4: duplicate atom \(1, 10\)$"),
+        (TWO_BY_TWO + "atom +1 10 1/2\natom 1 10 1/2\n", r"^line 4: duplicate atom \(1, 10\)$"),
+        (TWO_BY_TWO + "atom 1 10 0.5\natom 2 10 0.5\n", r"^line 3: not a rational literal"),
+        (TWO_BY_TWO + "atom 1 10 1/2\natom 1 01 x/2\natom 2 01 x/2\n", r"^line 4: not a rat"),
+        (TWO_BY_TWO + "atom 1 10 1/2\natom 2 1 1/2\n", r"^line 4: bitstring '1' must have"),
+        (TWO_BY_TWO + "atom 1 10 1/2\natom 3 01 1/2\natom 3 11 1/2\n", r"^line 4: hypothesis index 3"),
+        (TWO_BY_TWO + "atom 1 10 1/2\natom x 01 1/2\natom x 11 1/2\n", r"^line 4: hypothesis index is"),
     ],
 )
 def test_grammar_errors(text, message):
@@ -132,3 +144,37 @@ def test_headers_only_whitespace_and_comments():
     model = loads(text)
     assert (model.n, model.m) == (1, 1)
     assert model.atom(1, (True,)) == F(1)
+
+
+def test_equal_rationals_in_other_spellings_both_parse():
+    model = loads(TWO_BY_TWO + "atom 1 10 1/2\natom 2 01 2/4\n")
+    assert model.atom(1, (True, False)) == model.atom(2, (False, True)) == F(1, 2)
+    atoms = {(1, (True, False)): F(1, 2), (2, (False, True)): F(1, 2)}
+    assert model == Model(n=2, m=2, atoms=atoms)
+
+
+def test_each_distinct_token_is_checked_once_per_file(monkeypatch):
+    """A dense file repeats each bitstring n times and few values: each
+    distinct sign vector and rational token is checked once per load."""
+    from oddsaudit import model as model_module, modelfile
+
+    calls = {"signs": 0, "rational": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(model_module, "_check_signs", counted("signs", model_module._check_signs))
+    monkeypatch.setattr(modelfile, "parse_rational", counted("rational", modelfile.parse_rational))
+    text = "hypotheses 3\nevidence 3\n" + "".join(
+        f"atom {i} {mask:03b} {'1/16' if mask % 2 else '1/48'}\n"
+        for i in (1, 2, 3)
+        for mask in range(8)
+    )
+    for _ in range(2):  # nothing is kept from one load to the next
+        calls.update(signs=0, rational=0)
+        assert loads(text).denominator == 48
+        assert calls == {"signs": 8, "rational": 2}

@@ -69,7 +69,9 @@ def test_model_file_round_trips(model):
 def mistyped_keys(draw):
     """A one-atom model's shape and canonical key, and a mistyped variant of
     them: the signs as a bitstring, bytes, ints, None, an int or a tuple of
-    the wrong length; the index as a bool, None or a string; or a bool shape."""
+    the wrong length; the index as a bool, None or a string; or a bool shape.
+    Last, for n > 1, a mistyped twin key: another index, and signs equal to
+    the canonical key's with some bools written as ints (None for n = 1)."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     i, signs = draw(st.integers(1, n)), draw(st.tuples(*[st.booleans()] * m))
     bits = "".join("1" if s else "0" for s in signs)
@@ -88,22 +90,33 @@ def mistyped_keys(draw):
         bad = st.one_of(bad, st.just((True, m, (i, signs))))
     if m == 1:
         bad = st.one_of(bad, st.just((n, True, (i, signs))))
-    return (n, m, (i, signs)), draw(bad)
+    twin = None
+    if n > 1:
+        j = draw(st.integers(1, n).filter(lambda j: j != i))
+        written = st.tuples(*[st.sampled_from([s, int(s)]) for s in signs])
+        twin = (j, draw(written.filter(lambda t: any(type(x) is int for x in t))))
+    return (n, m, (i, signs)), draw(bad), twin
 
 
 @settings(max_examples=200, deadline=None)
 @given(mistyped_keys())
-@example(((1, 2, (1, (False, True))), (1, 2, (1, "01"))))  # "0" is truthy
-@example(((1, 1, (1, (True,))), (1, 1, (1, 5))))  # not iterable
-@example(((2, 1, (1, (True,))), (2, 1, (True, (True,)))))  # True is not H1
-@example(((1, 1, (1, (True,))), (True, True, (1, (True,)))))
+@example(((1, 2, (1, (False, True))), (1, 2, (1, "01")), None))  # "0" is truthy
+@example(((1, 1, (1, (True,))), (1, 1, (1, 5)), None))  # not iterable
+@example(((2, 1, (1, (True,))), (2, 1, (True, (True,))), (2, (1,))))  # True is not H1
+@example(((1, 1, (1, (True,))), (True, True, (1, (True,))), None))
+@example(((2, 2, (1, (True, False))), (2, 2, (1, "10")), (2, (1, 0))))  # (1, 0) == (True, False)
 def test_only_canonical_keys_build_models(drawn):
-    (n, m, key), (bad_n, bad_m, bad_key) = drawn
+    (n, m, key), (bad_n, bad_m, bad_key), twin = drawn
     model = Model(n=n, m=m, atoms={key: 1})
     assert loads(dumps(model)) == model
     # Refused with the package's own error, never coerced nor a TypeError.
     with pytest.raises(InvalidModelError):
         Model(n=bad_n, m=bad_m, atoms={bad_key: 1})
+    # Signs equal to a canonical key's get checks of their own, in either order.
+    if twin is not None:
+        for atoms in ({key: F(1, 2), twin: F(1, 2)}, {twin: F(1, 2), key: F(1, 2)}):
+            with pytest.raises(InvalidModelError, match=f"tuple of m={m} bools"):
+                Model(n=n, m=m, atoms=atoms)
 
 
 @st.composite
