@@ -225,15 +225,16 @@ def check_assumptions(model: Model, *, pairwise: bool = False) -> AuditReport:
     structural claim only binds models that satisfy the assumptions.
 
     The tables are local to the run: the whole model's ``T`` once, then one
-    ``g`` per hypothesis of nonzero mass, read for relevance, walked given H
-    and, as ``T - g``, given not-H.  Every empty cell's complement is the
-    whole model, whose walk runs at most once.
+    ``g`` per hypothesis of nonzero mass, read for relevance and condition 1,
+    walked given H and, as ``T - g``, given not-H.  Every empty cell's
+    complement is the whole model, whose walk runs at most once.
     """
     L, m, hypotheses = model.denominator, model.m, range(1, model.n + 1)
     totals = _superset_sums(model, hypotheses)
     whole_model = None  # failing subsets of T, once some cell is empty
     found: list[IndependenceViolation] = []
     relevance = dict.fromkeys(hypotheses, frozenset())
+    corner = dict.fromkeys(hypotheses, 0)  # L * P(H_i and every E_j true)
     for i in hypotheses:
         mass = model.mass(i)
         if mass == 0:
@@ -242,6 +243,7 @@ def check_assumptions(model: Model, *, pairwise: bool = False) -> AuditReport:
             found += (IndependenceViolation(i, Side.GIVEN_NOT_H, *f) for f in whole_model)
             continue
         table = _superset_sums(model, (i,))
+        corner[i] = table[-1]  # read before the walk overwrites it
         sides = [(Side.GIVEN_H, table)]
         if mass != L:
             relevance[i] = frozenset(
@@ -253,11 +255,6 @@ def check_assumptions(model: Model, *, pairwise: bool = False) -> AuditReport:
             found += (IndependenceViolation(i, side, *f) for f in failing)
     violations = tuple(found)
 
-    failures = None
-    if totals[-1] != 0:  # L * P(every E_j true)
-        everything = (True,) * m
-        failures = tuple(i for i in hypotheses if model.atom(i, everything) == 0)
-
     return AuditReport(
         n=model.n,
         m=m,
@@ -265,7 +262,7 @@ def check_assumptions(model: Model, *, pairwise: bool = False) -> AuditReport:
         independence_violations=violations,
         relevance=relevance,
         degenerate_hypotheses=frozenset(i for i in hypotheses if model.mass(i) in (0, L)),
-        condition1_failures=failures,
+        condition1_failures=tuple(i for i in hypotheses if not corner[i]) if totals[-1] else None,
         theorem=_theorem_outcome(model.n, violations, relevance),
     )
 

@@ -54,14 +54,17 @@ leave those with updating, and less the tuples still pairwise adjacent once
 the edges between meeting masks go, the violations.  Counts do not change
 when hypotheses are relabelled (priors and columns together), so each
 nonincreasing composition is counted once; ``models_enumerated`` counts grid
-models covered.  Survivors (``on_survivor`` and violations) are listed from
-each composition's own graph in flat-index order and must match the sorted
-form's counts, a cross-check of that symmetry; a violation's hypothesis and
-evidence pair come from :func:`~oddsaudit.audit.relevant_evidence`.
+models covered.  Survivors (``on_survivor`` and violations, named from the
+row masks) are listed by the same recursion on each composition's own graph
+in flat-index order, and must match the sorted form's counts, a cross-check
+of that symmetry.
 
 Every identity term is at most D^5, so the arithmetic is int64 and
-:func:`sweep` refuses a D with D^5 >= 2^63 (D > 6208).  The tests check the
-counts against the audit route and against oracles that test every subset.
+:func:`sweep` refuses D > 6208 (D^5 >= 2^63), m > 16 (a Model's cap: every
+witness is one, and the recursions run m deep) and, before any graph is
+built, graphs past 2^14 rows (2 N^2 bytes with the edge-pruned copy, 542 MB
+peak RSS at the cap).  The tests check the counts against the audit route
+and against oracles that test every subset.
 """
 
 from __future__ import annotations
@@ -73,13 +76,14 @@ from typing import Callable
 
 import numpy as np
 
-from .audit import relevant_evidence
-from .construct import ConditionalSpec, from_conditionals
+from .construct import ConditionalSpec
 from .errors import InvalidModelError, SweepLimitError
+from .model import MAX_EVIDENCE
 
 #: Default enumeration budget; (n=4, m=2, D=4) needs ~13.7M of it.
 DEFAULT_MAX_MODELS = 20_000_000
 
+_MAX_ROWS = 1 << 14  # G and its edge-pruned copy take 2 N^2 bytes
 _CHUNK_ROWS = 1 << 16
 
 GridPoint = tuple[int, ...]
@@ -156,17 +160,6 @@ def witness_filename(priors: GridPoint, cond_digits: GridPoint) -> str:
     )
 
 
-def _violation(P, digits, D) -> SweepViolation:
-    """Name the first hypothesis with two updating propositions, and its first two."""
-    spec = spec_from_grid(P, digits, D)
-    model = from_conditionals(spec)
-    for i in range(1, model.n + 1):
-        updating = sorted(relevant_evidence(model, i))
-        if len(updating) >= 2:
-            return SweepViolation(spec, i, (updating[0], updating[1]))
-    raise AssertionError(f"no hypothesis of {spec} has two updating propositions")
-
-
 def _compositions(n, D):
     """The prior compositions, n-tuples of non-negative ints summing to D, in
     lexicographic order: the next one moves a unit from the last nonzero part
@@ -238,32 +231,35 @@ def _counts(P, m, D, c1):
 
 
 def _members(P, counts, n, m, D, c1):
-    """Survivors of composition ``P`` in flat-index order, as (digits, violates),
-    from its own graph: prefixes of grid rows, in chunks, extend by the grid
-    rows adjacent to all of their rows.  The verdicts must add up to ``counts``."""
+    """Survivors of composition ``P`` in flat-index order by the recursion of
+    :func:`_cliques` over grid rows, each with 0 or the lowest hypothesis that
+    two rows update and the first two of them; the tallies must match ``counts``."""
     G, mask = _graph(P, D, c1)
     live = np.flatnonzero(P)
     grid_rows = _rows(n, D, c1)
     node = np.ravel_multi_index((grid_rows[:, live] - c1).T, (D + 1 - c1,) * len(live))
-    reach = G[:, node]  # graph row -> the grid rows adjacent to it
-    step = max(1, _CHUNK_ROWS // len(grid_rows))
+    masks, digits = mask[node], list(map(tuple, grid_rows.tolist()))
     listed = np.zeros(3, dtype=np.int64)
-    stack = [np.arange(len(grid_rows))[:, None]]  # prefixes still to extend, the next on top
-    while stack:
-        tuples = stack.pop()
-        if tuples.shape[1] < m and len(tuples) > step:
-            stack += [tuples[step:], tuples[:step]]
-        elif tuples.shape[1] < m:
-            which, following = np.nonzero(np.logical_and.reduce(reach[node[tuples]], axis=1))
-            stack.append(np.column_stack([tuples[which], following]))
-        else:
-            masks = mask[node[tuples]]
-            union = np.bitwise_or.accumulate(masks, axis=1)
-            violates = (union[:, :-1] & masks[:, 1:] != 0).any(axis=1)
-            listed += (len(tuples), np.count_nonzero(union[:, -1]), np.count_nonzero(violates))
-            digits = grid_rows[tuples].reshape(len(tuples), n * m)
-            for row, violation in zip(digits.tolist(), violates.tolist()):
-                yield tuple(row), violation
+
+    def walk(prefix, allowed, union, twice):  # each (m-1)-row prefix and its last rows
+        rows = np.flatnonzero(allowed[node])
+        if len(prefix) == m - 1:
+            yield prefix, union, twice, rows
+            return
+        for r in rows.tolist():
+            bits = int(masks[r])
+            yield from walk(prefix + (r,), allowed & G[node[r]], union | bits, twice | union & bits)
+
+    for prefix, union, twice, rows in walk((), np.ones(len(G), dtype=bool), 0, 0):
+        clashes = twice | union & (last := masks[rows])
+        listed += (len(rows), np.count_nonzero(union | last), np.count_nonzero(clashes))
+        head = sum((digits[r] for r in prefix), ())
+        for r, clash in zip(rows.tolist(), clashes.tolist()):
+            if clash:  # the masks meet: name the lowest bit they meet on
+                bit = (clash & -clash).bit_length() - 1
+                pair = [j + 1 for j, q in enumerate(prefix + (r,)) if masks[q] >> bit & 1][:2]
+                clash = int(live[bit]) + 1, tuple(pair)
+            yield head + digits[r], clash
     assert listed.tolist() == counts, "the listing must match the counts"
 
 
@@ -290,8 +286,9 @@ def sweep(
     ``max_models`` must be a non-negative int.  Exceeding it raises
     :class:`SweepLimitError` carrying the partial tallies; the budget admits
     the prior compositions whose blocks fit in it whole, and only those are
-    counted, so partial results stop at a composition boundary.  A
-    denominator past 6208 is refused the same way, with empty tallies.
+    counted, so partial results stop at a composition boundary.  A D past
+    6208 or a graph past 2^14 rows is refused the same way, with empty
+    tallies; m past 16 raises :class:`InvalidModelError`.
     """
     if type(max_models) is not int or max_models < 0:
         raise InvalidModelError(f"max_models must be a non-negative int, got {max_models!r}")
@@ -301,26 +298,31 @@ def sweep(
     # (D+1)**(n*m) >= 2**(n*m) > max_models once n*m reaches its bit length.
     if n * m >= max_models.bit_length() or (block := (D + 1) ** (n * m)) > max_models:
         raise _budget_exhausted(max_models, result)
+    if m > MAX_EVIDENCE:  # the recursions run m deep, and a witness is a Model
+        raise InvalidModelError(f"m={m} exceeds the evidence cap {MAX_EVIDENCE}")
     if D**5 >= 2**63:  # an identity term would overflow int64
         raise SweepLimitError(f"denominator {D} is past the int64 kernel", partial=result)
     # The budget admits the first max_models // block compositions (a range, as
     # islice would refuse a bound past sys.maxsize).
-    admitted = [P for _, P in zip(range(max_models // block), _compositions(n, D))]
+    admitted = []
+    for _, P in zip(range(max_models // block), _compositions(n, D)):
+        if not (c1 and 0 in P) and (rows := (D + 1 - c1) ** (n - P.count(0))) > _MAX_ROWS:
+            message = f"composition {P} needs a graph of {rows} rows, past the cap {_MAX_ROWS}"
+            raise SweepLimitError(message, partial=result)
+        admitted.append(P)
     stars = {tuple(sorted(P, reverse=True)) for P in admitted if not (c1 and 0 in P)}
     tallies = {P: _counts(P, m, D, c1) for P in stars}
 
     for P in admitted:
-        if c1 and 0 in P:
-            result.models_enumerated += block  # nothing on this composition can qualify
-            continue
-        counts = tallies[tuple(sorted(P, reverse=True))]
+        counts = tallies.get(tuple(sorted(P, reverse=True)), [0, 0, 0])
         satisfying, updating, violations = counts
         result.models_satisfying_all += satisfying
         result.witnesses_with_updating += updating
         if (on_survivor is not None and satisfying) or violations:
-            for digits, violates in _members(P, counts, n, m, D, c1):
-                if violates:
-                    result.theorem_violations.append(_violation(P, digits, D))
+            for digits, clash in _members(P, counts, n, m, D, c1):
+                if clash:
+                    spec = spec_from_grid(P, digits, D)
+                    result.theorem_violations.append(SweepViolation(spec, *clash))
                 if on_survivor is not None:
                     on_survivor(P, digits)
         result.models_enumerated += block

@@ -1,3 +1,4 @@
+import importlib
 import time
 from fractions import Fraction as F
 
@@ -300,6 +301,29 @@ def test_sweep_budget_checked_before_enumerating_subsets(capsys):
     captured = capsys.readouterr()
     assert "budget" in captured.err
     assert "models-enumerated: 0" in captured.err
+
+
+def test_sweep_refuses_evidence_past_the_model_cap(capsys):
+    # A budget of 10**1000 admits the 2**3000-model grid; m = 1000 is refused, not recursed.
+    budget = "1" + "0" * 1000
+    argv = ["sweep", "--n", "3", "--m", "1000", "--denominator", "1", "--max-models", budget]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: m=1000 exceeds the evidence cap 16\n"
+    assert captured.out == ""
+
+
+def test_sweep_refuses_a_graph_past_the_row_cap(monkeypatch, capsys):
+    # The refusal comes before any graph is built: calling _graph would fail.
+    monkeypatch.setattr(importlib.import_module("oddsaudit.sweep"), "_graph", None)
+    argv = ["sweep", "--n", "3", "--m", "2", "--denominator", "25", "--max-models", str(10**20)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "error: composition (1, 1, 23) needs a graph of 17576 rows, past the cap 16384\n"
+        "models-enumerated: 0\n"
+    )
+    assert captured.out == ""
 
 
 def test_sweep_budget_refuses_a_huge_grid_without_building_its_size(capsys):

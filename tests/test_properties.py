@@ -171,7 +171,9 @@ def test_whole_audit_equals_the_standalone_route(model, pairwise):
     """``check_assumptions`` reports, in order, what ``check_independence``
     finds for each hypothesis and then each side, and what
     ``relevant_evidence`` finds for each hypothesis, on models with empty
-    cells and with a cell of prior 1 too."""
+    cells and with a cell of prior 1 too; its condition 1 failures are the
+    oracle's hypotheses without mass on every E_j true, or None when that
+    conjunction has probability 0."""
     report = check_assumptions(model, pairwise=pairwise)
     hypotheses = range(1, model.n + 1)
     assert report.independence_violations == tuple(
@@ -181,6 +183,11 @@ def test_whole_audit_equals_the_standalone_route(model, pairwise):
         for violation in check_independence(model, i, side, pairwise=pairwise)
     )
     assert report.relevance == {i: relevant_evidence(model, i) for i in hypotheses}
+    atoms, everything = dict(model.atoms), dict.fromkeys(range(1, model.m + 1), True)
+    expected = None
+    if _brute.event_prob(atoms, everything):
+        expected = tuple(i for i in hypotheses if not _brute.joint_prob(atoms, everything, i))
+    assert report.condition1_failures == expected
 
 
 @st.composite

@@ -282,6 +282,38 @@ def test_denominator_past_the_int64_kernel_is_refused(capsys):
     assert perf_counter() - started < 1.0
 
 
+def test_evidence_past_the_model_cap_is_refused(monkeypatch):
+    """m = 16 sweeps, as every witness is a Model; m = 17 and m = 1000 are
+    refused with the Model's cap before any graph is built, whatever the
+    budget (a recursion m deep would fail at m = 1000)."""
+    enum, satisfying, updating = _brute.grid_counts_by_relevance(3, 16, 1)
+    result = sweep(SweepConfig(3, 16, 1), max_models=enum)
+    assert (result.models_enumerated, result.models_satisfying_all) == (enum, satisfying)
+    assert result.witnesses_with_updating == updating
+    monkeypatch.setattr(sweep_module, "_graph", None)  # calling it would fail
+    for m in (17, 1000):
+        with pytest.raises(InvalidModelError, match=f"^m={m} exceeds the evidence cap 16"):
+            sweep(SweepConfig(3, m, 1), max_models=10**1000)
+
+
+def test_graph_past_the_row_cap_is_refused(monkeypatch):
+    """(3, 2, 25) has graphs of 26^3 = 17,576 rows, past the cap of 2^14, from
+    its 28th composition (1, 1, 23) on; that composition is refused before any
+    graph is built, with empty tallies, while a budget of 27 blocks sweeps."""
+    cap, block = 1 << 14, 26**6
+    assert sweep_module._MAX_ROWS == cap < 26**3
+    with pytest.raises(SweepLimitError, match="budget") as info:
+        sweep(SweepConfig(3, 2, 25), max_models=27 * block)
+    assert info.value.partial.models_enumerated == 27 * block
+    monkeypatch.setattr(sweep_module, "_graph", None)  # calling it would fail
+    with pytest.raises(SweepLimitError) as info:
+        sweep(SweepConfig(3, 2, 25), max_models=28 * block)
+    assert str(info.value) == (
+        "composition (1, 1, 23) needs a graph of 17576 rows, past the cap 16384"
+    )
+    assert info.value.partial == SweepResult()
+
+
 @pytest.mark.parametrize("budget", [2.5e7, None, True, False, -5, "100", np.int64(10**6)])
 def test_budget_must_be_a_non_negative_int(budget):
     with pytest.raises(InvalidModelError, match="max_models must be a non-negative int"):
@@ -517,21 +549,45 @@ def every_pair_an_edge(monkeypatch):
 def test_violations_listed_from_classes(monkeypatch):
     """With every pair of rows an edge every spec survives, so the counted
     violations and the listed ones are checked against the oracle's updating
-    sets, in grid order."""
-    n, m, d = 3, 2, 2
+    sets, in grid order, on (3, 2, 2) and at m = 3.  There a violation's
+    hypothesis is the lowest one that two rows update, which need not be where
+    the first two rows whose updating sets meet (in row order) meet: rows
+    updating {H1, H3}, {H2, H3} and {H1, H2} name H1 and E1, E3, not H3 and
+    E1, E2.  That takes three hypotheses of nonzero prior, hence D = 3, and
+    ``require_condition1`` keeps the grid to the 27^3 specs of priors (1, 1, 1)."""
     every_pair_an_edge(monkeypatch)
-    result = sweep(SweepConfig(n, m, d))
-    expected = []
-    for priors in compositions(d, n):
-        for flat in product(range(d + 1), repeat=n * m):
-            sets = _brute.grid_updating_sets(priors, flat, n, m, d)
-            first = next((i for i in sorted(sets) if len(sets[i]) >= 2), None)
-            if first is not None:
+    for n, m, d, c1 in [(3, 2, 2, False), (3, 3, 3, True)]:
+        result = sweep(SweepConfig(n, m, d, c1))
+        kept, expected, named_off_the_first_meeting = 0, [], 0
+        for priors in compositions(d, n):
+            if c1 and 0 in priors:
+                continue
+            kept += 1
+            for flat in product(range(c1, d + 1), repeat=n * m):
+                sets = _brute.grid_updating_sets(priors, flat, n, m, d)
+                first = next((i for i in sorted(sets) if len(sets[i]) >= 2), None)
+                if first is None:
+                    continue
                 pair = tuple(sorted(sets[first])[:2])
-                expected.append((spec_from_grid(priors, flat, d), first, pair))
-    assert result.models_satisfying_all == result.models_enumerated == 4374
-    assert [(v.spec, v.hypothesis, v.evidence) for v in result.theorem_violations] == expected
-    assert len(expected) > 0
+                expected.append((priors, flat, first, pair))
+                rows = [{i for i in sets if j in sets[i]} for j in range(1, m + 1)]
+                a, b = next((a, b) for a, b in combinations(range(m), 2) if rows[a] & rows[b])
+                first_meeting = min(rows[a] & rows[b]), (a + 1, b + 1)
+                named_off_the_first_meeting += first_meeting != (first, pair)
+        assert result.models_enumerated == len(list(compositions(d, n))) * (d + 1) ** (n * m)
+        assert result.models_satisfying_all == kept * (d + 1 - c1) ** (n * m)
+        listed = [
+            (
+                tuple(p * d for p in v.spec.priors),
+                tuple(c * d for row in v.spec.cond for c in row),
+                v.hypothesis,
+                v.evidence,
+            )
+            for v in result.theorem_violations
+        ]
+        assert listed == expected
+        assert len(expected) > 0
+        assert (named_off_the_first_meeting > 0) == (m == 3)
 
 
 def test_cli_lists_violations_and_exits_1(monkeypatch, capsys):
