@@ -15,9 +15,7 @@ from .audit import (
     PairIdentities,
     TheoremOutcome,
     check_assumptions,
-    check_independence,
     check_pair_identities,
-    relevant_evidence,
     render_report,
 )
 from .construct import (
@@ -82,7 +80,6 @@ __all__ = [
     "ZeroProbabilityError",
     "bits_to_signs",
     "check_assumptions",
-    "check_independence",
     "check_pair_identities",
     "dump",
     "dumps",
@@ -93,7 +90,6 @@ __all__ = [
     "measurement_scenario",
     "odds_posterior",
     "parse_rational",
-    "relevant_evidence",
     "render_report",
     "sign_vectors",
     "signs_to_bits",

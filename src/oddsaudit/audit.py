@@ -147,52 +147,6 @@ def _failing_subsets(table: list[int], m: int, pairwise: bool) -> list[tuple]:
     return failing
 
 
-def check_independence(
-    model: Model,
-    i: int,
-    side: Side,
-    *,
-    pairwise: bool = False,
-) -> list[IndependenceViolation]:
-    """All evidence subsets (|J| >= 2) whose conditional fails to factorize.
-
-    In pairwise mode only |J| = 2 subsets are tested — a strictly weaker
-    check.  If the conditioning cell has probability zero there are no
-    conditionals to audit and the result is empty; callers track degeneracy
-    separately.  A ``side`` that is not a :class:`Side` is a ``ValueError``.
-
-    With ``g`` the superset sums of the cell's atoms (H_i's given H, the
-    other hypotheses' given not-H), built afresh by each call,
-    P(AND_J E_j | side) is ``g[J] / g[{}]``, so J factorizes iff
-    ``g[J] * g[{}]**(|J|-1) == prod_{j in J} g[{j}]``.
-    """
-    if not isinstance(side, Side):
-        raise ValueError(f"side must be a Side member, got {side!r}")
-    mass = model.mass(i)
-    if mass == (0 if side is Side.GIVEN_H else model.denominator):
-        return []
-    cell = (i,) if side is Side.GIVEN_H else (k for k in range(1, model.n + 1) if k != i)
-    failing = _failing_subsets(_superset_sums(model, cell), model.m, pairwise)
-    return [IndependenceViolation(i, side, *found) for found in failing]
-
-
-def relevant_evidence(model: Model, i: int) -> frozenset[int]:
-    """Evidence indices able to update H_i: { j : P(E_j | H_i) != P(E_j) }.
-
-    Degenerate hypotheses (prior 0 or 1) admit no updating and return the
-    empty set.  With ``a_j`` and ``A_j`` the masked sums ``L`` times
-    P(E_j, H_i) and P(E_j), the test is ``a_j * L != A_j * L * P(H_i)``.
-    """
-    mass, L = model.mass(i), model.denominator
-    if mass in (0, L):
-        return frozenset()
-    return frozenset(
-        j + 1
-        for j in range(model.m)
-        if model._masked_sum(1 << j, 1 << j, i) * L != model._masked_sum(1 << j, 1 << j) * mass
-    )
-
-
 def _theorem_outcome(
     n: int,
     violations: tuple[IndependenceViolation, ...],
@@ -218,15 +172,21 @@ def _theorem_outcome(
 def check_assumptions(model: Model, *, pairwise: bool = False) -> AuditReport:
     """Run every audit and collect the verdicts into one report.
 
-    The report equals :func:`check_independence` (by hypothesis, then side)
-    and :func:`relevant_evidence` run on each hypothesis.  The theorem check
-    (no hypothesis has two or more updating evidence propositions) is not
-    applicable when n <= 2 or when any independence violation exists: the
-    structural claim only binds models that satisfy the assumptions.
+    The violations come by hypothesis, then side (given H_i, given not-H_i):
+    each evidence subset (|J| >= 2; only |J| = 2 in the weaker ``pairwise``
+    mode) whose conditional fails to factorize.  A side whose conditioning
+    cell has probability zero has nothing to audit.  ``relevance[i]`` is
+    { j : P(E_j | H_i) != P(E_j) }, empty for a hypothesis of prior 0 or 1.
+    The theorem check (no hypothesis has two or more updating evidence
+    propositions) is not applicable when n <= 2 or when any independence
+    violation exists: the structural claim only binds models that satisfy
+    the assumptions.
 
     The tables are local to the run: the whole model's ``T`` once, then one
-    ``g`` per hypothesis of nonzero mass, read for relevance and condition 1,
-    walked given H and, as ``T - g``, given not-H.  Every empty cell's
+    ``g`` per hypothesis of nonzero mass, read for relevance
+    (``g[{j}] * L != T[{j}] * L * P(H_i)``) and condition 1, walked given H
+    and, as ``T - g``, given not-H.  On a cell's table, J factorizes iff
+    ``g[J] * g[{}]**(|J|-1) == prod_{j in J} g[{j}]``.  Every empty cell's
     complement is the whole model, whose walk runs at most once.
     """
     L, m, hypotheses = model.denominator, model.m, range(1, model.n + 1)

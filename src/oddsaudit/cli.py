@@ -142,10 +142,13 @@ def cmd_sweep(args) -> int:
     )
     on_survivor = None
     if args.witness_dir is not None:
-        witness_dir = Path(args.witness_dir)
-        witness_dir.mkdir(parents=True, exist_ok=True)
+        witness_dir, made = Path(args.witness_dir), False
 
-        def on_survivor(priors, digits):
+        def on_survivor(priors, digits):  # a refused sweep leaves no directory
+            nonlocal made
+            if not made:
+                witness_dir.mkdir(parents=True, exist_ok=True)
+                made = True
             spec = spec_from_grid(priors, digits, config.denominator)
             dump(from_conditionals(spec), witness_dir / witness_filename(priors, digits))
 
@@ -156,6 +159,8 @@ def cmd_sweep(args) -> int:
         if exc.partial is not None:
             _print_sweep_counts(exc.partial, sys.stderr)
         return 3
+    if on_survivor is not None:  # also made when no model survives
+        witness_dir.mkdir(parents=True, exist_ok=True)
     _print_sweep_counts(result, sys.stdout)
     for violation in result.theorem_violations:
         j1, j2 = violation.evidence

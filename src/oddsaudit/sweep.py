@@ -106,6 +106,10 @@ class SweepConfig:
         for name in ("n", "m", "denominator"):
             if type(getattr(self, name)) is not int:
                 raise InvalidModelError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if type(self.require_condition1) is not bool:
+            raise InvalidModelError(
+                f"require_condition1 must be a bool, got {self.require_condition1!r}"
+            )
         if self.n <= 2:
             raise InvalidModelError(
                 f"sweeps target the multiple-updating property, which needs n > 2; got n={self.n}"
@@ -142,6 +146,8 @@ def spec_from_grid(priors: GridPoint, cond_digits: GridPoint, denominator: int) 
     n = len(priors)
     if n == 0 or len(cond_digits) % n:
         raise ValueError(f"{len(cond_digits)} conditionals do not tile {n} hypotheses")
+    if type(denominator) is not int or denominator < 1:
+        raise ValueError(f"denominator must be an int >= 1, got {denominator!r}")
     m = len(cond_digits) // n
     return ConditionalSpec(
         priors=tuple(Fraction(p, denominator) for p in priors),

@@ -108,3 +108,8 @@ def nondegenerate_survivors(records, grid):
         if _brute.grid_survives(priors, flat, n, m, d):
             out.append((priors, flat))
     return out
+
+
+def side_violations(report, i, side):
+    """The report's independence violations given ``side`` of H_i, in order."""
+    return [v for v in report.independence_violations if (v.hypothesis, v.side) == (i, side)]

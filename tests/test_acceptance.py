@@ -15,21 +15,19 @@ from oddsaudit import (
     Side,
     SweepConfig,
     check_assumptions,
-    check_independence,
     check_pair_identities,
     example_model,
     from_conditionals,
     loads,
     measurement_scenario,
     odds_posterior,
-    relevant_evidence,
     sign_vectors,
     spec_from_grid,
     sweep,
 )
 from oddsaudit.cli import main
 
-from conftest import SWEEP_GRIDS, nondegenerate_survivors
+from conftest import SWEEP_GRIDS, nondegenerate_survivors, side_violations
 from test_construct import random_spec
 
 T, N = True, False
@@ -84,13 +82,13 @@ def test_criterion_3_modified_counterexample(modified):
     assert posteriors == [F(1, 2), F(1, 3), F(1, 6)]
     assert all(p != 0 for p in posteriors)
     # updating still occurs, through the second proposition
-    assert relevant_evidence(modified, 1) == {2}
-    assert relevant_evidence(modified, 3) == {2}
+    assert audit.relevance[1] == {2}
+    assert audit.relevance[3] == {2}
     report(3, "nonzero-posterior counterexample with updating via E2")
 
 
 def test_criterion_4_four_hypothesis_relevance(four):
-    assert {i: relevant_evidence(four, i) for i in range(1, 5)} == {
+    assert check_assumptions(four).relevance == {
         1: {1},
         2: {1},
         3: {2},
@@ -172,10 +170,11 @@ def test_criterion_8_measurement_scenario():
         lambda y: y <= 9,
         lambda z: z <= 9,
     )
+    audit = check_assumptions(model)
     for i in (1, 2, 3):
-        assert check_independence(model, i, Side.GIVEN_H) == []
+        assert side_violations(audit, i, Side.GIVEN_H) == []
     complement_violations = [
-        i for i in (1, 2, 3) if check_independence(model, i, Side.GIVEN_NOT_H)
+        i for i in (1, 2, 3) if side_violations(audit, i, Side.GIVEN_NOT_H)
     ]
     assert complement_violations, "expected dependence given some complement"
     report(
@@ -190,8 +189,9 @@ def test_criterion_9_thousand_random_product_models():
     for _ in range(1000):
         spec = random_spec(rng, positive_priors=True)
         model = from_conditionals(spec)
+        audit = check_assumptions(model)
         for i in range(1, spec.n + 1):
-            assert check_independence(model, i, Side.GIVEN_H) == []
+            assert side_violations(audit, i, Side.GIVEN_H) == []
             assert model.prior(i) == spec.priors[i - 1]
             for j in range(1, spec.m + 1):
                 assert model.cond({j: T}, i, Side.GIVEN_H) == spec.cond[j - 1][i - 1]

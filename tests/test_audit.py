@@ -15,14 +15,13 @@ from oddsaudit import (
     Side,
     TheoremOutcome,
     check_assumptions,
-    check_independence,
     check_pair_identities,
-    relevant_evidence,
     render_report,
 )
 from oddsaudit import audit
 from oddsaudit.audit import _theorem_outcome
 
+from conftest import side_violations
 from test_model import random_model, sparse_model
 
 T, N = True, False
@@ -43,21 +42,17 @@ def parity_model():
     return Model(n=3, m=3, atoms=atoms)
 
 
-# --- check_independence --------------------------------------------------------
+# --- independence verdicts ----------------------------------------------------------
 
 
 def test_examples_pass_both_sides(glymour, modified, four):
     for model in (glymour, modified, four):
-        for i in range(1, model.n + 1):
-            for side in (Side.GIVEN_H, Side.GIVEN_NOT_H):
-                assert check_independence(model, i, side) == []
+        assert check_assumptions(model).independence_violations == ()
 
 
 def test_m1_model_trivially_passes():
     model = Model(n=2, m=1, atoms={(1, (T,)): F(1, 2), (2, (N,)): F(1, 2)})
-    for i in (1, 2):
-        for side in (Side.GIVEN_H, Side.GIVEN_NOT_H):
-            assert check_independence(model, i, side) == []
+    assert check_assumptions(model).independence_violations == ()
 
 
 def test_dependent_model_fails_given_not_h(dependent):
@@ -66,9 +61,10 @@ def test_dependent_model_fails_given_not_h(dependent):
         2: (F(1, 8), F(3, 20)),
         3: (F(7, 60), F(1, 8)),
     }
+    report = check_assumptions(dependent)
     for i in (1, 2, 3):
-        assert check_independence(dependent, i, Side.GIVEN_H) == []
-        violations = check_independence(dependent, i, Side.GIVEN_NOT_H)
+        assert side_violations(report, i, Side.GIVEN_H) == []
+        violations = side_violations(report, i, Side.GIVEN_NOT_H)
         assert len(violations) == 1
         violation = violations[0]
         assert violation.hypothesis == i
@@ -95,19 +91,16 @@ def oracle_models():
 def test_matches_oracle_on_random_models():
     for model in oracle_models():
         raw = dict(model.atoms)
+        full, pairs = check_assumptions(model), check_assumptions(model, pairwise=True)
         for i in range(1, model.n + 1):
-            assert relevant_evidence(model, i) == _brute.relevant(raw, i)
+            assert full.relevance[i] == _brute.relevant(raw, i)
             for side, tag in ((Side.GIVEN_H, "H"), (Side.GIVEN_NOT_H, "nH")):
                 expected = _brute.independence_violations(raw, i, tag)
-                for pairwise in (False, True):
-                    got = [
-                        (v.subset, v.joint, v.product)
-                        for v in check_independence(model, i, side, pairwise=pairwise)
-                    ]
-                    if pairwise:
-                        assert got == [e for e in expected if len(e[0]) == 2]
-                    else:
-                        assert got == expected
+                found = [
+                    [(v.subset, v.joint, v.product) for v in side_violations(report, i, side)]
+                    for report in (full, pairs)
+                ]
+                assert found == [expected, [e for e in expected if len(e[0]) == 2]]
 
 
 def test_full_audit_at_the_evidence_cap_matches_oracle():
@@ -152,45 +145,35 @@ def test_full_audit_at_the_evidence_cap_matches_oracle():
 
 
 def test_degenerate_side_returns_empty():
-    model = Model(n=2, m=2, atoms={(1, (T, T)): 1})
-    assert check_independence(model, 2, Side.GIVEN_H) == []  # P(H2) = 0
-    assert check_independence(model, 1, Side.GIVEN_NOT_H) == []  # complement empty
-
-
-def test_side_must_be_a_side_member():
-    """As in ``Model.cond``: a string or None is refused, also on a
-    hypothesis of prior 0, rather than read as one of the sides."""
-    model = Model(n=3, m=2, atoms={(1, (T, T)): F(1, 2), (2, (N, T)): F(1, 2)})
-    for i in (1, 3):
-        for side in ("given-H", "given-not-H", None):
-            with pytest.raises(ValueError, match="side must be a Side member"):
-                check_independence(model, i, side)
+    report = check_assumptions(Model(n=2, m=2, atoms={(1, (T, T)): 1}))
+    assert side_violations(report, 2, Side.GIVEN_H) == []  # P(H2) = 0
+    assert side_violations(report, 1, Side.GIVEN_NOT_H) == []  # complement empty
 
 
 def test_pairwise_mode_is_weaker():
     model = parity_model()
-    assert check_independence(model, 1, Side.GIVEN_H, pairwise=True) == []
-    full = check_independence(model, 1, Side.GIVEN_H)
+    assert side_violations(check_assumptions(model, pairwise=True), 1, Side.GIVEN_H) == []
+    full = side_violations(check_assumptions(model), 1, Side.GIVEN_H)
     assert [(v.subset, v.joint, v.product) for v in full] == [((1, 2, 3), F(0), F(1, 8))]
 
 
-# --- relevant_evidence ------------------------------------------------------------
+# --- relevance -------------------------------------------------------------------
 
 
 def test_relevance_patterns(glymour, modified, four):
-    assert {i: relevant_evidence(glymour, i) for i in (1, 2, 3)} == {
+    assert check_assumptions(glymour).relevance == {
         1: {2},
         2: {2},
         3: {2},
     }
     # In the modified table P(E2 | H2) = 1/3 = P(E2) exactly, so E2 cannot
     # move H2; only H1 and H3 are updated (and only by E2).
-    assert {i: relevant_evidence(modified, i) for i in (1, 2, 3)} == {
+    assert check_assumptions(modified).relevance == {
         1: {2},
         2: set(),
         3: {2},
     }
-    assert {i: relevant_evidence(four, i) for i in (1, 2, 3, 4)} == {
+    assert check_assumptions(four).relevance == {
         1: {1},
         2: {1},
         3: {2},
@@ -199,15 +182,14 @@ def test_relevance_patterns(glymour, modified, four):
 
 
 def test_relevance_matches_oracle(dependent):
-    raw = dict(dependent.atoms)
+    raw, relevance = dict(dependent.atoms), check_assumptions(dependent).relevance
     for i in (1, 2, 3):
-        assert relevant_evidence(dependent, i) == _brute.relevant(raw, i)
+        assert relevance[i] == _brute.relevant(raw, i)
 
 
 def test_degenerate_hypotheses_have_empty_relevance():
     model = Model(n=2, m=1, atoms={(1, (T,)): 1})
-    assert relevant_evidence(model, 1) == frozenset()
-    assert relevant_evidence(model, 2) == frozenset()
+    assert check_assumptions(model).relevance == {1: frozenset(), 2: frozenset()}
 
 
 def test_relevance_criterion_biconditional():
@@ -228,8 +210,9 @@ def test_relevance_criterion_biconditional():
 
 def test_irrelevance_implies_triple_equality(glymour, modified, four):
     for model in (glymour, modified, four):
+        report = check_assumptions(model)
         for i in range(1, model.n + 1):
-            relevant = relevant_evidence(model, i)
+            relevant = report.relevance[i]
             for j in range(1, model.m + 1):
                 if j in relevant:
                     continue
@@ -416,10 +399,6 @@ def test_audits_leave_the_model_as_built():
         built = dict(vars(model))
         for pairwise in (False, True):
             check_assumptions(model, pairwise=pairwise)
-            for i in range(1, model.n + 1):
-                relevant_evidence(model, i)
-                for side in Side:
-                    check_independence(model, i, side, pairwise=pairwise)
         assert vars(model) == built
 
 

@@ -349,6 +349,36 @@ def test_sweep_witness_dir(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "grid, code",
+    [
+        (["--m", "17", "--denominator", "1", "--max-models", "100000000000000000000"], 2),
+        (["--m", "2", "--denominator", "2", "--max-models", "10"], 3),
+    ],
+)
+def test_refused_sweep_leaves_no_witness_dir(grid, code, tmp_path, capsys):
+    wdir = tmp_path / "witnesses"
+    assert main(["sweep", "--n", "3", *grid, "--witness-dir", str(wdir)]) == code
+    assert not wdir.exists()
+    capsys.readouterr()
+
+
+def test_sweep_without_survivors_still_makes_the_witness_dir(tmp_path, capsys):
+    wdir = tmp_path / "witnesses"
+    argv = ["sweep", "--n", "3", "--m", "2", "--denominator", "1", "--require-condition1"]
+    assert main([*argv, "--witness-dir", str(wdir)]) == 0
+    assert wdir.is_dir() and not list(wdir.iterdir())
+    assert "models-satisfying-assumptions: 0" in capsys.readouterr().out
+
+
+def test_sweep_witness_dir_must_be_usable(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    argv = ["sweep", "--n", "3", "--m", "2", "--denominator", "1"]
+    assert main([*argv, "--witness-dir", str(blocker / "witnesses")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # --- scenario --------------------------------------------------------------------
 
 

@@ -10,12 +10,14 @@ from oddsaudit import (
     InvalidModelError,
     Model,
     Side,
-    check_independence,
+    check_assumptions,
     example_model,
     from_conditionals,
     measurement_scenario,
     sign_vectors,
 )
+
+from conftest import side_violations
 
 T, N = True, False
 
@@ -120,9 +122,9 @@ def test_construction_guarantees_given_h_independence():
     rng = random.Random(47)
     for _ in range(50):
         spec = random_spec(rng, positive_priors=False)
-        model = from_conditionals(spec)
+        report = check_assumptions(from_conditionals(spec))
         for i in range(1, spec.n + 1):
-            assert check_independence(model, i, Side.GIVEN_H) == []
+            assert side_violations(report, i, Side.GIVEN_H) == []
 
 
 def test_uninformative_first_column_passes_full_audit():
@@ -139,10 +141,7 @@ def test_uninformative_first_column_passes_full_audit():
                 tuple(F(rng.randint(0, 12), 12) for _ in range(n)),
             ),
         )
-        model = from_conditionals(spec)
-        for i in range(1, n + 1):
-            for side in (Side.GIVEN_H, Side.GIVEN_NOT_H):
-                assert check_independence(model, i, side) == []
+        assert check_assumptions(from_conditionals(spec)).independence_violations == ()
 
 
 # --- example_model ---------------------------------------------------------------
@@ -197,11 +196,12 @@ def test_two_values_given_h_holds_and_complement_is_single_cell():
         [F(0), F(10)], [F(1, 2), F(1, 2)], UNIFORM_NOISE,
         lambda y: y <= 1, lambda z: z <= 1,
     )
+    report = check_assumptions(model)
     for i in (1, 2):
-        assert check_independence(model, i, Side.GIVEN_H) == []
+        assert side_violations(report, i, Side.GIVEN_H) == []
         # With only two cells the complement of one is exactly the other, so
         # independence given the complement is inherited from construction.
-        assert check_independence(model, i, Side.GIVEN_NOT_H) == []
+        assert side_violations(report, i, Side.GIVEN_NOT_H) == []
 
 
 def test_three_values_break_complement_independence():
@@ -210,11 +210,12 @@ def test_three_values_break_complement_independence():
     model = measurement_scenario(
         values, weights, UNIFORM_NOISE, lambda y: y <= 9, lambda z: z <= 9
     )
+    report = check_assumptions(model)
     for i in (1, 2, 3):
-        assert check_independence(model, i, Side.GIVEN_H) == []
-    violated = [i for i in (1, 2, 3) if check_independence(model, i, Side.GIVEN_NOT_H)]
+        assert side_violations(report, i, Side.GIVEN_H) == []
+    violated = [i for i in (1, 2, 3) if side_violations(report, i, Side.GIVEN_NOT_H)]
     assert violated == [1, 2, 3]
-    first = check_independence(model, 1, Side.GIVEN_NOT_H)[0]
+    first = side_violations(report, 1, Side.GIVEN_NOT_H)[0]
     assert (first.joint, first.product) == (F(1, 18), F(1, 36))
 
 
@@ -236,9 +237,10 @@ def test_deterministic_instruments():
         [F(0), F(10), F(20)], [F(1, 3)] * 3, {F(0): F(1)},
         lambda y: y <= 9, lambda z: z <= 9,
     )
+    report = check_assumptions(model)
     for i in (1, 2, 3):
-        assert check_independence(model, i, Side.GIVEN_H) == []
-    violated = [i for i in (1, 2, 3) if check_independence(model, i, Side.GIVEN_NOT_H)]
+        assert side_violations(report, i, Side.GIVEN_H) == []
+    violated = [i for i in (1, 2, 3) if side_violations(report, i, Side.GIVEN_NOT_H)]
     assert violated == [2, 3]  # derived by exact computation over the sample space
 
 

@@ -1,7 +1,7 @@
 """Property tests: the model file format round-trips, and a model is built
 only from canonical ``(i, signs)`` keys; the odds route equals an
 independent oracle of the product rule; the whole-model audit equals the
-per-hypothesis audit functions; on product specs the
+oracle's per-hypothesis verdicts; on product specs the
 audit is clean exactly when no hypothesis has two updating propositions, in
 full and pairwise mode alike; and where only one proposition depends on the
 hypothesis, or the propositions update disjoint sets of hypotheses, the odds
@@ -23,12 +23,10 @@ from oddsaudit import (
     Model,
     Side,
     check_assumptions,
-    check_independence,
     dumps,
     from_conditionals,
     loads,
     odds_posterior,
-    relevant_evidence,
 )
 
 
@@ -167,23 +165,27 @@ def test_odds_route_matches_the_product_rule_oracle(drawn):
     Model(n=3, m=3, atoms={(1, (True, True, False)): F(1, 2), (3, (False, True, True)): F(1, 2)}),
     True,
 )
-def test_whole_audit_equals_the_standalone_route(model, pairwise):
-    """``check_assumptions`` reports, in order, what ``check_independence``
-    finds for each hypothesis and then each side, and what
-    ``relevant_evidence`` finds for each hypothesis, on models with empty
-    cells and with a cell of prior 1 too; its condition 1 failures are the
-    oracle's hypotheses without mass on every E_j true, or None when that
-    conjunction has probability 0."""
+def test_whole_audit_equals_the_oracle(model, pairwise):
+    """``check_assumptions`` reports, in order, the oracle's failing subsets
+    for each hypothesis and then each side (only the pairs when
+    ``pairwise``), and the oracle's relevant propositions for each
+    hypothesis, on models with empty cells and with a cell of prior 1 too;
+    its condition 1 failures are the oracle's hypotheses without mass on
+    every E_j true, or None when that conjunction has probability 0."""
     report = check_assumptions(model, pairwise=pairwise)
     hypotheses = range(1, model.n + 1)
-    assert report.independence_violations == tuple(
-        violation
-        for i in hypotheses
-        for side in Side
-        for violation in check_independence(model, i, side, pairwise=pairwise)
-    )
-    assert report.relevance == {i: relevant_evidence(model, i) for i in hypotheses}
     atoms, everything = dict(model.atoms), dict.fromkeys(range(1, model.m + 1), True)
+    assert [
+        (v.hypothesis, v.side, v.subset, v.joint, v.product)
+        for v in report.independence_violations
+    ] == [
+        (i, side, *violation)
+        for i in hypotheses
+        for side, tag in ((Side.GIVEN_H, "H"), (Side.GIVEN_NOT_H, "nH"))
+        for violation in _brute.independence_violations(atoms, i, tag)
+        if not pairwise or len(violation[0]) == 2
+    ]
+    assert report.relevance == {i: _brute.relevant(atoms, i) for i in hypotheses}
     expected = None
     if _brute.event_prob(atoms, everything):
         expected = tuple(i for i in hypotheses if not _brute.joint_prob(atoms, everything, i))
@@ -260,9 +262,10 @@ def test_product_models_are_independent_iff_updating_is_disjoint(spec):
     """On product models (n > 2) the full audit, the pairwise audit and "no
     hypothesis has two updating propositions" agree."""
     model = from_conditionals(spec)
-    full = not check_assumptions(model).independence_violations
+    report = check_assumptions(model)
+    full = not report.independence_violations
     pairwise = not check_assumptions(model, pairwise=True).independence_violations
-    disjoint = all(len(relevant_evidence(model, i)) < 2 for i in range(1, model.n + 1))
+    disjoint = all(len(relevant) < 2 for relevant in report.relevance.values())
     assert full == pairwise == disjoint
 
 
@@ -311,7 +314,7 @@ def test_disjoint_updating_audits_clean_and_odds_are_exact(drawn):
     report = check_assumptions(model)
     assert report.independence_violations == ()
     assert report.theorem.status == "holds"
-    assert {i: relevant_evidence(model, i) for i in range(1, model.n + 1)} == updating
+    assert report.relevance == updating
     for event in _brute.all_events(model.m):
         if model.event_prob(event) == 0:
             continue

@@ -11,16 +11,13 @@ from hypothesis import strategies as st
 import _brute
 from oddsaudit import (
     InvalidModelError,
-    Side,
     SweepConfig,
     SweepLimitError,
     SweepResult,
     check_assumptions,
-    check_independence,
     dumps,
     from_conditionals,
     load,
-    relevant_evidence,
     spec_from_grid,
     sweep,
     witness_filename,
@@ -50,21 +47,17 @@ def audit_route(n, m, d, require_condition1=False):
     for priors in compositions(d, n):
         for flat in product(range(d + 1), repeat=n * m):
             enumerated += 1
-            model = from_conditionals(spec_from_grid(priors, flat, d))
+            report = check_assumptions(from_conditionals(spec_from_grid(priors, flat, d)))
             if require_condition1:
-                if check_assumptions(model).condition1_failures != ():
+                if report.condition1_failures != ():
                     continue
-            if any(
-                check_independence(model, i, side)
-                for i in range(1, n + 1)
-                for side in (Side.GIVEN_H, Side.GIVEN_NOT_H)
-            ):
+            if report.independence_violations:
                 continue
             satisfying += 1
             survivors.add((priors, flat))
-            if check_assumptions(model).theorem.status == "violated":
+            if report.theorem.status == "violated":
                 violated += 1
-            if any(relevant_evidence(model, i) for i in range(1, n + 1)):
+            if any(report.relevance.values()):
                 updating += 1
     return enumerated, satisfying, updating, violated, survivors
 
@@ -85,12 +78,23 @@ def test_config_validation():
             SweepConfig(*fields)
 
 
+@pytest.mark.parametrize("flag", [1, 2, "yes", None, np.True_])
+def test_require_condition1_must_be_a_bool(flag):
+    """A truthy stand-in is refused, never swept as some other row range."""
+    with pytest.raises(InvalidModelError, match="require_condition1 must be a bool, got "):
+        SweepConfig(3, 2, 3, require_condition1=flag)
+
+
 def test_spec_from_grid():
     spec = spec_from_grid((2, 2, 2), (3, 3, 3, 6, 0, 0), 6)
     assert spec.priors == (F(1, 3),) * 3
     assert spec.cond == ((F(1, 2),) * 3, (F(1), F(0), F(0)))
     with pytest.raises(ValueError):
         spec_from_grid((1, 1), (0, 0, 0), 2)
+    # Neither a division by zero nor a prior of 1 out of -1/-1.
+    for priors, denominator in (((1, 0, 0), 0), ((-1, 0, 0), -1)):
+        with pytest.raises(ValueError, match="denominator must be an int >= 1"):
+            spec_from_grid(priors, (0, 0, 0), denominator)
 
 
 def test_witness_filename_deterministic():
@@ -345,13 +349,9 @@ def test_survivors_audit_clean_and_updating_ones_are_counted(sweep_records):
     record = sweep_records[(3, 2, 2)]
     updating = 0
     for priors, flat in record.survivors:
-        model = from_conditionals(spec_from_grid(priors, flat, 2))
-        assert not any(
-            check_independence(model, i, side)
-            for i in range(1, model.n + 1)
-            for side in (Side.GIVEN_H, Side.GIVEN_NOT_H)
-        )
-        updating += any(relevant_evidence(model, i) for i in range(1, model.n + 1))
+        report = check_assumptions(from_conditionals(spec_from_grid(priors, flat, 2)))
+        assert report.independence_violations == ()
+        updating += any(report.relevance.values())
     assert 0 < updating == record.result.witnesses_with_updating
 
 
@@ -360,9 +360,9 @@ def test_cross_hypothesis_updating_witness_on_the_grid(sweep_records):
     priors, flat = (1, 1, 1, 1), (1, 3, 2, 2, 2, 2, 1, 3)
     assert _brute.grid_survives(priors, flat, 4, 2, 4)
     assert (priors, flat) in set(nondegenerate_survivors(sweep_records, (4, 2, 4)))
-    model = from_conditionals(spec_from_grid(priors, flat, 4))
-    assert check_assumptions(model).theorem.status == "holds"
-    assert {i: relevant_evidence(model, i) for i in range(1, 5)} == {
+    report = check_assumptions(from_conditionals(spec_from_grid(priors, flat, 4)))
+    assert report.theorem.status == "holds"
+    assert report.relevance == {
         1: {1},
         2: {1},
         3: {2},
@@ -404,12 +404,7 @@ def test_witness_files(tmp_path, sweep_records, capsys):
     sample = load(tmp_path / witness_filename((0, 0, 1), (0, 0, 0, 0, 0, 0)))
     assert sample.prior(3) == 1
     for path in files[:10]:
-        model = load(path)
-        assert not any(
-            check_independence(model, i, side)
-            for i in range(1, 4)
-            for side in (Side.GIVEN_H, Side.GIVEN_NOT_H)
-        )
+        assert check_assumptions(load(path)).independence_violations == ()
 
 
 # --- resource budget ------------------------------------------------------------------
