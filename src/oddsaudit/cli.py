@@ -3,7 +3,8 @@
 Commands::
 
     oddsaudit audit <file> [--pairwise]
-    oddsaudit posterior <file> [--observe E1=1,E2=0] --method exact|odds (-i I | --all) [--approx]
+    oddsaudit posterior <file> [--observe E1=1,E2=0] [--method exact|odds] (-i I | --all)
+                        [--approx]
     oddsaudit example <name> [-o <file>]
     oddsaudit sweep --n N --m M --denominator D [--require-condition1]
                     [--witness-dir DIR] [--max-models N]
@@ -18,6 +19,7 @@ marked float column for reading convenience only.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -117,12 +119,10 @@ def cmd_posterior(args) -> int:
 
 
 def cmd_example(args) -> int:
-    text = dumps(example_model(args.name))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        dump(example_model(args.name), args.output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps(example_model(args.name)))
     return 0
 
 
@@ -211,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="test only size-2 evidence subsets (a weaker check)",
     )
-    p_audit.set_defaults(func=cmd_audit)
 
     p_post = commands.add_parser("posterior", help="posterior probabilities for a model")
     p_post.add_argument("file", help="model file")
@@ -236,12 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append a float rendering (display only; the rational is authoritative)",
     )
-    p_post.set_defaults(func=cmd_posterior)
 
     p_example = commands.add_parser("example", help="emit a bundled example model")
     p_example.add_argument("name", choices=EXAMPLE_NAMES)
     p_example.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p_example.set_defaults(func=cmd_example)
 
     p_sweep = commands.add_parser(
         "sweep", help="enumerate a conditional grid and verify single-updating"
@@ -265,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_MODELS,
         help="enumeration budget before aborting with partial counts",
     )
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_scenario = commands.add_parser(
         "scenario", help="build a two-instrument measurement model"
@@ -290,19 +286,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="T1,T2: first proposition is reading1 <= T1, second is reading2 <= T2",
     )
     p_scenario.add_argument("-o", "--output", required=True, help="model file to write")
-    p_scenario.set_defaults(func=cmd_scenario)
 
     return parser
 
 
+_parser = functools.cache(build_parser)  # parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
+    try:  # looked up per call, so a cmd_* replaced on the module after import runs
+        return globals()[f"cmd_{args.command}"](args)
     except (ModelError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -74,8 +74,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from .construct import ConditionalSpec
 from .errors import InvalidModelError, SweepLimitError
 from .model import MAX_EVIDENCE
@@ -183,6 +181,7 @@ def _compositions(n, D):
 def _rows(width, D, c1):
     """Every row of ``width`` entries, 1..D with ``c1`` and 0..D otherwise, in
     lexicographic order (the grid's digit order)."""
+    import numpy as np  # each kernel helper imports it, so only a sweep loads numpy
     return np.indices((D + 1 - c1,) * width, dtype=np.int64).reshape(width, -1).T + c1
 
 
@@ -191,6 +190,7 @@ def _graph(P, D, c1):
     rows a and b, over the columns of nonzero prior in :func:`_rows` order,
     pass the pair identity for every hypothesis, and ``mask[a]`` has bit k set
     iff row a updates the k-th hypothesis of nonzero prior."""
+    import numpy as np
     live = np.array([p for p in P if p], dtype=np.int64)
     rows = _rows(len(live), D, c1)
     t = rows @ live
@@ -212,6 +212,7 @@ def _graph(P, D, c1):
 def _cliques(G, k, S, memo):
     """Ordered k-tuples of the rows in ``S`` whose every pair is an edge of
     ``G``; a repeated row needs its loop.  ``memo`` caches counts on ``G``."""
+    import numpy as np
     key = (k, S.tobytes())
     if key not in memo:
         if k == 2:
@@ -224,6 +225,7 @@ def _cliques(G, k, S, memo):
 def _counts(P, m, D, c1):
     """Grid models of sorted composition ``P`` that survive, that survive with
     some hypothesis updated, and that survive with one updated twice."""
+    import numpy as np
     G, mask = _graph(P, D, c1)
     apart = G.copy()  # G without the edges between rows whose masks meet
     step = max(1, _CHUNK_ROWS // len(G))
@@ -240,6 +242,7 @@ def _members(P, counts, n, m, D, c1):
     """Survivors of composition ``P`` in flat-index order by the recursion of
     :func:`_cliques` over grid rows, each with 0 or the lowest hypothesis that
     two rows update and the first two of them; the tallies must match ``counts``."""
+    import numpy as np
     G, mask = _graph(P, D, c1)
     live = np.flatnonzero(P)
     grid_rows = _rows(n, D, c1)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from oddsaudit import MAX_EVIDENCE, dump, dumps, from_conditionals, load, measurement_scenario
+from oddsaudit import cli
 from oddsaudit.cli import main, parse_observation
 from oddsaudit.modelfile import MAX_HYPOTHESES
 
@@ -504,3 +505,49 @@ def test_help_and_missing_command(capsys):
     assert main(["--help"]) == 0
     assert main([]) == 2
     capsys.readouterr()
+
+
+def _run(argv, capsys, fresh):
+    if fresh:
+        cli._parser.cache_clear()
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(glymour_file, tmp_path, capsys):
+    """One parser serves every call in a process: each call of a mixed sequence,
+    usage errors after valid calls included, prints and exits exactly as it
+    does on a parser built for it alone."""
+    sequence = [
+        ["--help"],
+        ["posterior", "--help"],
+        [],
+        ["posterior", glymour_file, "-i", "1", "--all"],
+        ["sweep", "--n", "x", "--m", "2", "--denominator", "2"],
+        ["audit", glymour_file],
+        ["posterior", glymour_file, "--all", "--method", "odds", "--observe", "E1=1"],
+        ["sweep", "--n", "3", "--m", "2", "--denominator", "2"],
+        ["example", "four", "-o", str(tmp_path / "four.model")],
+        ["posterior", glymour_file, "-i", "1", "--all"],
+        ["sweep", "--n", "x", "--m", "2", "--denominator", "2"],
+        [],
+    ]
+    parser = cli._parser()
+    reused = [_run(argv, capsys, fresh=False) for argv in sequence]
+    assert cli._parser() is parser
+    assert reused == [_run(argv, capsys, fresh=True) for argv in sequence]
+    assert [code for code, _, _ in reused] == [0, 0, 2, 2, 2, 0, 0, 0, 0, 2, 2, 2]
+    assert "not allowed with argument" in reused[3][2] == reused[9][2]
+    assert "invalid int value: 'x'" in reused[4][2] == reused[10][2]
+
+
+def test_help_wraps_to_the_terminal_width_of_each_call(monkeypatch, capsys):
+    helps = {}
+    for columns in ("40", "120", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        reused = _run(["posterior", "--help"], capsys, fresh=False)
+        assert reused == _run(["posterior", "--help"], capsys, fresh=True)
+        helps.setdefault(columns, reused)
+        assert helps[columns] == reused
+    assert helps["40"][1].count("\n") > helps["120"][1].count("\n")

@@ -1,11 +1,29 @@
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import oddsaudit
 
+PUBLIC_NAMES = (
+    "AuditReport ConditionalSpec DEFAULT_MAX_MODELS DegeneratePriorError EXAMPLE_NAMES "
+    "ImpossibleEvidenceError IndependenceViolation InvalidModelError MAX_EVIDENCE Model "
+    "ModelError ModelFormatError PairIdentities Side SweepConfig SweepLimitError SweepResult "
+    "SweepViolation TheoremOutcome ZeroProbabilityError bits_to_signs check_assumptions "
+    "check_pair_identities dump dumps example_model from_conditionals load loads "
+    "measurement_scenario odds_posterior parse_rational render_report sign_vectors "
+    "signs_to_bits spec_from_grid sweep witness_filename"
+).split()
+
 
 def test_public_names_resolve_once_in_sorted_order():
     names = oddsaudit.__all__
-    assert all(hasattr(oddsaudit, name) for name in names)
+    assert names == PUBLIC_NAMES and len(names) == 38
+    for name in names:  # each is a plain attribute of the package's own modules
+        value = getattr(oddsaudit, name)
+        assert getattr(value, "__module__", "oddsaudit").startswith("oddsaudit")
+    assert oddsaudit.DEFAULT_MAX_MODELS == 20_000_000
     assert len(names) == len(set(names))
     assert names == sorted(names)
     # One fixed evidence cap, and no error for raising it.
@@ -21,3 +39,31 @@ def test_readme_library_sketch_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("hypotheses: 3\n")
+
+
+def test_only_a_sweep_imports_numpy(tmp_path):
+    """numpy is the sweep kernel's alone: a fresh interpreter that imports the
+    package and runs every other command has not loaded it, and after a sweep
+    ``oddsaudit.sweep`` is still the function, even once the submodule is
+    imported by name."""
+    script = textwrap.dedent(f"""
+        import sys, types
+        import oddsaudit, oddsaudit.cli
+        from oddsaudit.cli import main
+        path, scenario = {str(tmp_path / "g.model")!r}, {str(tmp_path / "s.model")!r}
+        assert main(["example", "glymour", "-o", path]) == 0
+        assert main(["audit", path]) == 0
+        assert main(["posterior", path, "--all", "--method", "odds"]) == 0
+        assert main(["scenario", "--values", "0,1,2", "--weights", "1/2,1/4,1/4",
+                     "--noise", "0:1", "--thresholds", "0,1", "-o", scenario]) == 0
+        assert "numpy" not in sys.modules
+        assert main(["sweep", "--n", "3", "--m", "2", "--denominator", "2"]) == 0
+        assert "numpy" in sys.modules
+        import oddsaudit.sweep
+        assert not isinstance(oddsaudit.sweep, types.ModuleType)
+        assert oddsaudit.sweep is sys.modules["oddsaudit.sweep"].sweep
+    """)
+    src = str(Path(oddsaudit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
