@@ -19,7 +19,6 @@ marked float column for reading convenience only.
 from __future__ import annotations
 
 import argparse
-import functools
 import re
 import sys
 from fractions import Fraction
@@ -192,7 +191,86 @@ def cmd_scenario(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _audit_arguments(p) -> None:
+    p.add_argument("file", help="model file to audit")
+    p.add_argument(
+        "--pairwise", action="store_true", help="test only size-2 evidence subsets (a weaker check)"
+    )
+    p.set_defaults(func=cmd_audit)
+
+
+def _posterior_arguments(p) -> None:
+    p.add_argument("file", help="model file")
+    p.add_argument(
+        "--observe",
+        default="",
+        help="comma-separated literals E<j>=<0|1>; omitted propositions are unobserved",
+    )
+    p.add_argument(
+        "--method",
+        choices=("exact", "odds"),
+        default="exact",
+        help="direct conditioning on the atom table, or the odds-product scheme",
+    )
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument(
+        "-i", dest="hypothesis", type=_integer_option, help="hypothesis index (1-based)"
+    )
+    target.add_argument("--all", action="store_true", help="one line per hypothesis")
+    p.add_argument(
+        "--approx",
+        action="store_true",
+        help="append a float rendering (display only; the rational is authoritative)",
+    )
+    p.set_defaults(func=cmd_posterior)
+
+
+def _example_arguments(p) -> None:
+    p.add_argument("name", choices=EXAMPLE_NAMES)
+    p.add_argument("-o", "--output", help="write to a file instead of stdout")
+    p.set_defaults(func=cmd_example)
+
+
+def _sweep_arguments(p) -> None:
+    p.add_argument("--n", type=_integer_option, required=True, help="hypothesis count (> 2)")
+    p.add_argument("--m", type=_integer_option, required=True, help="evidence count (>= 2)")
+    p.add_argument("--denominator", type=_integer_option, required=True, help="grid denominator D")
+    p.add_argument(
+        "--require-condition1",
+        action="store_true",
+        help="keep only specs where every all-evidence posterior is nonzero",
+    )
+    p.add_argument("--witness-dir", help="write each surviving spec as a model file here")
+    p.add_argument(
+        "--max-models",
+        type=_integer_option,
+        default=DEFAULT_MAX_MODELS,
+        help="enumeration budget before aborting with partial counts",
+    )
+    p.set_defaults(func=cmd_sweep)
+
+
+def _scenario_arguments(p) -> None:
+    p.add_argument("--values", required=True, help="comma-separated true values (rationals)")
+    p.add_argument("--weights", required=True, help="comma-separated prior weights (sum to 1)")
+    p.add_argument(
+        "--noise",
+        required=True,
+        help=(
+            "comma-separated offset:probability pairs for the instrument error; "
+            "use --noise=-1:1/3,... when the first offset is negative"
+        ),
+    )
+    p.add_argument(
+        "--thresholds",
+        required=True,
+        help="T1,T2: first proposition is reading1 <= T1, second is reading2 <= T2",
+    )
+    p.add_argument("-o", "--output", required=True, help="model file to write")
+    p.set_defaults(func=cmd_scenario)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oddsaudit",
         description=(
@@ -201,105 +279,27 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p_audit = commands.add_parser(
-        "audit", help="check a model file against the updating assumptions"
-    )
-    p_audit.add_argument("file", help="model file to audit")
-    p_audit.add_argument(
-        "--pairwise",
-        action="store_true",
-        help="test only size-2 evidence subsets (a weaker check)",
-    )
-
-    p_post = commands.add_parser("posterior", help="posterior probabilities for a model")
-    p_post.add_argument("file", help="model file")
-    p_post.add_argument(
-        "--observe",
-        default="",
-        help="comma-separated literals E<j>=<0|1>; omitted propositions are unobserved",
-    )
-    p_post.add_argument(
-        "--method",
-        choices=("exact", "odds"),
-        default="exact",
-        help="direct conditioning on the atom table, or the odds-product scheme",
-    )
-    target = p_post.add_mutually_exclusive_group(required=True)
-    target.add_argument(
-        "-i", dest="hypothesis", type=_integer_option, help="hypothesis index (1-based)"
-    )
-    target.add_argument("--all", action="store_true", help="one line per hypothesis")
-    p_post.add_argument(
-        "--approx",
-        action="store_true",
-        help="append a float rendering (display only; the rational is authoritative)",
-    )
-
-    p_example = commands.add_parser("example", help="emit a bundled example model")
-    p_example.add_argument("name", choices=EXAMPLE_NAMES)
-    p_example.add_argument("-o", "--output", help="write to a file instead of stdout")
-
-    p_sweep = commands.add_parser(
-        "sweep", help="enumerate a conditional grid and verify single-updating"
-    )
-    p_sweep.add_argument("--n", type=_integer_option, required=True, help="hypothesis count (> 2)")
-    p_sweep.add_argument("--m", type=_integer_option, required=True, help="evidence count (>= 2)")
-    p_sweep.add_argument(
-        "--denominator", type=_integer_option, required=True, help="grid denominator D"
-    )
-    p_sweep.add_argument(
-        "--require-condition1",
-        action="store_true",
-        help="keep only specs where every all-evidence posterior is nonzero",
-    )
-    p_sweep.add_argument(
-        "--witness-dir", help="write each surviving spec as a model file here"
-    )
-    p_sweep.add_argument(
-        "--max-models",
-        type=_integer_option,
-        default=DEFAULT_MAX_MODELS,
-        help="enumeration budget before aborting with partial counts",
-    )
-
-    p_scenario = commands.add_parser(
-        "scenario", help="build a two-instrument measurement model"
-    )
-    p_scenario.add_argument(
-        "--values", required=True, help="comma-separated true values (rationals)"
-    )
-    p_scenario.add_argument(
-        "--weights", required=True, help="comma-separated prior weights (sum to 1)"
-    )
-    p_scenario.add_argument(
-        "--noise",
-        required=True,
-        help=(
-            "comma-separated offset:probability pairs for the instrument error; "
-            "use --noise=-1:1/3,... when the first offset is negative"
-        ),
-    )
-    p_scenario.add_argument(
-        "--thresholds",
-        required=True,
-        help="T1,T2: first proposition is reading1 <= T1, second is reading2 <= T2",
-    )
-    p_scenario.add_argument("-o", "--output", required=True, help="model file to write")
-
+    for name, help_line, add_arguments in (
+        ("audit", "check a model file against the updating assumptions", _audit_arguments),
+        ("posterior", "posterior probabilities for a model", _posterior_arguments),
+        ("example", "emit a bundled example model", _example_arguments),
+        ("sweep", "enumerate a conditional grid and verify single-updating", _sweep_arguments),
+        ("scenario", "build a two-instrument measurement model", _scenario_arguments),
+    ):
+        command = commands.add_parser(name, help=help_line)
+        if argv is None or name in argv:  # argparse runs a command that is one of argv's strings
+            add_arguments(command)
     return parser
 
 
-_parser = functools.cache(build_parser)  # parse_args keeps no state between calls
-
-
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    try:  # looked up per call, so a cmd_* replaced on the module after import runs
-        return globals()[f"cmd_{args.command}"](args)
+    try:
+        return args.func(args)
     except (ModelError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -507,47 +507,43 @@ def test_help_and_missing_command(capsys):
     capsys.readouterr()
 
 
-def _run(argv, capsys, fresh):
-    if fresh:
-        cli._parser.cache_clear()
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def test_a_reused_parser_answers_as_a_fresh_one(glymour_file, tmp_path, capsys):
-    """One parser serves every call in a process: each call of a mixed sequence,
-    usage errors after valid calls included, prints and exits exactly as it
-    does on a parser built for it alone."""
+def test_commands_argv_does_not_name_change_nothing(glymour_file, tmp_path, monkeypatch, capsys):
+    """main() gives arguments only to the commands its argv names; every call
+    of a mixed sequence (help, usage errors before and after valid calls,
+    options before the command, ``--``) prints and exits exactly as on the
+    whole tree."""
     sequence = [
         ["--help"],
         ["posterior", "--help"],
         [],
+        ["nosuch"],
+        ["--pairwise", "audit", glymour_file],
+        ["--", "audit", glymour_file],
         ["posterior", glymour_file, "-i", "1", "--all"],
         ["sweep", "--n", "x", "--m", "2", "--denominator", "2"],
         ["audit", glymour_file],
         ["posterior", glymour_file, "--all", "--method", "odds", "--observe", "E1=1"],
         ["sweep", "--n", "3", "--m", "2", "--denominator", "2"],
         ["example", "four", "-o", str(tmp_path / "four.model")],
+        ["scenario", "--values", "0,1", "--weights", "1/2,1/2", "--noise", "0:1"],
         ["posterior", glymour_file, "-i", "1", "--all"],
-        ["sweep", "--n", "x", "--m", "2", "--denominator", "2"],
         [],
     ]
-    parser = cli._parser()
-    reused = [_run(argv, capsys, fresh=False) for argv in sequence]
-    assert cli._parser() is parser
-    assert reused == [_run(argv, capsys, fresh=True) for argv in sequence]
-    assert [code for code, _, _ in reused] == [0, 0, 2, 2, 2, 0, 0, 0, 0, 2, 2, 2]
-    assert "not allowed with argument" in reused[3][2] == reused[9][2]
-    assert "invalid int value: 'x'" in reused[4][2] == reused[10][2]
 
+    def run_all():
+        answers = []
+        for argv in sequence:
+            code = main(argv)
+            captured = capsys.readouterr()
+            answers.append((code, captured.out, captured.err))
+        return answers
 
-def test_help_wraps_to_the_terminal_width_of_each_call(monkeypatch, capsys):
-    helps = {}
-    for columns in ("40", "120", "40"):
-        monkeypatch.setenv("COLUMNS", columns)
-        reused = _run(["posterior", "--help"], capsys, fresh=False)
-        assert reused == _run(["posterior", "--help"], capsys, fresh=True)
-        helps.setdefault(columns, reused)
-        assert helps[columns] == reused
-    assert helps["40"][1].count("\n") > helps["120"][1].count("\n")
+    named = run_all()
+    whole = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: whole())
+    assert named == run_all()
+    assert [code for code, _, _ in named] == [0, 0, 2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 2, 2, 2]
+    assert "not allowed with argument" in named[6][2] == named[13][2]
+    assert "invalid int value: 'x'" in named[7][2]
+    assert "unrecognized arguments: --pairwise" in named[4][2]
+    assert "invalid choice: '--'" in named[5][2]
