@@ -150,9 +150,10 @@ class Model:
         masses = {i: sum(num for _, num in column) for i, column in columns.items()}
         total = sum(masses.values())
         if total != scale:
-            raise InvalidModelError(
-                f"atom probabilities total {Fraction(total, scale)}, expected exactly 1"
-            )
+            shown = Fraction(total, scale)  # a total too long to print says how it misses 1
+            if max(shown.numerator, shown.denominator).bit_length() > 256:
+                shown = "less than 1" if shown < 1 else "more than 1"
+            raise InvalidModelError(f"atom probabilities total {shown}, expected exactly 1")
         object.__setattr__(self, "atoms", MappingProxyType(clean))
         object.__setattr__(self, "denominator", scale)
         object.__setattr__(self, "_columns", {i: tuple(c) for i, c in columns.items()})

@@ -34,44 +34,42 @@ x_k = c_{jk} - p_j, y_k = c_{lk} - p_l and S = sum_k pi_k x_k y_k.
   sum_k pi_k prod_{j in J} c_{jk} = prod_{j in J} p_j.  Removing one cell H_i
   keeps the factorisation, as c_{ji} = p_j for all but at most one j in J.
 
-So on one prior composition the rows form a graph G: a-b is an edge when the
-identity holds for every i, and a spec survives iff every pair of its rows is
-an edge (loops count: two equal rows must pass too).  A row's update mask has
-bit i set iff it updates H_i.  A zero-prior column enters neither t, K nor a
-mask, but its identity reads K_ab = 0; so G's rows range over the columns of
-nonzero prior, each standing for (D+1)^z grid rows when z priors are zero,
-and G also requires K_ab = 0 when z > 0.  ``require_condition1`` keeps the
-rows of nonzero entries, and nothing of a zero-prior composition.
+So a spec survives iff every pair of its rows, a row with itself included,
+passes the identity for every i.  A row's update mask has bit i set iff it
+updates H_i.  A zero-prior column enters neither t, K nor a mask, but its
+identity reads K_ab = 0; so a composition's rows range over the columns of
+nonzero prior, each standing for (D+1)^z grid rows when z priors are zero.
+``require_condition1`` keeps rows of nonzero entries, no zero-prior composition.
 
-Thus the m = 2 sweep certifies every m: a violation at any m has two rows whose
-masks meet, an edge of G (a loop if they are equal) and so on its own a
-violating m = 2 survivor on the same composition.  If no edge of G, loops
-included, joins meeting masks on (n, 2, D), nothing violates on any (n, m, D).
+Check, then count.  Every pair of rows is tested against what the proofs
+predict, disjoint masks.  A clash, a pair (or a row with itself) that passes
+although its masks meet, is a theorem violation; a pair of disjoint masks
+that fails contradicts the converse and raises.  With no clash the survivors
+are the m-tuples whose nonzero masks are pairwise disjoint: with q rows of
+empty mask, sum_k m!/(m-k)! q^(m-k) e_k, e_k summing the products of the row
+counts of k pairwise disjoint nonzero masks; less q^m they are those with
+updating.  So the m = 2 sweep certifies every m: a violation at any m holds a
+clash, which is a violating m = 2 survivor on its own.
 
-Survivors, the ordered m-tuples of pairwise adjacent rows, are counted by
-recursion over neighbourhoods; less the tuples of rows with empty masks they
-leave those with updating, and less the tuples still pairwise adjacent once
-the edges between meeting masks go, the violations.  Counts do not change
-when hypotheses are relabelled (priors and columns together), so each
-nonincreasing composition is counted once; ``models_enumerated`` counts grid
-models covered.  Survivors (``on_survivor`` and violations, named from the
-row masks) are listed by the same recursion on each composition's own graph
-in flat-index order, and must match the sorted form's counts, a cross-check
-of that symmetry.
+Relabelling hypotheses (priors and columns together) keeps the counts, so
+each nonincreasing composition is counted once.  Survivors and violations are
+listed by a walk over each composition's grid rows, which must match its
+sorted form's counts; where the sorted form has clashes, the walk counts.
 
 Every identity term is at most D^5, so the arithmetic is int64 and
 :func:`sweep` refuses D > 6208 (D^5 >= 2^63), m > 16 (a Model's cap: every
-witness is one, and the recursions run m deep) and, before any graph is
-built, graphs past 2^14 rows (2 N^2 bytes with the edge-pruned copy, 542 MB
-peak RSS at the cap).  The tests check the counts against the audit route
-and against oracles that test every subset.
+witness is one, and the walk runs m deep) and, before any pair test, grids
+past 2^33 pair tests, N (N + 1) / 2 for each sorted composition of N rows.
+The check holds a block of rows at a time, so memory follows N, not N^2.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable
 
 from .construct import ConditionalSpec
@@ -81,7 +79,7 @@ from .model import MAX_EVIDENCE
 #: Default enumeration budget; (n=4, m=2, D=4) needs ~13.7M of it.
 DEFAULT_MAX_MODELS = 20_000_000
 
-_MAX_ROWS = 1 << 14  # G and its edge-pruned copy take 2 N^2 bytes
+_MAX_PAIR_TESTS = 1 << 33  # (3, 2, 24) makes 5.86e9 in about two minutes
 _CHUNK_ROWS = 1 << 16
 
 GridPoint = tuple[int, ...]
@@ -166,16 +164,10 @@ def witness_filename(priors: GridPoint, cond_digits: GridPoint) -> str:
 
 def _compositions(n, D):
     """The prior compositions, n-tuples of non-negative ints summing to D, in
-    lexicographic order: the next one moves a unit from the last nonzero part
-    k > 0 to part k - 1 and the rest of part k to the end."""
-    P = [0] * (n - 1) + [D]
-    while True:
-        yield tuple(P)
-        k = next((k for k in range(n - 1, 0, -1) if P[k]), 0)
-        if k == 0:
-            return
-        P[k - 1] += 1
-        P[k], P[-1] = 0, P[k] - 1
+    lexicographic order: the gaps between n - 1 bars among D + n - 1 places,
+    the bars placed in lexicographic order."""
+    for bars in combinations(range(D + n - 1), n - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, D + n - 1)))
 
 
 def _rows(width, D, c1):
@@ -185,70 +177,79 @@ def _rows(width, D, c1):
     return np.indices((D + 1 - c1,) * width, dtype=np.int64).reshape(width, -1).T + c1
 
 
-def _graph(P, D, c1):
-    """The row-pair graph of prior composition ``P``: ``G[a, b]`` says whether
-    rows a and b, over the columns of nonzero prior in :func:`_rows` order,
-    pass the pair identity for every hypothesis, and ``mask[a]`` has bit k set
-    iff row a updates the k-th hypothesis of nonzero prior."""
+def _identity(P, D, live, rows, X):
+    """Blocks ``(s, ok)`` of the pair identity of composition ``P``: ``ok[i, j]``
+    says whether ``rows`` s + i and s + j pass it for every hypothesis."""
     import numpy as np
-    live = np.array([p for p in P if p], dtype=np.int64)
-    rows = _rows(len(live), D, c1)
     t = rows @ live
-    X = D * rows - t[:, None]
-    G = np.empty((len(rows), len(rows)), dtype=bool)
     step = max(1, _CHUNK_ROWS // len(rows))
-    for s in range(0, len(rows), step):  # the upper triangle, one block of rows at a time
+    for s in range(0, len(rows), step):  # each block of rows against every row from its first on
         block = slice(s, s + step)
         K = (D * live * rows[block]) @ rows[s:].T - np.multiply.outer(t[block], t[s:])
         ok = (K == 0) | (len(live) == len(P))  # a zero prior needs K == 0
         for k in np.flatnonzero(live < D):
             ok &= K * (D - live[k]) == np.multiply.outer(live[k] * X[block, k], X[s:, k])
-        G[block, s:] = ok
-        G[s:, block] = ok.T
-    mask = ((X != 0) & (live < D)) @ (1 << np.arange(len(live), dtype=np.int64))
-    return G, mask
+        yield s, ok
 
 
-def _cliques(G, k, S, memo):
-    """Ordered k-tuples of the rows in ``S`` whose every pair is an edge of
-    ``G``; a repeated row needs its loop.  ``memo`` caches counts on ``G``."""
+def _pairs(P, D, c1):
+    """Check every pair of rows of composition ``P``, over its columns of nonzero
+    prior, against their masks (bit k: the row updates the k-th of those
+    hypotheses).  Returns the masks and the clashes, pairs a <= b that pass
+    although their masks meet; a pair of disjoint masks that fails raises."""
     import numpy as np
-    key = (k, S.tobytes())
-    if key not in memo:
-        if k == 2:
-            memo[key] = int(np.count_nonzero(G if S.all() else G[np.ix_(S, S)]))
-        else:
-            memo[key] = sum(_cliques(G, k - 1, S & G[a], memo) for a in np.flatnonzero(S))
-    return memo[key]
+    live = np.array([p for p in P if p], dtype=np.int64)
+    rows = _rows(len(live), D, c1)
+    X = D * rows - (rows @ live)[:, None]
+    mask = ((X != 0) & (live < D)) @ (1 << np.arange(len(live), dtype=np.int64))
+    clashes = []
+    for s, ok in _identity(P, D, live, rows, X):
+        disjoint = (mask[s : s + len(ok), None] & mask[s:]) == 0
+        if np.array_equal(ok, disjoint):  # as the proofs predict
+            continue
+        for a, b in (np.argwhere(np.triu(ok != disjoint)) + s).tolist():
+            if not ok[a - s, b - s]:
+                a, b = (tuple(rows[r].tolist()) for r in (a, b))
+                raise AssertionError(f"composition {P}: rows {a} and {b} of disjoint masks "
+                                     "fail the pair identity")
+            clashes.append((a, b))
+    return mask, clashes
 
 
 def _counts(P, m, D, c1):
     """Grid models of sorted composition ``P`` that survive, that survive with
-    some hypothesis updated, and that survive with one updated twice."""
-    import numpy as np
-    G, mask = _graph(P, D, c1)
-    apart = G.copy()  # G without the edges between rows whose masks meet
-    step = max(1, _CHUNK_ROWS // len(G))
-    for s in range(0, len(G), step):
-        apart[s : s + step] &= (mask[s : s + step, None] & mask) == 0
+    some hypothesis updated, and that survive with one updated twice (none);
+    None when ``P`` has clashes, and the walk that lists violations counts."""
+    mask, clashes = _pairs(P, D, c1)
+    if clashes:
+        return None
+    histogram = Counter(mask.tolist())
+    quiet = histogram.pop(0, 0)
+    # (union, k) -> ways to pick k rows of pairwise disjoint nonzero masks with that union
+    sets = Counter({(0, 0): 1})
+    for bits, rows in histogram.items():
+        for (union, k), ways in list(sets.items()):
+            if not union & bits and k < m:
+                sets[union | bits, k + 1] += ways * rows
+    survivors = sum(math.perm(m, k) * quiet ** (m - k) * ways for (_, k), ways in sets.items())
     weight = (D + 1) ** (P.count(0) * m)
-    every, memo = np.ones(len(G), dtype=bool), {}
-    survivors, quiet = _cliques(G, m, every, memo), _cliques(G, m, mask == 0, memo)
-    disjoint = _cliques(apart, m, every, {})
-    return [weight * survivors, weight * (survivors - quiet), weight * (survivors - disjoint)]
+    return [weight * survivors, weight * (survivors - quiet**m), 0]
 
 
-def _members(P, counts, n, m, D, c1):
-    """Survivors of composition ``P`` in flat-index order by the recursion of
-    :func:`_cliques` over grid rows, each with 0 or the lowest hypothesis that
-    two rows update and the first two of them; the tallies must match ``counts``."""
+def _members(P, m, D, c1, listed):
+    """Survivors of composition ``P`` in flat-index order, each with 0 or the
+    lowest hypothesis that two rows update and the first two of them: a walk
+    over grid rows extends a prefix by the rows that every prefix row joins,
+    by disjoint masks or a clash.  ``listed`` adds up their counts."""
     import numpy as np
-    G, mask = _graph(P, D, c1)
+    mask, clashes = _pairs(P, D, c1)
+    near = {}  # each clashing row's partners
+    for a, b in clashes + [(b, a) for a, b in clashes]:
+        near.setdefault(a, np.zeros(len(mask), dtype=bool))[b] = True
     live = np.flatnonzero(P)
-    grid_rows = _rows(n, D, c1)
+    grid_rows = _rows(len(P), D, c1)
     node = np.ravel_multi_index((grid_rows[:, live] - c1).T, (D + 1 - c1,) * len(live))
     masks, digits = mask[node], list(map(tuple, grid_rows.tolist()))
-    listed = np.zeros(3, dtype=np.int64)
 
     def walk(prefix, allowed, union, twice):  # each (m-1)-row prefix and its last rows
         rows = np.flatnonzero(allowed[node])
@@ -257,11 +258,13 @@ def _members(P, counts, n, m, D, c1):
             return
         for r in rows.tolist():
             bits = int(masks[r])
-            yield from walk(prefix + (r,), allowed & G[node[r]], union | bits, twice | union & bits)
+            joined = ((mask & bits) == 0) | near.get(int(node[r]), False)
+            yield from walk(prefix + (r,), allowed & joined, union | bits, twice | union & bits)
 
-    for prefix, union, twice, rows in walk((), np.ones(len(G), dtype=bool), 0, 0):
+    for prefix, union, twice, rows in walk((), np.ones(len(mask), dtype=bool), 0, 0):
         clashes = twice | union & (last := masks[rows])
-        listed += (len(rows), np.count_nonzero(union | last), np.count_nonzero(clashes))
+        tally = len(rows), np.count_nonzero(union | last), np.count_nonzero(clashes)
+        listed[:] = [total + int(count) for total, count in zip(listed, tally)]
         head = sum((digits[r] for r in prefix), ())
         for r, clash in zip(rows.tolist(), clashes.tolist()):
             if clash:  # the masks meet: name the lowest bit they meet on
@@ -269,7 +272,6 @@ def _members(P, counts, n, m, D, c1):
                 pair = [j + 1 for j, q in enumerate(prefix + (r,)) if masks[q] >> bit & 1][:2]
                 clash = int(live[bit]) + 1, tuple(pair)
             yield head + digits[r], clash
-    assert listed.tolist() == counts, "the listing must match the counts"
 
 
 def _budget_exhausted(max_models: int, partial: SweepResult) -> SweepLimitError:
@@ -296,7 +298,7 @@ def sweep(
     :class:`SweepLimitError` carrying the partial tallies; the budget admits
     the prior compositions whose blocks fit in it whole, and only those are
     counted, so partial results stop at a composition boundary.  A D past
-    6208 or a graph past 2^14 rows is refused the same way, with empty
+    6208 or a grid past 2^33 pair tests is refused the same way, with empty
     tallies; m past 16 raises :class:`InvalidModelError`.
     """
     if type(max_models) is not int or max_models < 0:
@@ -307,34 +309,38 @@ def sweep(
     # (D+1)**(n*m) >= 2**(n*m) > max_models once n*m reaches its bit length.
     if n * m >= max_models.bit_length() or (block := (D + 1) ** (n * m)) > max_models:
         raise _budget_exhausted(max_models, result)
-    if m > MAX_EVIDENCE:  # the recursions run m deep, and a witness is a Model
+    if m > MAX_EVIDENCE:  # the walk runs m deep, and a witness is a Model
         raise InvalidModelError(f"m={m} exceeds the evidence cap {MAX_EVIDENCE}")
     if D**5 >= 2**63:  # an identity term would overflow int64
         raise SweepLimitError(f"denominator {D} is past the int64 kernel", partial=result)
     # The budget admits the first max_models // block compositions (a range, as
-    # islice would refuse a bound past sys.maxsize).
-    admitted = []
+    # islice would refuse a bound past sys.maxsize), and their pair tests are bounded.
+    stars, tests = set(), 0
     for _, P in zip(range(max_models // block), _compositions(n, D)):
-        if not (c1 and 0 in P) and (rows := (D + 1 - c1) ** (n - P.count(0))) > _MAX_ROWS:
-            message = f"composition {P} needs a graph of {rows} rows, past the cap {_MAX_ROWS}"
-            raise SweepLimitError(message, partial=result)
-        admitted.append(P)
-    stars = {tuple(sorted(P, reverse=True)) for P in admitted if not (c1 and 0 in P)}
+        star = tuple(sorted(P, reverse=True))
+        if not (c1 and 0 in P) and star not in stars:
+            stars.add(star)
+            rows = (D + 1 - c1) ** (n - P.count(0))
+            if (tests := tests + rows * (rows + 1) // 2) > _MAX_PAIR_TESTS:
+                message = f"composition {P} brings the pair tests to {tests}"
+                raise SweepLimitError(f"{message}, past the cap {_MAX_PAIR_TESTS}", partial=result)
     tallies = {P: _counts(P, m, D, c1) for P in stars}
 
-    for P in admitted:
+    for _, P in zip(range(max_models // block), _compositions(n, D)):
         counts = tallies.get(tuple(sorted(P, reverse=True)), [0, 0, 0])
-        satisfying, updating, violations = counts
-        result.models_satisfying_all += satisfying
-        result.witnesses_with_updating += updating
-        if (on_survivor is not None and satisfying) or violations:
-            for digits, clash in _members(P, counts, n, m, D, c1):
+        if counts is None or (on_survivor is not None and counts[0]):
+            listed = [0, 0, 0]
+            for digits, clash in _members(P, m, D, c1, listed):
                 if clash:
                     spec = spec_from_grid(P, digits, D)
                     result.theorem_violations.append(SweepViolation(spec, *clash))
                 if on_survivor is not None:
                     on_survivor(P, digits)
+            assert counts in (None, listed), "the listing must match the counts"
+            counts = listed
+        result.models_satisfying_all += counts[0]
+        result.witnesses_with_updating += counts[1]
         result.models_enumerated += block
-    if len(admitted) < math.comb(D + n - 1, n - 1):
+    if result.models_enumerated < math.comb(D + n - 1, n - 1) * block:
         raise _budget_exhausted(max_models, result)
     return result

@@ -224,6 +224,6 @@ def test_criterion_10_pair_graphs_certify_every_m():
     assert elapsed < 10.0, f"certifying sweeps took {elapsed:.1f}s"
     report(
         10,
-        f"no pair-graph edge joins rows updating one hypothesis on {len(CERTIFIED)} "
+        f"no pair of rows updating one hypothesis passes the pair check on {len(CERTIFIED)} "
         f"grids (n <= 8, D <= 4, and D = 6, 8): every m certified ({elapsed:.2f} s)",
     )

@@ -285,7 +285,7 @@ def test_sweep_refuses_a_negative_budget(capsys):
 
 
 def test_sweep_reaches_grid_4_3_3(capsys):
-    """335M grid models, counted on the pair graphs of its three sorted compositions."""
+    """335M grid models, counted from the row masks of its three sorted compositions."""
     argv = ["sweep", "--n", "4", "--m", "3", "--denominator", "3", "--max-models", "335544320"]
     assert main(argv) == 0
     assert capsys.readouterr().out == (
@@ -297,7 +297,7 @@ def test_sweep_reaches_grid_4_3_3(capsys):
 
 
 def test_sweep_budget_checked_before_enumerating_subsets(capsys):
-    # The grid holds 2**120 models; the budget refuses it before any graph is built.
+    # The grid holds 2**120 models; the budget refuses it before any pair test.
     assert main(["sweep", "--n", "3", "--m", "40", "--denominator", "1"]) == 3
     captured = capsys.readouterr()
     assert "budget" in captured.err
@@ -314,15 +314,19 @@ def test_sweep_refuses_evidence_past_the_model_cap(capsys):
     assert captured.out == ""
 
 
-def test_sweep_refuses_a_graph_past_the_row_cap(monkeypatch, capsys):
-    # The refusal comes before any graph is built: calling _graph would fail.
-    monkeypatch.setattr(importlib.import_module("oddsaudit.sweep"), "_graph", None)
-    argv = ["sweep", "--n", "3", "--m", "2", "--denominator", "25", "--max-models", str(10**20)]
+def test_sweep_refuses_a_grid_past_the_pair_test_bound(monkeypatch, capsys):
+    # The refusal comes before any pair test: calling _pairs would fail.
+    monkeypatch.setattr(importlib.import_module("oddsaudit.sweep"), "_pairs", None)
+    argv = ["sweep", "--n", "3", "--m", "2", "--denominator", "26", "--max-models", str(10**20)]
     assert main(argv) == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith(
-        "error: composition (1, 1, 23) needs a graph of 17576 rows, past the cap 16384\n"
+    assert captured.err == (
+        "error: composition (5, 9, 12) brings the pair tests to 8720863353, "
+        "past the cap 8589934592\n"
         "models-enumerated: 0\n"
+        "models-satisfying-assumptions: 0\n"
+        "witnesses-with-updating: 0\n"
+        "multiple-updating-violations: 0\n"
     )
     assert captured.out == ""
 

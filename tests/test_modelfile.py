@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from oddsaudit import InvalidModelError, Model, ModelFormatError, dump, dumps, load, loads
+from oddsaudit.cli import main
 from oddsaudit.modelfile import MAX_HYPOTHESES
 
 from test_model import random_model
@@ -118,8 +119,24 @@ def test_distribution_errors_surface():
         loads("hypotheses 3\nevidence 2\n")  # no atoms: mass 0
     with pytest.raises(InvalidModelError, match="negative"):
         loads("hypotheses 1\nevidence 1\natom 1 1 3/2\natom 1 0 -1/2\n")
-    with pytest.raises(InvalidModelError, match="total"):
+    with pytest.raises(InvalidModelError, match="total") as info:
         loads("hypotheses 1\nevidence 1\natom 1 1 1/3\n")
+    assert str(info.value) == "atom probabilities total 1/3, expected exactly 1"
+
+
+def test_a_total_too_long_to_print_is_still_a_model_error(tmp_path, capsys):
+    """Six atoms over 1000-digit denominators total a fraction whose lcm has
+    about 6000 digits, past Python's 4300-digit int-to-str limit: the message
+    says how the total misses 1 instead of printing it."""
+    atoms = "".join(f"atom {i} 1 1/{10**999 + i}\n" for i in range(1, 7))
+    path = tmp_path / "long.model"
+    path.write_text(f"hypotheses 6\nevidence 1\n{atoms}", encoding="utf-8")
+    message = "atom probabilities total less than 1, expected exactly 1"
+    with pytest.raises(InvalidModelError) as info:
+        loads(path.read_text(encoding="utf-8"))
+    assert str(info.value) == message
+    assert main(["audit", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_loads_respects_evidence_cap():

@@ -1,4 +1,5 @@
 import importlib
+import re
 from fractions import Fraction as F
 from itertools import combinations, product
 from time import perf_counter
@@ -163,15 +164,19 @@ def test_sweep_matches_relevance_counts_on_large_grids(grid):
 
 
 def graph_survives(priors, flat, n, m, d):
-    """A spec's verdict read off its composition's pair graph: every pair of
-    its rows, over the columns of nonzero prior, is an edge."""
-    G, _ = sweep_module._graph(priors, d, False)
+    """A spec's verdict read off its composition's pair check: every pair of
+    its rows, over the columns of nonzero prior, has disjoint masks or is a
+    clash."""
+    mask, clashes = sweep_module._pairs(priors, d, False)
     live = [i for i, p in enumerate(priors) if p]
     nodes = [
         sum(flat[j * n + i] * (d + 1) ** (len(live) - 1 - k) for k, i in enumerate(live))
         for j in range(m)
     ]
-    return all(G[a, b] for a, b in combinations(nodes, 2))
+    return all(
+        not mask[a] & mask[b] or (min(a, b), max(a, b)) in clashes
+        for a, b in combinations(nodes, 2)
+    )
 
 
 @st.composite
@@ -193,7 +198,7 @@ def wide_grid_specs(draw):
 @settings(max_examples=300, deadline=None)
 @given(wide_grid_specs())
 def test_pairwise_filter_matches_all_subsets(case):
-    """The pair graph's verdict equals the all-subsets oracle for m > 3."""
+    """The pair check's verdict equals the all-subsets oracle for m > 3."""
     n, m, d, priors, flat = case
     assert graph_survives(priors, flat, n, m, d) == _brute.grid_survives(priors, flat, n, m, d)
 
@@ -244,19 +249,21 @@ def test_require_condition1_agrees_with_audit_route():
 
 @pytest.mark.parametrize("grid", [(3, 2, 3), (4, 2, 2)])
 def test_object_kernel_matches_int64_kernel(grid):
-    """The int64 graph and masks equal those of the uncentred pair identity,
-    evaluated in Python integers, on every prior composition of the grid."""
+    """The int64 identity and masks equal those of the uncentred pair identity,
+    evaluated in Python integers, on every prior composition of the grid: the
+    streamed check finds no clash, and the exact identity holds exactly on the
+    pairs of disjoint masks."""
     n, _, d = grid
     for P in product(range(d + 1), repeat=n):
         if sum(P) != d:
             continue
         live = [p for p in P if p]
         for c1 in (False, True):
-            G, mask = sweep_module._graph(P, d, c1)
+            mask, clashes = sweep_module._pairs(P, d, c1)
             rows = sweep_module._rows(len(live), d, c1).astype(object)
             t = rows @ np.array(live, dtype=object)
             T = (rows * np.array(live, dtype=object)) @ rows.T
-            exact = np.ones(G.shape, dtype=bool)
+            exact = np.ones((len(rows), len(rows)), dtype=bool)
             if len(live) < n:  # a zero-prior hypothesis: its remainder is D
                 exact &= T * d == np.multiply.outer(t, t)
             bits = np.zeros(len(rows), dtype=object)
@@ -268,8 +275,12 @@ def test_object_kernel_matches_int64_kernel(grid):
                     np.multiply.outer(own, own)
                 )
                 bits += np.where(rows[:, k] * d != t, 1 << k, 0)
-            assert np.array_equal(G, exact), (P, c1)
             assert [int(b) for b in bits] == mask.tolist(), (P, c1)
+            # The check raised on no pair and found no clash, so the int64
+            # identity is the disjoint-mask relation on every pair, and so is
+            # the exact identity.
+            assert clashes == [], (P, c1)
+            assert np.array_equal(exact, (mask[:, None] & mask) == 0), (P, c1)
 
 
 def test_denominator_past_the_int64_kernel_is_refused(capsys):
@@ -288,32 +299,48 @@ def test_denominator_past_the_int64_kernel_is_refused(capsys):
 
 def test_evidence_past_the_model_cap_is_refused(monkeypatch):
     """m = 16 sweeps, as every witness is a Model; m = 17 and m = 1000 are
-    refused with the Model's cap before any graph is built, whatever the
-    budget (a recursion m deep would fail at m = 1000)."""
+    refused with the Model's cap before any pair test, whatever the budget
+    (a listing walk m deep would fail at m = 1000)."""
     enum, satisfying, updating = _brute.grid_counts_by_relevance(3, 16, 1)
     result = sweep(SweepConfig(3, 16, 1), max_models=enum)
     assert (result.models_enumerated, result.models_satisfying_all) == (enum, satisfying)
     assert result.witnesses_with_updating == updating
-    monkeypatch.setattr(sweep_module, "_graph", None)  # calling it would fail
+    monkeypatch.setattr(sweep_module, "_pairs", None)  # calling it would fail
     for m in (17, 1000):
         with pytest.raises(InvalidModelError, match=f"^m={m} exceeds the evidence cap 16"):
             sweep(SweepConfig(3, m, 1), max_models=10**1000)
 
 
-def test_graph_past_the_row_cap_is_refused(monkeypatch):
-    """(3, 2, 25) has graphs of 26^3 = 17,576 rows, past the cap of 2^14, from
-    its 28th composition (1, 1, 23) on; that composition is refused before any
-    graph is built, with empty tallies, while a budget of 27 blocks sweeps."""
-    cap, block = 1 << 14, 26**6
-    assert sweep_module._MAX_ROWS == cap < 26**3
+def pair_tests(n, d, c1):
+    """Pair tests of a whole grid: N (N + 1) / 2 for each sorted composition
+    of N rows over its columns of nonzero prior."""
+    stars = {tuple(sorted(P)) for P in compositions(d, n) if not (c1 and 0 in P)}
+    rows = [(d + 1 - c1) ** (n - P.count(0)) for P in stars]
+    return sum(r * (r + 1) // 2 for r in rows)
+
+
+def test_grid_past_the_pair_test_bound_is_refused(monkeypatch):
+    """The bound of 2^33 pair tests admits every grid that a cap of 2^14 rows
+    per composition admitted, the largest (3, 2, 24), and (3, 2, 25), but not
+    (3, 2, 26):
+    its composition (5, 9, 12) takes the sum past the bound and is refused
+    before any pair test, with empty tallies, while a budget of 28 blocks,
+    whose largest composition has 729 rows, sweeps."""
+    bound, block = 1 << 33, 27**6
+    assert sweep_module._MAX_PAIR_TESTS == bound
+    assert pair_tests(3, 24, False) == 5_862_097_825 < pair_tests(3, 25, False) < bound
+    assert pair_tests(3, 26, False) == 10_851_784_299
+    for n, d, c1 in product(range(3, 9), range(1, 27), (False, True)):
+        if (d + 1 - c1) ** min(n, d) <= 1 << 14:  # the row cap admitted the whole grid
+            assert pair_tests(n, d, c1) <= bound, (n, d, c1)
     with pytest.raises(SweepLimitError, match="budget") as info:
-        sweep(SweepConfig(3, 2, 25), max_models=27 * block)
-    assert info.value.partial.models_enumerated == 27 * block
-    monkeypatch.setattr(sweep_module, "_graph", None)  # calling it would fail
+        sweep(SweepConfig(3, 2, 26), max_models=28 * block)
+    assert info.value.partial.models_enumerated == 28 * block
+    monkeypatch.setattr(sweep_module, "_pairs", None)  # calling it would fail
     with pytest.raises(SweepLimitError) as info:
-        sweep(SweepConfig(3, 2, 25), max_models=28 * block)
+        sweep(SweepConfig(3, 2, 26), max_models=10**20)
     assert str(info.value) == (
-        "composition (1, 1, 23) needs a graph of 17576 rows, past the cap 16384"
+        "composition (5, 9, 12) brings the pair tests to 8720863353, past the cap 8589934592"
     )
     assert info.value.partial == SweepResult()
 
@@ -427,15 +454,15 @@ def test_budget_zero_blocks():
 
 def test_budget_bounds_the_kernel(monkeypatch):
     """A budget of one block admits only the first composition, (0, 0, 2), so
-    the kernel builds the graph of its sorted form alone."""
+    the kernel checks the pairs of its sorted form alone."""
     seen = set()
-    original = sweep_module._graph
+    original = sweep_module._pairs
 
     def spy(P, D, c1):
         seen.add(P)
         return original(P, D, c1)
 
-    monkeypatch.setattr(sweep_module, "_graph", spy)
+    monkeypatch.setattr(sweep_module, "_pairs", spy)
     with pytest.raises(SweepLimitError) as info:
         sweep(SweepConfig(3, 2, 2), max_models=3**6)
     assert info.value.partial.models_enumerated == 3**6
@@ -530,19 +557,26 @@ def test_orbit_counts_match_full_grid(grid):
     assert all(a < b for a, b in zip(order, order[1:]))
 
 
+def patch_identity(monkeypatch, edit):
+    """Patch the sweep's pair identity: ``edit(P, s, ok)`` changes each block
+    in place before the check compares it with the masks."""
+    original = sweep_module._identity
+
+    def identity(P, *args):
+        for s, ok in original(P, *args):
+            edit(P, s, ok)
+            yield s, ok
+
+    monkeypatch.setattr(sweep_module, "_identity", identity)
+
+
 def every_pair_an_edge(monkeypatch):
-    """Patch the sweep so that every pair of rows is an edge of its graph."""
-    original = sweep_module._graph
-
-    def graph(P, D, c1):
-        G, mask = original(P, D, c1)
-        return np.ones_like(G), mask
-
-    monkeypatch.setattr(sweep_module, "_graph", graph)
+    """Patch the sweep so that every pair of rows passes the identity."""
+    patch_identity(monkeypatch, lambda P, s, ok: ok.fill(True))
 
 
 def test_violations_listed_from_classes(monkeypatch):
-    """With every pair of rows an edge every spec survives, so the counted
+    """With every pair of rows passing, every spec survives, so the counted
     violations and the listed ones are checked against the oracle's updating
     sets, in grid order, on (3, 2, 2) and at m = 3.  There a violation's
     hypothesis is the lowest one that two rows update, which need not be where
@@ -586,8 +620,8 @@ def test_violations_listed_from_classes(monkeypatch):
 
 
 def test_cli_lists_violations_and_exits_1(monkeypatch, capsys):
-    """With every pair of rows an edge, ``sweep`` prints one line per
-    violation after the counts and exits 1."""
+    """With every pair of rows passing the identity, ``sweep`` prints one line
+    per violation after the counts and exits 1."""
     every_pair_an_edge(monkeypatch)
     result = sweep(SweepConfig(3, 2, 2))
     violations = result.theorem_violations
@@ -606,28 +640,30 @@ def test_cli_lists_violations_and_exits_1(monkeypatch, capsys):
     assert len(violations) > 0
 
 
+def pass_one_pair(monkeypatch, a, b, passes):
+    """Patch the identity of composition (1, 1, 1) so that the pair of rows
+    a < b passes it or fails it."""
+
+    def edit(P, s, ok):
+        if P == (1, 1, 1) and s <= a < s + len(ok):
+            ok[a - s, b - s] = passes
+
+    patch_identity(monkeypatch, edit)
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_an_injected_clashing_edge_is_reported(m, monkeypatch):
-    """One edge between two rows that update the same hypothesis, added to the
-    graph of (1, 1, 1) on D = 3, is reported as violations at m = 2 and m = 3:
-    exactly the new survivors, the specs holding both rows."""
+    """One pair of rows that update the same hypothesis, made to pass the
+    identity of (1, 1, 1) on D = 3, is a clash of the check and is reported
+    as violations at m = 2 and m = 3: exactly the new survivors, the specs
+    holding both rows."""
     d = 3
     clean = sweep(SweepConfig(3, m, d))
-    G, mask = sweep_module._graph((1, 1, 1), d, False)
-    a, b = next(
-        (a, b)
-        for a, b in combinations(range(len(G)), 2)
-        if mask[a] & mask[b] and not G[a, b]
-    )
-    original = sweep_module._graph
-
-    def graph(P, D, c1):
-        G, mask = original(P, D, c1)
-        if P == (1, 1, 1):
-            G[a, b] = G[b, a] = True
-        return G, mask
-
-    monkeypatch.setattr(sweep_module, "_graph", graph)
+    mask, clashes = sweep_module._pairs((1, 1, 1), d, False)
+    assert clashes == []  # so every pair of meeting masks fails the identity
+    a, b = next((a, b) for a, b in combinations(range(len(mask)), 2) if mask[a] & mask[b])
+    pass_one_pair(monkeypatch, a, b, True)
+    assert sweep_module._pairs((1, 1, 1), d, False)[1] == [(a, b)]
     result = sweep(SweepConfig(3, m, d))
     violations = result.theorem_violations
     assert len(violations) == result.models_satisfying_all - clean.models_satisfying_all > 0
@@ -639,3 +675,17 @@ def test_an_injected_clashing_edge_is_reported(m, monkeypatch):
         assert shared >> (v.hypothesis - 1) & 1
     if m == 2:
         assert [v.spec.cond for v in violations] == [tuple(rows), tuple(rows[::-1])]
+
+
+def test_a_missing_edge_fails_loudly(monkeypatch):
+    """A pair of rows with disjoint masks that fails the identity contradicts
+    the theorem's converse: the sweep raises, naming the composition and the
+    two rows, instead of counting fewer survivors."""
+    d = 3
+    mask, _ = sweep_module._pairs((1, 1, 1), d, False)
+    a, b = next((a, b) for a, b in combinations(range(len(mask)), 2) if not mask[a] & mask[b])
+    pass_one_pair(monkeypatch, a, b, False)
+    rows = [tuple(r // (d + 1) ** (2 - k) % (d + 1) for k in range(3)) for r in (a, b)]
+    message = f"composition (1, 1, 1): rows {rows[0]} and {rows[1]} of disjoint masks fail"
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        sweep(SweepConfig(3, 2, d))
