@@ -40,6 +40,8 @@ Event = Mapping[int, bool]
 #: Models with more evidence propositions than this are refused: both audit
 #: modes build dense tables over all 2**m evidence subsets.
 MAX_EVIDENCE = 16
+#: Cap on the bits of the lcm of a model's atom denominators, to which every atom is scaled.
+MAX_DENOMINATOR_BITS = 1 << 15
 
 
 class Side(enum.Enum):
@@ -141,8 +143,13 @@ class Model:
             if numerator:
                 clean[key] = value
                 entries.append((i, entry[1], numerator, value.denominator))
-        denominators = {q for *_, q in entries}
-        scale = math.lcm(*denominators)
+        denominators = dict.fromkeys([q for _, _, _, q in entries])  # in order of first appearance
+        scale = 1
+        for q in denominators:
+            if (scale := math.lcm(scale, q)).bit_length() > MAX_DENOMINATOR_BITS:
+                i, signs = next(key for key, value in clean.items() if value.denominator == q)
+                raise InvalidModelError(f"atom ({i}, {signs_to_bits(signs)}) takes the common "
+                                        f"denominator past {MAX_DENOMINATOR_BITS} bits")
         factors = {q: scale // q for q in denominators}
         columns: dict[int, list[tuple[int, int]]] = {}
         for i, mask, p, q in entries:

@@ -40,9 +40,13 @@ updates H_i.  A zero-prior column enters neither t, K nor a mask, but its
 identity reads K_ab = 0; so a composition's rows range over the columns of
 nonzero prior, each standing for (D+1)^z grid rows when z priors are zero.
 ``require_condition1`` keeps rows of nonzero entries, no zero-prior composition.
+Rows differing by a constant share X, so masks and identities: the live P_k
+sum to D, so adding c to a row adds cD to t_a and keeps X_a, and D K_ab =
+sum_k P_k X_{a,k} X_{b,k}.  One row per shift class is tested, with least
+entry c1 (1 with ``require_condition1``, else 0), for D + 1 - max(row) rows.
 
-Check, then count.  Every pair of rows is tested against what the proofs
-predict, disjoint masks.  A clash, a pair (or a row with itself) that passes
+Check, then count.  Every pair of classes is tested against what the proofs
+predict, disjoint masks.  A clash, a pair (or a class with itself) that passes
 although its masks meet, is a theorem violation; a pair of disjoint masks
 that fails contradicts the converse and raises.  With no clash the survivors
 are the m-tuples whose nonzero masks are pairwise disjoint: with q rows of
@@ -60,7 +64,7 @@ Every identity term is at most D^5, so the arithmetic is int64 and
 :func:`sweep` refuses D > 6208 (D^5 >= 2^63), m > 16 (a Model's cap: every
 witness is one, and the walk runs m deep) and, before any pair test, grids
 past 2^33 pair tests, N (N + 1) / 2 for each sorted composition of N rows.
-The check holds a block of rows at a time, so memory follows N, not N^2.
+The check holds a block of classes at a time, so memory follows N, not N^2.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ from .model import MAX_EVIDENCE
 #: Default enumeration budget; (n=4, m=2, D=4) needs ~13.7M of it.
 DEFAULT_MAX_MODELS = 20_000_000
 
-_MAX_PAIR_TESTS = 1 << 33  # (3, 2, 24) makes 5.86e9 in about two minutes
+_MAX_PAIR_TESTS = 1 << 33  # grid-row pairs: (3, 2, 24) makes 5.86e9, its classes 7.8e7 in ~2 s
 _CHUNK_ROWS = 1 << 16
 
 GridPoint = tuple[int, ...]
@@ -193,13 +197,17 @@ def _identity(P, D, live, rows, X):
 
 
 def _pairs(P, D, c1):
-    """Check every pair of rows of composition ``P``, over its columns of nonzero
-    prior, against their masks (bit k: the row updates the k-th of those
-    hypotheses).  Returns the masks and the clashes, pairs a <= b that pass
-    although their masks meet; a pair of disjoint masks that fails raises."""
+    """Check every pair of shift classes of composition ``P`` over its columns of
+    nonzero prior against their masks (bit k: the class updates the k-th one).
+    Returns the masks, the class sizes, each row's class and the clashes, pairs
+    p <= q that pass although their masks meet; disjoint masks that fail raise."""
     import numpy as np
     live = np.array([p for p in P if p], dtype=np.int64)
     rows = _rows(len(live), D, c1)
+    low = rows.min(axis=1) - c1  # each row is its class's representative plus low
+    unit = sum((D + 1 - c1) ** k for k in range(len(live)))  # index step of adding 1 to a row
+    classes = (np.cumsum(low == 0) - 1)[np.arange(len(rows)) - low * unit]
+    rows = rows[low == 0]
     X = D * rows - (rows @ live)[:, None]
     mask = ((X != 0) & (live < D)) @ (1 << np.arange(len(live), dtype=np.int64))
     clashes = []
@@ -213,17 +221,17 @@ def _pairs(P, D, c1):
                 raise AssertionError(f"composition {P}: rows {a} and {b} of disjoint masks "
                                      "fail the pair identity")
             clashes.append((a, b))
-    return mask, clashes
+    return mask, D + 1 - rows.max(axis=1), classes, clashes
 
 
 def _counts(P, m, D, c1):
     """Grid models of sorted composition ``P`` that survive, that survive with
     some hypothesis updated, and that survive with one updated twice (none);
     None when ``P`` has clashes, and the walk that lists violations counts."""
-    mask, clashes = _pairs(P, D, c1)
+    mask, size, _, clashes = _pairs(P, D, c1)
     if clashes:
         return None
-    histogram = Counter(mask.tolist())
+    histogram = Counter(mask.repeat(size).tolist())  # a class counts each of its rows
     quiet = histogram.pop(0, 0)
     # (union, k) -> ways to pick k rows of pairwise disjoint nonzero masks with that union
     sets = Counter({(0, 0): 1})
@@ -242,13 +250,13 @@ def _members(P, m, D, c1, listed):
     over grid rows extends a prefix by the rows that every prefix row joins,
     by disjoint masks or a clash.  ``listed`` adds up their counts."""
     import numpy as np
-    mask, clashes = _pairs(P, D, c1)
-    near = {}  # each clashing row's partners
+    mask, _, classes, clashes = _pairs(P, D, c1)
+    near = {}  # each clashing class's partners
     for a, b in clashes + [(b, a) for a, b in clashes]:
         near.setdefault(a, np.zeros(len(mask), dtype=bool))[b] = True
     live = np.flatnonzero(P)
     grid_rows = _rows(len(P), D, c1)
-    node = np.ravel_multi_index((grid_rows[:, live] - c1).T, (D + 1 - c1,) * len(live))
+    node = classes[np.ravel_multi_index((grid_rows[:, live] - c1).T, (D + 1 - c1,) * len(live))]
     masks, digits = mask[node], list(map(tuple, grid_rows.tolist()))
 
     def walk(prefix, allowed, union, twice):  # each (m-1)-row prefix and its last rows

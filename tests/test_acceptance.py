@@ -200,7 +200,9 @@ def test_criterion_9_thousand_random_product_models():
 
 #: Grids whose m = 2 sweep certifies the at-most-one-updater property for
 #: every m (see the ``oddsaudit.sweep`` docstring).
-CERTIFIED = [(n, 2, d) for n in range(3, 9) for d in range(1, 5)] + [(4, 2, 6), (3, 2, 8)]
+CERTIFIED = [(n, 2, d) for n in range(3, 9) for d in range(1, 5)] + [
+    (4, 2, 6), (3, 2, 8), (3, 2, 12), (3, 2, 16), (4, 2, 8), (5, 2, 5), (6, 2, 5)
+]
 
 
 def test_criterion_10_pair_graphs_certify_every_m():
@@ -225,5 +227,6 @@ def test_criterion_10_pair_graphs_certify_every_m():
     report(
         10,
         f"no pair of rows updating one hypothesis passes the pair check on {len(CERTIFIED)} "
-        f"grids (n <= 8, D <= 4, and D = 6, 8): every m certified ({elapsed:.2f} s)",
+        f"grids (n <= 8 with D <= 4; n = 3 with D = 8, 12, 16; n = 4 with D = 6, 8; "
+        f"n = 5, 6 with D = 5): every m certified ({elapsed:.2f} s)",
     )

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import _brute
+from oddsaudit.model import MAX_DENOMINATOR_BITS
 from oddsaudit import (
     InvalidModelError,
     Model,
@@ -113,6 +114,38 @@ def test_evidence_cap_is_fixed():
     with pytest.raises(InvalidModelError):
         Model(n=1, m=17, atoms={(1, (T,) * 17): 1})
     assert Model(n=1, m=16, atoms={(1, (T,) * 16): 1}).m == 16
+
+
+def test_common_denominator_cap_is_inclusive():
+    """The lcm of the atom denominators may have MAX_DENOMINATOR_BITS bits,
+    not one more; the refusal names the first atom with the denominator that
+    takes it past the cap, in order of first appearance."""
+    assert MAX_DENOMINATOR_BITS == 1 << 15
+    for bits, admitted in ((MAX_DENOMINATOR_BITS, True), (MAX_DENOMINATOR_BITS + 1, False)):
+        tiny = F(1, 2 ** (bits - 1))
+        atoms = {(1, (N,)): F(1, 2), (2, (T,)): tiny, (2, (N,)): F(1, 2) - tiny}
+        if admitted:
+            assert Model(n=2, m=1, atoms=atoms).denominator == 2 ** (bits - 1)
+            continue
+        with pytest.raises(InvalidModelError) as info:
+            Model(n=2, m=1, atoms=atoms)
+        message = f"atom (2, 1) takes the common denominator past {MAX_DENOMINATOR_BITS} bits"
+        assert str(info.value) == message
+    # Coprime denominators of 20,001 bits: the second to appear passes the cap,
+    # though it is the smaller.
+    first, second = 3**12619, 2**20000 + 1
+    assert first > second
+    assert (first * second).bit_length() > MAX_DENOMINATOR_BITS >= (first * 4).bit_length()
+    atoms = {
+        (1, (N, N)): F(1, 4),
+        (1, (T, N)): F(1, first),
+        (2, (N, T)): F(1, second),
+        (2, (T, T)): F(2, second),
+        (3, (T, T)): F(3, 4) - F(1, first) - F(3, second),
+    }
+    with pytest.raises(InvalidModelError) as info:
+        Model(n=3, m=2, atoms=atoms)
+    assert str(info.value) == "atom (2, 01) takes the common denominator past 32768 bits"
 
 
 def test_zero_atoms_dropped_and_mapping_frozen(glymour):

@@ -151,10 +151,12 @@ def test_relevance_counts_match_golden():
         (4, 5, 3, False),
         (5, 3, 4, False),
         (3, 6, 3, False),
+        (3, 2, 12, False),
     ],
 )
 def test_sweep_matches_relevance_counts_on_large_grids(grid):
-    """Grids of 10^8-10^13 models, counted by the converse of the theorem."""
+    """Grids of 10^8-10^13 models, counted by the converse of the theorem;
+    (3, 2, 12) has compositions of 2,197 rows in 469 shift classes."""
     enum, satisfying, updating = _brute.grid_counts_by_relevance(*grid)
     result = sweep(SweepConfig(*grid), max_models=enum)
     assert result.models_enumerated == enum
@@ -164,13 +166,13 @@ def test_sweep_matches_relevance_counts_on_large_grids(grid):
 
 
 def graph_survives(priors, flat, n, m, d):
-    """A spec's verdict read off its composition's pair check: every pair of
-    its rows, over the columns of nonzero prior, has disjoint masks or is a
-    clash."""
-    mask, clashes = sweep_module._pairs(priors, d, False)
+    """A spec's verdict read off its composition's pair check: the shift
+    classes of every pair of its rows, over the columns of nonzero prior, have
+    disjoint masks or are a clash."""
+    mask, _, classes, clashes = sweep_module._pairs(priors, d, False)
     live = [i for i, p in enumerate(priors) if p]
     nodes = [
-        sum(flat[j * n + i] * (d + 1) ** (len(live) - 1 - k) for k, i in enumerate(live))
+        classes[sum(flat[j * n + i] * (d + 1) ** (len(live) - 1 - k) for k, i in enumerate(live))]
         for j in range(m)
     ]
     return all(
@@ -251,15 +253,15 @@ def test_require_condition1_agrees_with_audit_route():
 def test_object_kernel_matches_int64_kernel(grid):
     """The int64 identity and masks equal those of the uncentred pair identity,
     evaluated in Python integers, on every prior composition of the grid: the
-    streamed check finds no clash, and the exact identity holds exactly on the
-    pairs of disjoint masks."""
+    streamed check of shift classes finds no clash, and the exact identity
+    holds exactly on the pairs of full rows whose classes have disjoint masks."""
     n, _, d = grid
     for P in product(range(d + 1), repeat=n):
         if sum(P) != d:
             continue
         live = [p for p in P if p]
         for c1 in (False, True):
-            mask, clashes = sweep_module._pairs(P, d, c1)
+            mask, _, classes, clashes = sweep_module._pairs(P, d, c1)
             rows = sweep_module._rows(len(live), d, c1).astype(object)
             t = rows @ np.array(live, dtype=object)
             T = (rows * np.array(live, dtype=object)) @ rows.T
@@ -275,12 +277,43 @@ def test_object_kernel_matches_int64_kernel(grid):
                     np.multiply.outer(own, own)
                 )
                 bits += np.where(rows[:, k] * d != t, 1 << k, 0)
-            assert [int(b) for b in bits] == mask.tolist(), (P, c1)
+            assert [int(b) for b in bits] == mask[classes].tolist(), (P, c1)
             # The check raised on no pair and found no clash, so the int64
-            # identity is the disjoint-mask relation on every pair, and so is
-            # the exact identity.
+            # identity is the disjoint-mask relation on every pair of classes,
+            # and the exact identity is that relation on every pair of rows.
             assert clashes == [], (P, c1)
-            assert np.array_equal(exact, (mask[:, None] & mask) == 0), (P, c1)
+            row_mask = mask[classes]
+            assert np.array_equal(exact, (row_mask[:, None] & row_mask) == 0), (P, c1)
+
+
+@pytest.mark.parametrize("grid", [(3, 2, 3), (4, 2, 2), (3, 2, 5)])
+def test_every_row_has_its_shift_class_x_and_mask(grid):
+    """Rows that differ by a constant share X and the update mask, so the check
+    tests one row per shift class, the one whose least entry is c1.  On every
+    composition, with and without ``require_condition1``: each grid row is its
+    class's representative plus a constant, with the representative's X and
+    mask; the classes number (D+1-c1)^w - (D-c1)^w over w live columns; and
+    their weights, D + 1 less the representative's largest entry, count the
+    rows of each class and add up to (D+1-c1)^w."""
+    n, _, d = grid
+    for P in compositions(d, n):
+        live = np.array([p for p in P if p])
+        w = len(live)
+        for c1 in (False, True):
+            mask, weight, classes, clashes = sweep_module._pairs(P, d, c1)
+            rows = np.array(list(product(range(c1, d + 1), repeat=w)))
+            X = d * rows - (rows @ live)[:, None]
+            bits = ((X != 0) & (live < d)) @ (1 << np.arange(w))
+            reps = np.flatnonzero(rows.min(axis=1) == c1)
+            assert len(mask) == len(weight) == len(reps) == (d + 1 - c1) ** w - (d - c1) ** w
+            shift = rows - rows[reps][classes]
+            assert (shift == shift[:, :1]).all() and (shift >= 0).all(), (P, c1)
+            assert np.array_equal(X, X[reps][classes]), (P, c1)
+            assert np.array_equal(bits, mask[classes]), (P, c1)
+            assert weight.tolist() == (d + 1 - rows[reps].max(axis=1)).tolist(), (P, c1)
+            assert weight.tolist() == np.bincount(classes, minlength=len(mask)).tolist()
+            assert weight.sum() == (d + 1 - c1) ** w == len(rows), (P, c1)
+            assert clashes == [], (P, c1)
 
 
 def test_denominator_past_the_int64_kernel_is_refused(capsys):
@@ -641,8 +674,8 @@ def test_cli_lists_violations_and_exits_1(monkeypatch, capsys):
 
 
 def pass_one_pair(monkeypatch, a, b, passes):
-    """Patch the identity of composition (1, 1, 1) so that the pair of rows
-    a < b passes it or fails it."""
+    """Patch the identity of composition (1, 1, 1) so that the pair of shift
+    classes a < b passes it or fails it."""
 
     def edit(P, s, ok):
         if P == (1, 1, 1) and s <= a < s + len(ok):
@@ -651,41 +684,54 @@ def pass_one_pair(monkeypatch, a, b, passes):
     patch_identity(monkeypatch, edit)
 
 
+def class_rows(classes, p, d):
+    """The grid rows of shift class ``p`` of composition (1, 1, 1), as digit
+    tuples in grid order; the first is the class's representative."""
+    return [
+        tuple(r // (d + 1) ** (2 - k) % (d + 1) for k in range(3))
+        for r in np.flatnonzero(classes == p).tolist()
+    ]
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_an_injected_clashing_edge_is_reported(m, monkeypatch):
-    """One pair of rows that update the same hypothesis, made to pass the
-    identity of (1, 1, 1) on D = 3, is a clash of the check and is reported
-    as violations at m = 2 and m = 3: exactly the new survivors, the specs
-    holding both rows."""
+    """One pair of shift classes that update the same hypothesis, made to pass
+    the identity of (1, 1, 1) on D = 3, is a clash of the check and is
+    reported as violations at m = 2 and m = 3: exactly the new survivors, the
+    specs holding a row of each class."""
     d = 3
     clean = sweep(SweepConfig(3, m, d))
-    mask, clashes = sweep_module._pairs((1, 1, 1), d, False)
+    mask, _, classes, clashes = sweep_module._pairs((1, 1, 1), d, False)
     assert clashes == []  # so every pair of meeting masks fails the identity
     a, b = next((a, b) for a, b in combinations(range(len(mask)), 2) if mask[a] & mask[b])
     pass_one_pair(monkeypatch, a, b, True)
-    assert sweep_module._pairs((1, 1, 1), d, False)[1] == [(a, b)]
+    assert sweep_module._pairs((1, 1, 1), d, False)[3] == [(a, b)]
     result = sweep(SweepConfig(3, m, d))
     violations = result.theorem_violations
     assert len(violations) == result.models_satisfying_all - clean.models_satisfying_all > 0
-    rows = [tuple(F(r // (d + 1) ** (2 - k) % (d + 1), d) for k in range(3)) for r in (a, b)]
+    rows = [[tuple(F(c, d) for c in row) for row in class_rows(classes, p, d)] for p in (a, b)]
+    assert len(rows[0]) * len(rows[1]) > 1  # a class of several rows is reported whole
     shared = int(mask[a] & mask[b])
     for v in violations:
         assert v.spec.priors == (F(1, 3),) * 3
-        assert set(rows) <= set(v.spec.cond)
+        assert all(set(side) & set(v.spec.cond) for side in rows)
         assert shared >> (v.hypothesis - 1) & 1
     if m == 2:
-        assert [v.spec.cond for v in violations] == [tuple(rows), tuple(rows[::-1])]
+        rank = {row: r for r, row in enumerate(sorted(rows[0] + rows[1]))}
+        both = [pair for x in rows[0] for y in rows[1] for pair in ((x, y), (y, x))]
+        assert [v.spec.cond for v in violations] == sorted(both, key=lambda c: [rank[r] for r in c])
 
 
 def test_a_missing_edge_fails_loudly(monkeypatch):
-    """A pair of rows with disjoint masks that fails the identity contradicts
-    the theorem's converse: the sweep raises, naming the composition and the
-    two rows, instead of counting fewer survivors."""
+    """A pair of shift classes with disjoint masks that fails the identity
+    contradicts the theorem's converse: the sweep raises, naming the
+    composition and the two representative rows, instead of counting fewer
+    survivors."""
     d = 3
-    mask, _ = sweep_module._pairs((1, 1, 1), d, False)
+    mask, _, classes, _ = sweep_module._pairs((1, 1, 1), d, False)
     a, b = next((a, b) for a, b in combinations(range(len(mask)), 2) if not mask[a] & mask[b])
     pass_one_pair(monkeypatch, a, b, False)
-    rows = [tuple(r // (d + 1) ** (2 - k) % (d + 1) for k in range(3)) for r in (a, b)]
+    rows = [class_rows(classes, p, d)[0] for p in (a, b)]
     message = f"composition (1, 1, 1): rows {rows[0]} and {rows[1]} of disjoint masks fail"
     with pytest.raises(AssertionError, match=re.escape(message)):
         sweep(SweepConfig(3, 2, d))
