@@ -49,7 +49,7 @@ def parse_observation(text: str, m: int) -> dict[int, bool]:
         match = _OBSERVE_TOKEN.fullmatch(token)
         if match is None:
             raise ValueError(f"bad observation token {token!r}; expected E<j>=<0|1>")
-        j = int(match.group(1))
+        j = parse_integer(match.group(1))
         if not 1 <= j <= m:
             raise ValueError(f"evidence index out of range 1..{m}: E{j}")
         if j in event:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import InvalidModelError
-from .model import Model, _exact, bits_to_signs, sign_vectors
+from .model import Model, _exact, _shown_total, sign_vectors
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class ConditionalSpec:
             raise InvalidModelError("priors must be nonnegative")
         total = sum(priors, Fraction(0))
         if total != 1:
-            raise InvalidModelError(f"priors total {total}, expected exactly 1")
+            raise InvalidModelError(f"priors total {_shown_total(total)}, expected exactly 1")
         if not self.cond:
             raise InvalidModelError("need at least one evidence conditional row")
         cond = []
@@ -82,69 +82,34 @@ def from_conditionals(spec: ConditionalSpec) -> Model:
     return Model(n=spec.n, m=spec.m, atoms=atoms)
 
 
-def _table(rows: Mapping[str, Sequence[Fraction]]) -> dict:
-    atoms = {}
-    for bits, values in rows.items():
-        signs = bits_to_signs(bits)
-        for i, value in enumerate(values, 1):
-            if value:
-                atoms[(i, signs)] = Fraction(value)
-    return atoms
-
-
 _F = Fraction
 
-# Three hypotheses, certainty-producing second proposition: E2 pins H1 while
-# E1 is uninformative everywhere.  Some all-evidence posteriors are zero.
-_GLYMOUR = _table(
-    {
-        "11": (_F(1, 6), 0, 0),
-        "10": (0, _F(1, 6), _F(1, 6)),
-        "01": (_F(1, 6), 0, 0),
-        "00": (0, _F(1, 6), _F(1, 6)),
-    }
-)
-
-# Same priors and E1 column, but E2 conditionals moved to 1/2, 1/3, 1/6: all
-# posteriors stay nonzero, yet E2 still updates H1 and H3.
-_MODIFIED = _table(
-    {
-        "11": (_F(1, 12), _F(1, 18), _F(1, 36)),
-        "10": (_F(1, 12), _F(1, 9), _F(5, 36)),
-        "01": (_F(1, 12), _F(1, 18), _F(1, 36)),
-        "00": (_F(1, 12), _F(1, 9), _F(5, 36)),
-    }
-)
-
-# Four hypotheses where both propositions update something: E1 moves H1/H2,
-# E2 moves H3/H4 — still never two updaters for the same hypothesis.
-_FOUR = _table(
-    {
-        "11": (_F(1, 24), _F(1, 12), _F(1, 24), _F(1, 12)),
-        "10": (_F(1, 24), _F(1, 12), _F(1, 12), _F(1, 24)),
-        "01": (_F(1, 12), _F(1, 24), _F(1, 24), _F(1, 12)),
-        "00": (_F(1, 12), _F(1, 24), _F(1, 12), _F(1, 24)),
-    }
-)
-
 _EXAMPLES = {
-    "glymour": (3, _GLYMOUR),
-    "modified": (3, _MODIFIED),
-    "four": (4, _FOUR),
+    # Three hypotheses, certainty-producing second proposition: E2 pins H1 while
+    # E1 is uninformative everywhere.  Some all-evidence posteriors are zero.
+    "glymour": ((_F(1, 3),) * 3, ((_F(1, 2),) * 3, (1, 0, 0))),
+    # Same priors and E1 row, but E2 conditionals moved to 1/2, 1/3, 1/6: all
+    # posteriors stay nonzero, yet E2 still updates H1 and H3.
+    "modified": ((_F(1, 3),) * 3, ((_F(1, 2),) * 3, (_F(1, 2), _F(1, 3), _F(1, 6)))),
+    # Four hypotheses where both propositions update something: E1 moves H1/H2,
+    # E2 moves H3/H4 — still never two updaters for the same hypothesis.
+    "four": ((_F(1, 4),) * 4, ((_F(1, 3), _F(2, 3), _F(1, 2), _F(1, 2)),
+                              (_F(1, 2), _F(1, 2), _F(1, 3), _F(2, 3)))),
 }
 
 EXAMPLE_NAMES = tuple(sorted(_EXAMPLES))
 
 
 def example_model(name: str) -> Model:
-    """One of the bundled counterexample tables: glymour, modified, or four."""
+    """One of the bundled counterexample tables, glymour, modified or four: a product
+    spec of equal priors and one row of P(E_j | H_i) per E_j, built by :func:`from_conditionals`."""
     try:
-        n, atoms = _EXAMPLES[name]
+        priors, cond = _EXAMPLES[name]
     except KeyError:
         raise ValueError(
             f"unknown example {name!r}; choose one of {', '.join(EXAMPLE_NAMES)}"
         ) from None
-    return Model(n=n, m=2, atoms=atoms)
+    return from_conditionals(ConditionalSpec(priors, cond))
 
 
 def measurement_scenario(

@@ -86,6 +86,13 @@ def _exact(value, what: str) -> Fraction:
         raise InvalidModelError(f"{what} is not a rational value: {value!r}") from exc
 
 
+def _shown_total(total: Fraction) -> Fraction | str:
+    """``total`` for an error message; one too long to print says how it misses 1."""
+    if max(total.numerator, total.denominator).bit_length() > 256:
+        return "less than 1" if total < 1 else "more than 1"
+    return total
+
+
 @dataclass(frozen=True)
 class Model:
     """Exact joint distribution over ``n`` hypotheses and ``m`` evidence bits.
@@ -157,9 +164,7 @@ class Model:
         masses = {i: sum(num for _, num in column) for i, column in columns.items()}
         total = sum(masses.values())
         if total != scale:
-            shown = Fraction(total, scale)  # a total too long to print says how it misses 1
-            if max(shown.numerator, shown.denominator).bit_length() > 256:
-                shown = "less than 1" if shown < 1 else "more than 1"
+            shown = _shown_total(Fraction(total, scale))
             raise InvalidModelError(f"atom probabilities total {shown}, expected exactly 1")
         object.__setattr__(self, "atoms", MappingProxyType(clean))
         object.__setattr__(self, "denominator", scale)

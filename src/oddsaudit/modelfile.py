@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .errors import ModelFormatError
 from .model import Model, signs_to_bits
-from .rational import parse_integer, parse_rational
+from .rational import NumeralLengthError, parse_integer, parse_rational
 
 #: Files declaring more hypotheses than this are refused: the audit does work
 #: per hypothesis whether or not it has mass.
@@ -68,10 +68,7 @@ def loads(text: str) -> Model:
             _, index, bits, rational = tokens
             i = indices.get(index)
             if i is None:
-                try:
-                    i = parse_integer(index)
-                except ValueError:
-                    fail(f"hypothesis index is not an integer: {index!r}")
+                i = _integer(index, "hypothesis index", fail)
                 if not 1 <= i <= n:
                     fail(f"hypothesis index {i} out of range 1..{n}")
                 indices[index] = i
@@ -100,26 +97,35 @@ def loads(text: str) -> Model:
 def _positive_int(tokens, fail):
     if len(tokens) != 2:
         fail(f"expected '{tokens[0]} <count>'")
-    try:
-        value = parse_integer(tokens[1])
-    except ValueError:
-        fail(f"count is not an integer: {tokens[1]!r}")
+    value = _integer(tokens[1], "count", fail)
     if value < 1:
         fail(f"count must be positive, got {value}")
     return value
 
 
+def _integer(token, what, fail):
+    try:
+        return parse_integer(token)
+    except NumeralLengthError as exc:  # too long to echo
+        fail(str(exc))
+    except ValueError:
+        fail(f"{what} is not an integer: {token!r}")
+
+
 def dumps(model: Model) -> str:
     """Canonical text form; stable byte-for-byte for equal models.  Raises
-    :class:`ModelFormatError` past :data:`MAX_HYPOTHESES`, as :func:`loads` does."""
+    :class:`ModelFormatError` past :data:`MAX_HYPOTHESES` or on an atom with
+    more digits than :func:`loads` reads."""
     if model.n > MAX_HYPOTHESES:
         raise ModelFormatError(f"hypothesis count {model.n} exceeds the limit {MAX_HYPOTHESES}")
     lines = [f"hypotheses {model.n}", f"evidence {model.m}"]
     # Sign tuples sort in bitstring order, since False < True.
-    lines.extend(
-        f"atom {i} {signs_to_bits(signs)} {value}"
-        for (i, signs), value in sorted(model.atoms.items())
-    )
+    for (i, signs), value in sorted(model.atoms.items()):
+        bits = signs_to_bits(signs)
+        try:
+            lines.append(f"atom {i} {bits} {value}")
+        except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
+            raise ModelFormatError(f"atom ({i}, {bits}) has too many digits to read back") from None
     return "\n".join(lines) + "\n"
 
 

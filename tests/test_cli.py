@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import _brute
 from oddsaudit import MAX_EVIDENCE, dump, dumps, from_conditionals, load, measurement_scenario
 from oddsaudit import cli
 from oddsaudit.cli import main, parse_observation
@@ -213,6 +214,35 @@ def test_posterior_degenerate_and_impossible(model_file, capsys):
     assert "probability 0" in capsys.readouterr().err
 
 
+# --- numerals past the digit limit ------------------------------------------------
+
+BIG = "1" * 5000  # past the interpreter's default limit of 4300 digits for int(str)
+ONE_ATOM = "hypotheses 1\nevidence 1\natom 1 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "text,argv",
+    [
+        (f"hypotheses {BIG}\nevidence 1\n", "audit FILE"),
+        (f"hypotheses 1\nevidence 1\natom {BIG} 1 1\n", "audit FILE"),
+        (f"hypotheses 1\nevidence 1\natom 1 1 1/{BIG}\n", "audit FILE"),
+        (ONE_ATOM, f"posterior FILE -i {BIG}"),
+        (ONE_ATOM, f"posterior FILE --all --observe E{BIG}=1"),
+        (None, f"sweep --n {BIG} --m 2 --denominator 2"),
+        (None, f"scenario --values 0,{BIG} --weights 1/2,1/2 --noise 0:1 --thresholds 0,1 -o FILE"),
+    ],
+    ids=["count", "index", "rational", "-i", "observe", "sweep", "scenario"],
+)
+def test_numerals_past_the_digit_limit_are_refused_in_own_words(text, argv, tmp_path, capsys):
+    path = tmp_path / "big.model"
+    if text is not None:
+        path.write_text(text)
+    assert main([str(path) if arg == "FILE" else arg for arg in argv.split()]) == 2
+    err = capsys.readouterr().err
+    assert "numeral of 5000 digits exceeds the 4300-digit limit" in err
+    assert "set_int_max_str_digits" not in err and len(err) < 1000
+
+
 # --- example ---------------------------------------------------------------------
 
 
@@ -221,8 +251,21 @@ def test_posterior_degenerate_and_impossible(model_file, capsys):
     [("glymour", "atom 1 11 1/6"), ("modified", "atom 3 00 5/36"), ("four", "atom 4 01 1/12")],
 )
 def test_example_stdout(name, expected_line, capsys):
+    """The whole output is the reference table in canonical form: headers, then
+    the nonzero atoms by hypothesis and then bitstring."""
+    raw = {"glymour": _brute.GLYMOUR_RAW, "modified": _brute.MODIFIED_RAW, "four": _brute.FOUR_RAW}
+    atoms = sorted(
+        (i, "".join("1" if sign else "0" for sign in signs), value)
+        for (i, signs), value in raw[name].items()
+        if value
+    )
+    expected = f"hypotheses {max(i for i, _, _ in atoms)}\nevidence 2\n" + "".join(
+        f"atom {i} {bits} {value}\n" for i, bits, value in atoms
+    )
     assert main(["example", name]) == 0
-    assert expected_line in capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    assert expected_line in out.splitlines()
+    assert out == expected
 
 
 def test_example_file_byte_identical(tmp_path, glymour, capsys):

@@ -71,6 +71,14 @@ def test_spec_validation():
         ConditionalSpec(priors=(0.5, 0.5), cond=((F(1), F(1)),))  # float
 
 
+def test_spec_priors_total_too_long_to_print_is_still_a_model_error():
+    """The wrong total of 1/7^3000, 1/11^3000 and 1/2 has about 5,660 digits
+    in its denominator, past the interpreter's int-to-str limit."""
+    with pytest.raises(InvalidModelError) as info:
+        ConditionalSpec(priors=(F(1, 7**3000), F(1, 11**3000), F(1, 2)), cond=((0, 0, 0),))
+    assert str(info.value) == "priors total less than 1, expected exactly 1"
+
+
 # --- from_conditionals ----------------------------------------------------------
 
 

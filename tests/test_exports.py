@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -66,3 +67,58 @@ def test_only_a_sweep_imports_numpy(tmp_path):
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_package_has_no_dead_imports_or_private_names():
+    """Every import in ``src/oddsaudit`` is used in its module, and every private
+    top-level function, class or constant is referenced somewhere in the
+    package; a name listed in ``__all__`` counts as used."""
+    package = Path(oddsaudit.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in package.glob("*.py")}
+
+    def loaded(tree):
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                names.update(ast.literal_eval(node.value))
+        return names
+
+    used = {module: loaded(tree) for module, tree in trees.items()}
+    imported_anywhere = {
+        alias.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    dead = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if (alias.asname or alias.name.split(".")[0]) not in used[module]:
+                        dead.append(f"{module}: import {alias.name}")
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            for name in defined:
+                private = name.startswith("_") and not name.startswith("__")
+                if private and name not in imported_anywhere and not any(
+                    name in names for names in used.values()
+                ):
+                    dead.append(f"{module}: {name}")
+    assert dead == []

@@ -180,6 +180,20 @@ def test_dumps_refuses_what_loads_refuses():
         dumps(model)
 
 
+def test_dumps_refuses_an_atom_too_long_to_read_back():
+    """An atom over 10^4400 passes the interpreter's 4300-digit limit, so no
+    file could hold it; one over 10^4299 is written and read back."""
+    for power, ok in ((4299, True), (4400, False)):
+        q = 10**power
+        model = Model(n=1, m=1, atoms={(1, (True,)): F(1, q), (1, (False,)): F(q - 1, q)})
+        if ok:
+            assert loads(dumps(model)) == model
+            continue
+        with pytest.raises(ModelFormatError) as info:
+            dumps(model)
+        assert str(info.value) == "atom (1, 0) has too many digits to read back"
+
+
 def test_headers_only_whitespace_and_comments():
     text = "   # leading comment\n\nhypotheses 1\n\t\nevidence 1\natom 1 1 1 # done\n"
     model = loads(text)

@@ -1,10 +1,12 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from oddsaudit import parse_rational
+from oddsaudit.rational import parse_integer
 
 
 @pytest.mark.parametrize(
@@ -34,6 +36,23 @@ def test_parse_accepts_integers_and_fractions(text, expected):
 def test_parse_rejects_non_rationals(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+def test_numerals_up_to_the_interpreter_digit_limit_parse_as_int_does():
+    """The limit is the interpreter's own, read at each call: a numeral at it
+    parses exactly as before, and one digit more is refused in this package's words."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (limit, 640):
+            sys.set_int_max_str_digits(digits)
+            at, past = "9" * digits, "0" * (digits + 1)
+            assert parse_integer(f"-{at}") == -int(at)
+            assert parse_rational(f"1/{at}") == F(1, int(at))
+            for parse, text in ((parse_integer, past), (parse_rational, f"{past}/1")):
+                with pytest.raises(ValueError, match=f"numeral of {digits + 1} digits exceeds"):
+                    parse(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize(
