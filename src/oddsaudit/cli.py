@@ -29,11 +29,11 @@ from .construct import EXAMPLE_NAMES, example_model, from_conditionals, measurem
 from .errors import ModelError, SweepLimitError
 from .model import Side
 from .modelfile import dump, dumps, load
-from .rational import parse_integer, parse_rational
+from .rational import NumeralLengthError, parse_integer, parse_rational
 from .sweep import (
     DEFAULT_MAX_MODELS, SweepConfig, SweepResult, spec_from_grid, sweep, witness_filename
 )
-from .updating import odds_posterior
+from .updating import odds_posteriors
 
 _OBSERVE_TOKEN = re.compile(r"E([0-9]+)=(0|1)")
 
@@ -91,8 +91,13 @@ def _noise_map(text: str) -> dict[Fraction, Fraction]:
     return noise
 
 
-def _format_value(value: Fraction, approx: bool) -> str:
-    text = str(value)
+def _format_value(value: Fraction, approx: bool, i: int) -> str:
+    try:
+        text = str(value)
+    except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        message = f"posterior of H{i} has a numeral past the {limit}-digit limit"
+        raise NumeralLengthError(message) from None
     if approx:
         text += f" (approx {float(value):.9g})"
     return text
@@ -108,12 +113,10 @@ def cmd_audit(args) -> int:
 def cmd_posterior(args) -> int:
     model = load(args.file)
     event = parse_observation(args.observe or "", model.m)
-    compute = model.posterior if args.method == "exact" else lambda e, i: odds_posterior(model, e, i)
-    if args.all:
-        for i in range(1, model.n + 1):
-            print(f"H{i}: {_format_value(compute(event, i), args.approx)}")
-    else:
-        print(_format_value(compute(event, args.hypothesis), args.approx))
+    posterior = model.posteriors(event) if args.method == "exact" else odds_posteriors(model, event)
+    for i in range(1, model.n + 1) if args.all else (args.hypothesis,):
+        text = _format_value(posterior(i), args.approx, i)
+        print(f"H{i}: {text}" if args.all else text)
     return 0
 
 

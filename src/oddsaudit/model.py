@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product, repeat
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import InvalidModelError, ZeroProbabilityError
 
@@ -93,6 +93,11 @@ def _shown_total(total: Fraction) -> Fraction | str:
     return total
 
 
+def _mask_bits(mask: int, m: int) -> str:
+    """The bitstring of an evidence mask: character k is bit k, the sign of E_{k+1}."""
+    return format(mask, f"0{m}b")[::-1]
+
+
 @dataclass(frozen=True)
 class Model:
     """Exact joint distribution over ``n`` hypotheses and ``m`` evidence bits.
@@ -103,7 +108,9 @@ class Model:
     zero entries, coerces values to ``Fraction`` and freezes the mapping.
 
     Every query is an integer sum over :meth:`numerators`, the atoms scaled
-    by :attr:`denominator` ``L`` (the lcm of the atom denominators).
+    by :attr:`denominator` ``L`` (the lcm of the atom denominators).  That
+    integer form is all a model read from a file builds; its ``atoms``
+    mapping is made from it when first read.
     """
 
     n: int
@@ -111,19 +118,15 @@ class Model:
     atoms: Mapping[AtomKey, Fraction]
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 1:
-            raise InvalidModelError(f"need at least one hypothesis, got n={self.n!r}")
-        if type(self.m) is not int or self.m < 1:
-            raise InvalidModelError(f"need at least one evidence proposition, got m={self.m!r}")
-        if self.m > MAX_EVIDENCE:
-            raise InvalidModelError(
-                f"m={self.m} exceeds the evidence cap {MAX_EVIDENCE} "
-                f"(audits enumerate 2**m subsets)"
-            )
+        clean: dict[AtomKey, Fraction] = {}
+        self._build(self._checked_entries(clean))
+        object.__setattr__(self, "atoms", MappingProxyType(clean))
+
+    def _checked_entries(self, clean: dict) -> Iterator[tuple[tuple[int, int], Fraction]]:
+        """Check :attr:`atoms` and then each key and value in turn, yielding it
+        as ``((i, mask), value)``; the nonzero ones are kept in ``clean``."""
         if not isinstance(self.atoms, Mapping):
             raise InvalidModelError(f"atoms must be a mapping, got {type(self.atoms).__name__}")
-        clean: dict[AtomKey, Fraction] = {}
-        entries: list[tuple[int, int, int, int]] = []  # (i, mask, p, q) of each nonzero p/q
         # Each distinct sign tuple is checked and masked once, keyed by identity:
         # unhashable signs are never hashed, an equal tuple of other types such as
         # (1, 0) for (True, False) gets a check of its own, and as an entry holds
@@ -142,37 +145,77 @@ class Model:
                 entry = checked[id(signs)] = (signs, sum(compress(bits, signs)))
             if type(value) is not Fraction:
                 value = _exact(value, f"atom probability for ({i}, {signs_to_bits(signs)})")
+            if value:
+                clean[key] = value
+            yield (i, entry[1]), value
+
+    @classmethod
+    def _from_table(cls, n: int, m: int, table: Mapping[tuple[int, int], Fraction]) -> Model:
+        """The model of ``{(i, mask): value}``, whose keys the caller has checked
+        (``1 <= i <= n``, ``0 <= mask < 2**m``); :attr:`atoms` is built when first read."""
+        model = object.__new__(cls)
+        object.__setattr__(model, "n", n)
+        object.__setattr__(model, "m", m)
+        model._build(table.items())
+        return model
+
+    def _build(self, entries) -> None:
+        """Check ``n`` and ``m``, then set the integer form from ``((i, mask),
+        value)`` entries with checked keys, refusing in order a negative value,
+        a common denominator past :data:`MAX_DENOMINATOR_BITS` and a total other than 1."""
+        if type(self.n) is not int or self.n < 1:
+            raise InvalidModelError(f"need at least one hypothesis, got n={self.n!r}")
+        if type(self.m) is not int or self.m < 1:
+            raise InvalidModelError(f"need at least one evidence proposition, got m={self.m!r}")
+        if self.m > MAX_EVIDENCE:
+            raise InvalidModelError(
+                f"m={self.m} exceeds the evidence cap {MAX_EVIDENCE} "
+                f"(audits enumerate 2**m subsets)"
+            )
+        nonzero: list[tuple[int, int, int, int]] = []  # (i, mask, p, q) of each nonzero p/q
+        for (i, mask), value in entries:
             numerator = value.numerator
             if numerator < 0:
                 raise InvalidModelError(
-                    f"negative atom probability {value} for ({i}, {signs_to_bits(signs)})"
+                    f"negative atom probability {value} for ({i}, {_mask_bits(mask, self.m)})"
                 )
             if numerator:
-                clean[key] = value
-                entries.append((i, entry[1], numerator, value.denominator))
-        denominators = dict.fromkeys([q for _, _, _, q in entries])  # in order of first appearance
+                nonzero.append((i, mask, numerator, value.denominator))
+        denominators = dict.fromkeys([q for _, _, _, q in nonzero])  # in order of first appearance
         scale = 1
         for q in denominators:
             if (scale := math.lcm(scale, q)).bit_length() > MAX_DENOMINATOR_BITS:
-                i, signs = next(key for key, value in clean.items() if value.denominator == q)
-                raise InvalidModelError(f"atom ({i}, {signs_to_bits(signs)}) takes the common "
+                i, mask = next((i, mask) for i, mask, _, d in nonzero if d == q)
+                raise InvalidModelError(f"atom ({i}, {_mask_bits(mask, self.m)}) takes the common "
                                         f"denominator past {MAX_DENOMINATOR_BITS} bits")
         factors = {q: scale // q for q in denominators}
         columns: dict[int, list[tuple[int, int]]] = {}
-        for i, mask, p, q in entries:
+        for i, mask, p, q in nonzero:
             columns.setdefault(i, []).append((mask, p * factors[q]))
         masses = {i: sum(num for _, num in column) for i, column in columns.items()}
         total = sum(masses.values())
         if total != scale:
             shown = _shown_total(Fraction(total, scale))
             raise InvalidModelError(f"atom probabilities total {shown}, expected exactly 1")
-        object.__setattr__(self, "atoms", MappingProxyType(clean))
         object.__setattr__(self, "denominator", scale)
         object.__setattr__(self, "_columns", {i: tuple(c) for i, c in columns.items()})
         object.__setattr__(self, "_masses", masses)
 
+    def __getattr__(self, name: str):
+        # Called only for a missing attribute: the atoms of a model made by
+        # _from_table, built here from the integer form on first read.
+        if name != "atoms":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        atoms = {
+            (i, tuple(bool(mask >> k & 1) for k in range(self.m))): Fraction(num, self.denominator)
+            for i, column in self._columns.items() for mask, num in column
+        }
+        object.__setattr__(self, "atoms", MappingProxyType(atoms))
+        return self.atoms
+
     def __repr__(self) -> str:
-        return f"Model(n={self.n}, m={self.m}, {len(self.atoms)} nonzero atoms)"
+        count = sum(map(len, self._columns.values()))
+        return f"Model(n={self.n}, m={self.m}, {count} nonzero atoms)"
 
     # -- lookups ---------------------------------------------------------
 
@@ -210,12 +253,20 @@ class Model:
         columns = self._columns.values() if i is None else (self._columns.get(i, ()),)
         return sum(num for column in columns for mask, num in column if mask & care == want)
 
-    def _numerator(self, event: Event, i: int | None = None) -> int:
-        """L * P(event), or L * P(event AND H_i) when ``i`` is given."""
+    def _masked_sums(self, care: int, want: int) -> dict[int, int]:
+        """:meth:`_masked_sum` AND H_i for every H_i that has atoms, from one scan."""
+        return {i: self._masked_sum(care, want, i) for i in self._columns}
+
+    def _event_masks(self, event: Event) -> tuple[int, int]:
+        """The ``(care, want)`` masks of a checked event: the bits it fixes, and those it sets."""
         self.validate_event(event)
         care = sum(1 << (j - 1) for j in event)
         want = sum(1 << (j - 1) for j, sign in event.items() if sign)
-        return self._masked_sum(care, want, i)
+        return care, want
+
+    def _numerator(self, event: Event, i: int | None = None) -> int:
+        """L * P(event), or L * P(event AND H_i) when ``i`` is given."""
+        return self._masked_sum(*self._event_masks(event), i)
 
     # -- marginals and conditionals --------------------------------------
 
@@ -250,10 +301,21 @@ class Model:
             )
         return Fraction(top, mass)
 
+    def posteriors(self, event: Event) -> Callable[[int], Fraction]:
+        """The function ``i -> P(H_i | event)``, from one scan of the atoms for
+        every hypothesis; it raises on an event of probability 0."""
+        joint = self._masked_sums(*self._event_masks(event))
+        total = sum(joint.values())
+
+        def posterior(i: int) -> Fraction:
+            self.check_hypothesis(i)
+            if total == 0:
+                raise ZeroProbabilityError("cannot condition on an event of probability 0")
+            return Fraction(joint.get(i, 0), total)
+
+        return posterior
+
     def posterior(self, event: Event, i: int) -> Fraction:
         """P(H_i | event) computed directly from the atom table."""
         self.check_hypothesis(i)
-        total = self._numerator(event)
-        if total == 0:
-            raise ZeroProbabilityError("cannot condition on an event of probability 0")
-        return Fraction(self._numerator(event, i), total)
+        return self.posteriors(event)(i)

@@ -34,10 +34,10 @@ def loads(text: str) -> Model:
     """Parse the model format.  Raises :class:`ModelFormatError` on grammar
     violations and :class:`InvalidModelError` on distribution violations."""
     n = m = None
-    atoms = {}
+    table = {}  # (i, mask) -> value, in file order
     # Per-file memos: each distinct index, bitstring and rational token is
     # parsed and checked once, at its first line; only checked results enter.
-    indices, signs_of, values = {}, {}, {}
+    indices, masks, values = {}, {}, {}
 
     def fail(message: str):
         raise ModelFormatError(f"line {lineno}: {message}")
@@ -72,13 +72,11 @@ def loads(text: str) -> Model:
                 if not 1 <= i <= n:
                     fail(f"hypothesis index {i} out of range 1..{n}")
                 indices[index] = i
-            signs = signs_of.get(bits)
-            if signs is None:
-                if len(bits) != m or bits.strip("01"):
-                    fail(f"bitstring {bits!r} must have length {m} over {{0,1}}")
-                signs = signs_of[bits] = tuple(map("1".__eq__, bits))
-            key = (i, signs)
-            if key in atoms:
+            mask = masks.get(bits)
+            if mask is None:
+                mask = masks[bits] = _mask(bits, m, fail)
+            key = (i, mask)
+            if key in table:
                 fail(f"duplicate atom ({i}, {bits})")
             value = values.get(rational)
             if value is None:
@@ -86,12 +84,12 @@ def loads(text: str) -> Model:
                     value = values[rational] = parse_rational(rational)
                 except ValueError as exc:
                     fail(str(exc))
-            atoms[key] = value
+            table[key] = value
         else:
             fail(f"unknown directive {keyword!r}")
     if n is None or m is None:
         raise ModelFormatError("missing 'hypotheses'/'evidence' headers")
-    return Model(n=n, m=m, atoms=atoms)
+    return Model._from_table(n, m, table)
 
 
 def _positive_int(tokens, fail):
@@ -110,6 +108,13 @@ def _integer(token, what, fail):
         fail(str(exc))
     except ValueError:
         fail(f"{what} is not an integer: {token!r}")
+
+
+def _mask(bits, m, fail):
+    """The evidence mask of a bitstring: bit k is character k."""
+    if len(bits) != m or bits.strip("01"):
+        fail(f"bitstring {bits!r} must have length {m} over {{0,1}}")
+    return int(bits[::-1], 2)
 
 
 def dumps(model: Model) -> str:

@@ -18,9 +18,46 @@ over the atom numerators, and one ``Fraction`` is built at the end.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 from .errors import DegeneratePriorError, ImpossibleEvidenceError
 from .model import Event, Model
+
+
+def odds_posteriors(model: Model, event: Event) -> Callable[[int], Fraction]:
+    """The function ``i -> P(H_i | event)`` of :func:`odds_posterior`, with
+    every hypothesis' masked sum of each literal taken in one scan of the atoms."""
+    model.validate_event(event)
+    literals = []
+    for j, sign in sorted(event.items()):
+        bit = 1 << (j - 1)
+        joint = model._masked_sums(bit, bit if sign else 0)
+        literals.append((j, sign, joint, sum(joint.values())))
+    L = model.denominator
+
+    def posterior(i: int) -> Fraction:
+        M = model.mass(i)
+        if event and M in (0, L):
+            raise DegeneratePriorError(
+                f"likelihood ratio for H{i} needs 0 < P(H{i}) < 1, got {M // L}"
+            )
+        for_h, against_h = M, L - M
+        for j, sign, joint, total in literals:
+            a = joint.get(i, 0)
+            b = total - a
+            if a == 0 and b == 0:
+                raise ImpossibleEvidenceError(
+                    f"E{j}={'1' if sign else '0'} has probability 0 both given H{i} and given not-H{i}"
+                )
+            for_h *= a * (L - M)
+            against_h *= b * M
+        if for_h == 0 and against_h == 0:
+            raise ImpossibleEvidenceError(
+                "evidence combination is impossible both given H and given not-H"
+            )
+        return Fraction(for_h, for_h + against_h)
+
+    return posterior
 
 
 def odds_posterior(model: Model, event: Event, i: int) -> Fraction:
@@ -36,26 +73,4 @@ def odds_posterior(model: Model, event: Event, i: int) -> Fraction:
     :meth:`Model.posterior` is guaranteed only when the model is conditionally
     independent given H_i and given not-H_i.
     """
-    model.validate_event(event)
-    L, M = model.denominator, model.mass(i)
-    if event and M in (0, L):
-        raise DegeneratePriorError(
-            f"likelihood ratio for H{i} needs 0 < P(H{i}) < 1, got {M // L}"
-        )
-    for_h, against_h = M, L - M
-    for j, sign in sorted(event.items()):
-        bit = 1 << (j - 1)
-        want = bit if sign else 0
-        a = model._masked_sum(bit, want, i)
-        b = model._masked_sum(bit, want) - a
-        if a == 0 and b == 0:
-            raise ImpossibleEvidenceError(
-                f"E{j}={'1' if sign else '0'} has probability 0 both given H{i} and given not-H{i}"
-            )
-        for_h *= a * (L - M)
-        against_h *= b * M
-    if for_h == 0 and against_h == 0:
-        raise ImpossibleEvidenceError(
-            "evidence combination is impossible both given H and given not-H"
-        )
-    return Fraction(for_h, for_h + against_h)
+    return odds_posteriors(model, event)(i)

@@ -1,17 +1,33 @@
+import contextlib
 import importlib
+import io
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 import _brute
-from oddsaudit import MAX_EVIDENCE, dump, dumps, from_conditionals, load, measurement_scenario
+from oddsaudit import (
+    MAX_EVIDENCE,
+    DegeneratePriorError,
+    ImpossibleEvidenceError,
+    ModelError,
+    ZeroProbabilityError,
+    dump,
+    dumps,
+    from_conditionals,
+    load,
+    measurement_scenario,
+)
 from oddsaudit import cli
 from oddsaudit.cli import main, parse_observation
 from oddsaudit.modelfile import MAX_HYPOTHESES
 
 from conftest import DEPENDENT_SPEC
 from test_audit import DEPENDENT_REPORT, GLYMOUR_REPORT
+from test_properties import odds_queries
 
 
 @pytest.fixture()
@@ -212,6 +228,186 @@ def test_posterior_degenerate_and_impossible(model_file, capsys):
     assert "P(H1)" in capsys.readouterr().err
     assert main(["posterior", path, "--observe", "E1=0", "--method", "exact", "-i", "1"]) == 2
     assert "probability 0" in capsys.readouterr().err
+
+
+# --- one pass over the atoms for every hypothesis ---------------------------------
+
+
+def _rescanned(model, event, i, method):
+    """P(H_i | event) as the per-hypothesis queries computed it before
+    ``posterior`` took every hypothesis from one pass: a rescan of the whole
+    model per hypothesis, and per literal on the odds route."""
+
+    def joint(care, want, hypotheses):
+        return sum(
+            num for h in hypotheses for mask, num in model.numerators(h) if mask & care == want
+        )
+
+    everyone, L, M = range(1, model.n + 1), model.denominator, model.mass(i)
+    if method == "exact":
+        care = sum(1 << (j - 1) for j in event)
+        want = sum(1 << (j - 1) for j, sign in event.items() if sign)
+        total = joint(care, want, everyone)
+        if total == 0:
+            raise ZeroProbabilityError("cannot condition on an event of probability 0")
+        return F(joint(care, want, [i]), total)
+    if event and M in (0, L):
+        raise DegeneratePriorError(
+            f"likelihood ratio for H{i} needs 0 < P(H{i}) < 1, got {M // L}"
+        )
+    for_h, against_h = M, L - M
+    for j, sign in sorted(event.items()):
+        bit = 1 << (j - 1)
+        a = joint(bit, bit if sign else 0, [i])
+        b = joint(bit, bit if sign else 0, everyone) - a
+        if a == 0 and b == 0:
+            raise ImpossibleEvidenceError(
+                f"E{j}={int(sign)} has probability 0 both given H{i} and given not-H{i}"
+            )
+        for_h *= a * (L - M)
+        against_h *= b * M
+    if for_h == 0 and against_h == 0:
+        raise ImpossibleEvidenceError(
+            "evidence combination is impossible both given H and given not-H"
+        )
+    return F(for_h, for_h + against_h)
+
+
+def _expected_run(model, event, method, targets, every):
+    """``(exit code, stdout, stderr)`` of a ``posterior`` run, from the
+    per-hypothesis queries: lines up to the first hypothesis without an answer."""
+    out = []
+    for i in targets:
+        try:
+            value = _rescanned(model, event, i, method)
+        except ModelError as exc:
+            return 2, "".join(out), f"error: {exc}\n"
+        out.append(f"H{i}: {value}\n" if every else f"{value}\n")
+    return 0, "".join(out), ""
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(odds_queries())
+def test_posterior_runs_equal_the_per_hypothesis_queries(tmp_path_factory, drawn):
+    """``posterior --all`` and ``-i``, exact and odds, print what the queries
+    that rescanned the model per hypothesis gave, byte for byte and up to
+    the same hypothesis when one has no answer, and those values are the
+    oracle's."""
+    model, event, _ = drawn
+    path = tmp_path_factory.mktemp("posterior") / "drawn.model"
+    dump(model, path)
+    observe = ",".join(f"E{j}={int(sign)}" for j, sign in event.items())
+    everyone = range(1, model.n + 1)
+    for method in ("exact", "odds"):
+        argv = ["posterior", str(path), "--observe", observe, "--method", method]
+        assert _run(argv + ["--all"]) == _expected_run(model, event, method, everyone, True)
+        for i in everyone:
+            assert _run(argv + ["-i", str(i)]) == _expected_run(model, event, method, [i], False)
+    atoms = dict(model.atoms)
+    for i in everyone:
+        if _brute.event_prob(atoms, event):
+            assert _rescanned(model, event, i, "exact") == _brute.posterior(atoms, event, i)
+        try:
+            expected = _brute.odds_posterior(atoms, event, i)
+        except _brute.DegeneratePrior:
+            with pytest.raises(DegeneratePriorError):
+                _rescanned(model, event, i, "odds")
+        except _brute.ImpossibleEvidence:
+            with pytest.raises(ImpossibleEvidenceError):
+                _rescanned(model, event, i, "odds")
+        else:
+            assert _rescanned(model, event, i, "odds") == expected
+
+
+#: H2 has no mass, so the odds route has no likelihood ratio for it.
+WITHOUT_H2 = "hypotheses 3\nevidence 1\natom 1 1 1/2\natom 3 0 1/2\n"
+#: E1=1 never holds with H2 and E2=1 only with it.
+E2_ONLY_WITH_H2 = (
+    "hypotheses 3\nevidence 2\natom 1 10 1/4\natom 2 01 1/4\natom 3 10 1/4\natom 3 00 1/4\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text,observe,method,out,message",
+    [
+        (WITHOUT_H2, "E1=1", "odds", "H1: 1\n",
+         "likelihood ratio for H2 needs 0 < P(H2) < 1, got 0"),
+        (E2_ONLY_WITH_H2, "E1=1,E2=1", "odds", "H1: 0\n",
+         "evidence combination is impossible both given H and given not-H"),
+        (E2_ONLY_WITH_H2, "E1=1,E2=1", "exact", "",
+         "cannot condition on an event of probability 0"),
+    ],
+)
+def test_posterior_all_stops_at_the_first_hypothesis_without_an_answer(
+    text, observe, method, out, message, model_file
+):
+    path = model_file("stops.model", text=text)
+    run = _run(["posterior", path, "--observe", observe, "--method", method, "--all"])
+    assert run == (2, out, f"error: {message}\n")
+    model = load(path)
+    event = parse_observation(observe, model.m)
+    assert run == _expected_run(model, event, method, range(1, model.n + 1), True)
+
+
+def test_a_posterior_too_long_to_print_is_refused_in_own_words(model_file):
+    """H3's posterior 1/q1 + 1/q2 has about 8000 digits, past the 4300-digit
+    limit of ``str(int)``, though the model is under the denominator cap."""
+    q1, q2 = 10**3999 + 1, 10**3999 + 3
+    path = model_file("long.model", text=(
+        f"hypotheses 3\nevidence 1\natom 1 0 {q1 - 2}/{2 * q1}\natom 2 1 {q2 - 2}/{2 * q2}\n"
+        f"atom 3 0 1/{q1}\natom 3 1 1/{q2}\n"
+    ))
+    message = "error: posterior of H3 has a numeral past the 4300-digit limit\n"
+    printed = f"H1: {F(q1 - 2, 2 * q1)}\nH2: {F(q2 - 2, 2 * q2)}\n"
+    for method in ("exact", "odds"):
+        assert _run(["posterior", path, "--method", method, "--all"]) == (2, printed, message)
+        only_h3 = ["posterior", path, "--method", method, "-i", "3", "--approx"]
+        assert _run(only_h3) == (2, "", message)
+
+
+def test_posterior_and_audit_read_only_the_integer_form(tmp_path, monkeypatch):
+    """Runs on a loaded file never build its ``atoms`` mapping, and
+    ``posterior --all`` visits each atom once, or once per literal on the
+    odds route."""
+    visits, loaded = Counter(), []
+
+    class Column(tuple):
+        def __iter__(self):
+            for mask, num in tuple.__iter__(self):
+                visits[self.i, mask] += 1
+                yield mask, num
+
+    def counted_load(path):
+        model = load(path)
+        columns = {i: Column(column) for i, column in model._columns.items()}
+        for i, column in columns.items():
+            column.i = i
+        object.__setattr__(model, "_columns", columns)
+        loaded.append(model)
+        return model
+
+    monkeypatch.setattr(cli, "load", counted_load)
+    model = from_conditionals(DEPENDENT_SPEC)
+    path = str(tmp_path / "dependent.model")
+    dump(model, path)
+    atoms = [(i, mask) for i in range(1, model.n + 1) for mask, _ in model.numerators(i)]
+    for observe, method, scans in (
+        ("", "exact", 1), ("E1=1,E2=0", "exact", 1), ("", "odds", 0), ("E2=1", "odds", 1),
+        ("E1=1,E2=0", "odds", 2),
+    ):
+        visits.clear()
+        assert main(["posterior", path, "--observe", observe, "--method", method, "--all"]) == 0
+        assert visits == Counter(dict.fromkeys(atoms, scans))
+    for argv in (["audit", path], ["audit", path, "--pairwise"], ["posterior", path, "-i", "2"]):
+        main(argv)
+    assert len(loaded) == 8 and not any("atoms" in vars(model) for model in loaded)
 
 
 # --- numerals past the digit limit ------------------------------------------------

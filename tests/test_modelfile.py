@@ -210,10 +210,11 @@ def test_equal_rationals_in_other_spellings_both_parse():
 
 def test_each_distinct_token_is_checked_once_per_file(monkeypatch):
     """A dense file repeats each bitstring n times and few values: each
-    distinct sign vector and rational token is checked once per load."""
+    distinct bitstring and rational token is checked once per load, and the
+    per-key sign check of ``Model(...)`` never runs on a file's keys."""
     from oddsaudit import model as model_module, modelfile
 
-    calls = {"signs": 0, "rational": 0}
+    calls = {"bitstring": 0, "signs": 0, "rational": 0}
 
     def counted(name, function):
         def wrapper(*args):
@@ -222,6 +223,7 @@ def test_each_distinct_token_is_checked_once_per_file(monkeypatch):
 
         return wrapper
 
+    monkeypatch.setattr(modelfile, "_mask", counted("bitstring", modelfile._mask))
     monkeypatch.setattr(model_module, "_check_signs", counted("signs", model_module._check_signs))
     monkeypatch.setattr(modelfile, "parse_rational", counted("rational", modelfile.parse_rational))
     text = "hypotheses 3\nevidence 3\n" + "".join(
@@ -230,6 +232,6 @@ def test_each_distinct_token_is_checked_once_per_file(monkeypatch):
         for mask in range(8)
     )
     for _ in range(2):  # nothing is kept from one load to the next
-        calls.update(signs=0, rational=0)
+        calls.update(bitstring=0, signs=0, rational=0)
         assert loads(text).denominator == 48
-        assert calls == {"signs": 8, "rational": 2}
+        assert calls == {"bitstring": 8, "signs": 0, "rational": 2}

@@ -1,5 +1,6 @@
-"""Property tests: the model file format round-trips, and a model is built
-only from canonical ``(i, signs)`` keys; the odds route equals an
+"""Property tests: the model file format round-trips, a loaded table equals
+the model built from its atoms, and a model is built only from canonical
+``(i, signs)`` keys; the odds route equals an
 independent oracle of the product rule; the whole-model audit equals the
 oracle's per-hypothesis verdicts; on product specs the
 audit is clean exactly when no hypothesis has two updating propositions, in
@@ -7,6 +8,7 @@ full and pairwise mode alike; and where only one proposition depends on the
 hypothesis, or the propositions update disjoint sets of hypotheses, the odds
 route equals direct conditioning."""
 
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import _brute
 from oddsaudit import (
+    MAX_EVIDENCE,
     ConditionalSpec,
     DegeneratePriorError,
     ImpossibleEvidenceError,
@@ -27,6 +30,7 @@ from oddsaudit import (
     from_conditionals,
     loads,
     odds_posterior,
+    signs_to_bits,
 )
 
 
@@ -61,6 +65,89 @@ def test_model_file_round_trips(model):
     assert all(value != "0" for *_, value in atoms)
     # Insertion order does not reach the canonical text.
     assert dumps(Model(n=model.n, m=model.m, atoms=dict(sorted(model.atoms.items())))) == text
+
+
+def _spelling(draw, value):
+    """``value`` as a rational token: ``p/q``, scaled, signed or bare."""
+    p, q = value.numerator, value.denominator
+    k = draw(st.integers(2, 5))
+    spellings = [f"{p}/{q}", f"{p * k}/{q * k}"]
+    if p >= 0:
+        spellings.append(f"+{p}/{q}")
+    if q == 1:
+        spellings.append(str(p))
+    if p == 0:
+        spellings += ["0", "-0", f"0/{k}", f"-0/{k}"]
+    return draw(st.sampled_from(spellings))
+
+
+@st.composite
+def model_tables(draw):
+    """``(kind, n, m, text, atoms)``: a model file and the atoms mapping it
+    states, key for key in line order; sparse or dense, hypotheses in any
+    order, zero atoms, values in other spellings, comments and blank lines.
+    Unless ``kind`` is "valid" the table is broken: one atom negative, a
+    total other than 1, denominators past the cap, or m past the evidence cap."""
+    broken = st.sampled_from(["negative", "total", "cap", "evidence"])
+    kind = draw(st.one_of(st.just("valid"), broken))
+    n = draw(st.integers(1, 4))
+    m = MAX_EVIDENCE + 1 if kind == "evidence" else draw(st.integers(1 + (kind == "cap"), 5))
+    signs = st.tuples(*[st.booleans()] * m)
+    if kind != "cap" and m <= 5 and draw(st.booleans()):
+        every = product(range(1, n + 1), product((False, True), repeat=m))
+        cells = draw(st.permutations(list(every)))
+    else:
+        cell = st.tuples(st.integers(1, n), signs)
+        cells = draw(st.lists(cell, min_size=4 if kind == "cap" else 1, max_size=20, unique=True))
+    weights = draw(st.lists(st.integers(0, 6), min_size=len(cells), max_size=len(cells)))
+    weights[0] += not any(weights)
+    values = [F(w, sum(weights)) for w in weights]
+    k = draw(st.integers(0, len(cells) - 1))
+    if kind == "negative":
+        values[k] = -values[k] or F(-1, 3)
+    elif kind == "total":
+        values[k] += F(1, draw(st.integers(1, 9)))
+    elif kind == "cap":  # three coprime ~13,300-bit denominators pass 2**15 bits; one twice
+        values[:4] = [F(1, 10**3999 + j) for j in (1, 3, 7, 7)]
+    noise = st.sampled_from(["", "   ", "# a comment", "\t# another"])
+    lines = [draw(noise), f"hypotheses {n}", draw(noise), f"evidence {m}"]
+    for (i, cell), value in zip(cells, values):
+        bits = "".join("1" if s else "0" for s in cell)
+        tail = draw(st.sampled_from(["", "  # note", "\t"]))
+        lines += [draw(noise)] * draw(st.integers(0, 1))
+        lines.append(f"atom {i} {bits} {_spelling(draw, value)}{tail}")
+    return kind, n, m, "\n".join(lines) + "\n", dict(zip(cells, values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_tables())
+def test_loaded_tables_equal_the_models_built_from_their_atoms(drawn):
+    """``loads`` builds the integer form straight from the file, with no sign
+    tuples: it equals ``Model(n, m, atoms)`` in atoms, ``L``, each column (as
+    a multiset) and each mass, and a broken table gets the same error type
+    and message from both."""
+    kind, n, m, text, atoms = drawn
+
+    def built(make):
+        try:
+            return make()
+        except InvalidModelError as exc:
+            return type(exc), str(exc)
+
+    expected, loaded = built(lambda: Model(n=n, m=m, atoms=atoms)), built(lambda: loads(text))
+    assert isinstance(expected, Model) == (kind == "valid")
+    if kind == "cap":  # the lcm passes the cap at the third atom, the first with its denominator
+        i, signs = list(atoms)[2]
+        named = f"atom ({i}, {signs_to_bits(signs)})"
+        assert expected[1] == f"{named} takes the common denominator past 32768 bits"
+    if kind != "valid":
+        assert loaded == expected
+        return
+    assert loaded.denominator == expected.denominator
+    for i in range(1, n + 1):
+        assert Counter(loaded.numerators(i)) == Counter(expected.numerators(i))
+        assert loaded.mass(i) == expected.mass(i)
+    assert loaded == expected
 
 
 @st.composite
