@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import InvalidModelError
-from .model import Model, _exact, _shown_total, sign_vectors
+from .model import Model, _exact, _shown_total
 
 
 @dataclass(frozen=True)
@@ -68,18 +68,15 @@ def from_conditionals(spec: ConditionalSpec) -> Model:
     every evidence subset is conditionally independent given each hypothesis
     with positive prior.
     """
-    atoms = {}
-    for i0, prior in enumerate(spec.priors):
-        if prior == 0:
-            continue
-        for signs in sign_vectors(spec.m):
-            value = prior
-            for j0, sign in enumerate(signs):
-                c = spec.cond[j0][i0]
-                value *= c if sign else 1 - c
-            if value:
-                atoms[(i0 + 1, signs)] = value
-    return Model(n=spec.n, m=spec.m, atoms=atoms)
+    table = {}
+    for i, prior in enumerate(spec.priors, 1):
+        column = {0: prior} if prior else {}  # mask -> value; each E_j splits every entry in two
+        for j0, row in enumerate(spec.cond):  # in place, so the masks come in sign_vectors order
+            bit, c, d = 1 << j0, row[i - 1], 1 - row[i - 1]
+            column = {key: v for mask, value in column.items()
+                      for key, v in ((mask, value * d), (mask | bit, value * c)) if v}
+        table.update(((i, mask), value) for mask, value in column.items())
+    return Model._from_table(spec.n, spec.m, table)
 
 
 _F = Fraction

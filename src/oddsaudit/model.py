@@ -104,13 +104,12 @@ class Model:
 
     ``atoms`` maps ``(i, signs)`` (an int in ``1..n``, a tuple of ``m`` bools;
     nothing else is accepted) to the atom probability; omitted atoms are zero.
-    Construction checks that values are nonnegative and total exactly 1, drops
-    zero entries, coerces values to ``Fraction`` and freezes the mapping.
-
-    Every query is an integer sum over :meth:`numerators`, the atoms scaled
-    by :attr:`denominator` ``L`` (the lcm of the atom denominators).  That
-    integer form is all a model read from a file builds; its ``atoms``
-    mapping is made from it when first read.
+    Construction checks that values are nonnegative and total exactly 1, and
+    keeps only the integer form: every query is an integer sum over
+    :meth:`numerators`, the nonzero atoms scaled by :attr:`denominator` ``L``
+    (the lcm of the atom denominators).  The caller's mapping is not kept;
+    ``atoms`` is a read-only view of the nonzero atoms, as ``Fraction``
+    values, built from the integer form when first read.
     """
 
     n: int
@@ -118,20 +117,14 @@ class Model:
     atoms: Mapping[AtomKey, Fraction]
 
     def __post_init__(self) -> None:
-        clean: dict[AtomKey, Fraction] = {}
-        self._build(self._checked_entries(clean))
-        object.__setattr__(self, "atoms", MappingProxyType(clean))
+        self._build(self._checked_entries())
+        object.__delattr__(self, "atoms")  # rebuilt from the integer form on first read
 
-    def _checked_entries(self, clean: dict) -> Iterator[tuple[tuple[int, int], Fraction]]:
+    def _checked_entries(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """Check :attr:`atoms` and then each key and value in turn, yielding it
-        as ``((i, mask), value)``; the nonzero ones are kept in ``clean``."""
+        as ``((i, mask), value)``."""
         if not isinstance(self.atoms, Mapping):
             raise InvalidModelError(f"atoms must be a mapping, got {type(self.atoms).__name__}")
-        # Each distinct sign tuple is checked and masked once, keyed by identity:
-        # unhashable signs are never hashed, an equal tuple of other types such as
-        # (1, 0) for (True, False) gets a check of its own, and as an entry holds
-        # its tuple, no other object can take that id while the memo lives.
-        checked: dict[int, tuple[Signs, int]] = {}
         bits = [1 << k for k in range(self.m)]
         for key, value in self.atoms.items():
             if type(key) is not tuple or len(key) != 2:
@@ -139,15 +132,10 @@ class Model:
             i, signs = key
             if type(i) is not int or not 1 <= i <= self.n:
                 raise InvalidModelError(f"hypothesis index out of range 1..{self.n}: {i!r}")
-            entry = checked.get(id(signs))
-            if entry is None:
-                _check_signs(signs, self.m, InvalidModelError)
-                entry = checked[id(signs)] = (signs, sum(compress(bits, signs)))
+            _check_signs(signs, self.m, InvalidModelError)
             if type(value) is not Fraction:
                 value = _exact(value, f"atom probability for ({i}, {signs_to_bits(signs)})")
-            if value:
-                clean[key] = value
-            yield (i, entry[1]), value
+            yield (i, sum(compress(bits, signs))), value
 
     @classmethod
     def _from_table(cls, n: int, m: int, table: Mapping[tuple[int, int], Fraction]) -> Model:
@@ -202,8 +190,7 @@ class Model:
         object.__setattr__(self, "_masses", masses)
 
     def __getattr__(self, name: str):
-        # Called only for a missing attribute: the atoms of a model made by
-        # _from_table, built here from the integer form on first read.
+        # Called only for a missing attribute: the atoms, built from the integer form on first read.
         if name != "atoms":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         atoms = {
@@ -212,6 +199,10 @@ class Model:
         }
         object.__setattr__(self, "atoms", MappingProxyType(atoms))
         return self.atoms
+
+    def __getstate__(self) -> dict:
+        # The atoms are only a view of the integer form, and a view cannot be pickled.
+        return {name: value for name, value in vars(self).items() if name != "atoms"}
 
     def __repr__(self) -> str:
         count = sum(map(len, self._columns.values()))

@@ -19,10 +19,11 @@ as a binary number, and omits zero atoms, so writing is byte-deterministic.
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import ModelFormatError
-from .model import Model, signs_to_bits
+from .model import Model, _mask_bits
 from .rational import NumeralLengthError, parse_integer, parse_rational
 
 #: Files declaring more hypotheses than this are refused: the audit does work
@@ -124,13 +125,13 @@ def dumps(model: Model) -> str:
     if model.n > MAX_HYPOTHESES:
         raise ModelFormatError(f"hypothesis count {model.n} exceeds the limit {MAX_HYPOTHESES}")
     lines = [f"hypotheses {model.n}", f"evidence {model.m}"]
-    # Sign tuples sort in bitstring order, since False < True.
-    for (i, signs), value in sorted(model.atoms.items()):
-        bits = signs_to_bits(signs)
-        try:
-            lines.append(f"atom {i} {bits} {value}")
-        except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
-            raise ModelFormatError(f"atom ({i}, {bits}) has too many digits to read back") from None
+    for i in range(1, model.n + 1):
+        # Equal-length bitstrings sort as the binary numbers they spell.
+        for bits, num in sorted((_mask_bits(mask, model.m), num) for mask, num in model.numerators(i)):
+            try:
+                lines.append(f"atom {i} {bits} {Fraction(num, model.denominator)}")
+            except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
+                raise ModelFormatError(f"atom ({i}, {bits}) has too many digits to read back") from None
     return "\n".join(lines) + "\n"
 
 

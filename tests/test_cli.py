@@ -13,6 +13,7 @@ from oddsaudit import (
     MAX_EVIDENCE,
     DegeneratePriorError,
     ImpossibleEvidenceError,
+    Model,
     ModelError,
     ZeroProbabilityError,
     dump,
@@ -372,11 +373,13 @@ def test_a_posterior_too_long_to_print_is_refused_in_own_words(model_file):
         assert _run(only_h3) == (2, "", message)
 
 
-def test_posterior_and_audit_read_only_the_integer_form(tmp_path, monkeypatch):
+def test_posterior_and_audit_read_only_the_integer_form(tmp_path, monkeypatch, capsys):
     """Runs on a loaded file never build its ``atoms`` mapping, and
     ``posterior --all`` visits each atom once, or once per literal on the
-    odds route."""
-    visits, loaded = Counter(), []
+    odds route.  No model that ``example``, ``scenario`` or a sweep's
+    witnesses write builds it either, and no ``Model(...)`` keeps one."""
+    assert "atoms" not in vars(Model(n=2, m=1, atoms={(1, (True,)): F(1, 2), (2, (False,)): F(1, 2)}))
+    visits, loaded, written = Counter(), [], []
 
     class Column(tuple):
         def __iter__(self):
@@ -408,6 +411,26 @@ def test_posterior_and_audit_read_only_the_integer_form(tmp_path, monkeypatch):
     for argv in (["audit", path], ["audit", path, "--pairwise"], ["posterior", path, "-i", "2"]):
         main(argv)
     assert len(loaded) == 8 and not any("atoms" in vars(model) for model in loaded)
+
+    def recorded(write):
+        def record(model, *args):
+            written.append(model)
+            return write(model, *args)
+        return record
+
+    monkeypatch.setattr(cli, "dump", recorded(dump))
+    monkeypatch.setattr(cli, "dumps", recorded(dumps))
+    for argv in (
+        ["example", "four"],
+        ["example", "glymour", "-o", str(tmp_path / "glymour.model")],
+        ["scenario", "--values", "0,1,2", "--weights", "1/2,1/4,1/4", "--noise", "0:1",
+         "--thresholds", "0,1", "-o", str(tmp_path / "scenario.model")],
+        ["sweep", "--n", "3", "--m", "2", "--denominator", "2", "--witness-dir", str(tmp_path / "w")],
+    ):
+        assert main(argv) == 0
+    witnesses = len(list((tmp_path / "w").iterdir()))
+    assert witnesses and len(written) == 3 + witnesses
+    assert not any("atoms" in vars(model) for model in written)
 
 
 # --- numerals past the digit limit ------------------------------------------------

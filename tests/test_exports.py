@@ -71,8 +71,9 @@ def test_only_a_sweep_imports_numpy(tmp_path):
 
 def test_package_has_no_dead_imports_or_private_names():
     """Every import in ``src/oddsaudit`` is used in its module, and every private
-    top-level function, class or constant is referenced somewhere in the
-    package; a name listed in ``__all__`` counts as used."""
+    top-level function, class or constant, private method of a class and
+    private attribute set with ``object.__setattr__`` is referenced somewhere
+    in the package; a name listed in ``__all__`` counts as used."""
     package = Path(oddsaudit.__file__).resolve().parent
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in package.glob("*.py")}
@@ -99,6 +100,10 @@ def test_package_has_no_dead_imports_or_private_names():
         for alias in node.names
     }
     dead = []
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
     for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -116,9 +121,26 @@ def test_package_has_no_dead_imports_or_private_names():
             else:
                 continue
             for name in defined:
-                private = name.startswith("_") and not name.startswith("__")
-                if private and name not in imported_anywhere and not any(
+                if private(name) and name not in imported_anywhere and not any(
                     name in names for names in used.values()
                 ):
                     dead.append(f"{module}: {name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                members = [
+                    (item.name, f"{node.name}.{item.name}")
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+            elif (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "object.__setattr__"
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                members = [(node.args[1].value, f"attribute {node.args[1].value}")]
+            else:
+                continue
+            for name, label in members:
+                if private(name) and not any(name in names for names in used.values()):
+                    dead.append(f"{module}: {label}")
     assert dead == []

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections.abc import Mapping
 from fractions import Fraction as F
@@ -12,6 +14,9 @@ from oddsaudit import (
     Side,
     ZeroProbabilityError,
     bits_to_signs,
+    dumps,
+    example_model,
+    loads,
     sign_vectors,
     signs_to_bits,
 )
@@ -206,6 +211,25 @@ def test_atom_checks_its_key():
 def test_models_compare_by_value(glymour):
     clone = Model(n=3, m=2, atoms=dict(_brute.GLYMOUR_RAW))
     assert clone == glymour
+
+
+def test_models_pickle_and_deep_copy():
+    """Constructed, loaded and product models survive ``pickle`` and
+    ``copy.deepcopy``, before and after their ``atoms`` view is built."""
+    makers = (
+        lambda: Model(n=2, m=2, atoms={(2, (T, N)): F(1, 3), (1, (N, T)): F(2, 3)}),
+        lambda: loads(dumps(example_model("four"))),
+        lambda: example_model("glymour"),
+    )
+    for make in makers:
+        for read_atoms in (False, True):
+            model = make()
+            if read_atoms:
+                assert model.atoms
+            for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+                assert dumps(clone) == dumps(model)
+                assert clone.denominator == model.denominator
+                assert clone == model
 
 
 def test_integer_form_matches_atoms():

@@ -1,6 +1,7 @@
 """Property tests: the model file format round-trips, a loaded table equals
 the model built from its atoms, and a model is built only from canonical
-``(i, signs)`` keys; the odds route equals an
+``(i, signs)`` keys; the product builder equals the oracle's product
+atoms; the odds route equals an
 independent oracle of the product rule; the whole-model audit equals the
 oracle's per-hypothesis verdicts; on product specs the
 audit is clean exactly when no hypothesis has two updating propositions, in
@@ -354,6 +355,48 @@ def test_product_models_are_independent_iff_updating_is_disjoint(spec):
     pairwise = not check_assumptions(model, pairwise=True).independence_violations
     disjoint = all(len(relevant) < 2 for relevant in report.relevance.values())
     assert full == pairwise == disjoint
+
+
+@st.composite
+def oracle_specs(draw):
+    """Product specs over n = 1..12 hypotheses and m = 1..6 propositions on a
+    grid of denominator 1..5, so that zero priors and 0/1 conditionals occur."""
+    n, m, d = draw(st.integers(1, 12)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    priors = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    rows = draw(st.lists(st.lists(st.integers(0, d), min_size=n, max_size=n), min_size=m, max_size=m))
+    return ConditionalSpec(
+        priors=tuple(F(p, sum(priors)) for p in priors),
+        cond=tuple(tuple(F(c, d) for c in row) for row in rows),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_specs())
+def test_product_builder_equals_the_oracle(spec):
+    """``from_conditionals`` builds the model of the oracle's nonzero product
+    atoms, and ``dumps`` writes its atoms sorted by ``(i, signs)``."""
+    model = from_conditionals(spec)
+    atoms = {key: value for key, value in _brute.product_atoms(spec.priors, spec.cond).items() if value}
+    assert model == Model(n=spec.n, m=spec.m, atoms=atoms)
+    lines = [f"hypotheses {spec.n}", f"evidence {spec.m}"]
+    lines += [f"atom {i} {signs_to_bits(signs)} {value}" for (i, signs), value in sorted(model.atoms.items())]
+    assert dumps(model) == "\n".join(lines) + "\n"
+
+
+def test_product_builder_refuses_the_atom_that_passes_the_denominator_cap():
+    """The product builder and ``Model`` over the oracle's atoms refuse the
+    same atom when the common denominator passes its cap."""
+    spec = ConditionalSpec(
+        priors=(F(1, 3),) * 3,
+        cond=((F(1, 3**4000), F(1, 5**3000), F(1, 7**2500)),
+              (F(1, 11**2000), F(1, 13**2000), F(1, 17**2000))),
+    )
+    atoms = {key: value for key, value in _brute.product_atoms(spec.priors, spec.cond).items() if value}
+    message = r"^atom \(3, 00\) takes the common denominator past 32768 bits$"
+    with pytest.raises(InvalidModelError, match=message):
+        from_conditionals(spec)
+    with pytest.raises(InvalidModelError, match=message):
+        Model(n=3, m=2, atoms=atoms)
 
 
 @st.composite
