@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .errors import DegeneratePriorError
 from .model import Model, Side
+from .rational import _rational_text
 
 _PARTITION_NOTE = (
     "exhaustive and mutually exclusive by construction; atom masses total exactly 1"
@@ -45,10 +46,9 @@ class IndependenceViolation:
 
     def describe(self) -> str:
         members = ",".join(f"E{j}" for j in self.subset)
-        return (
-            f"H{self.hypothesis} {self.side} {{{members}}}: "
-            f"joint={self.joint} product={self.product}"
-        )
+        name = f"H{self.hypothesis} {self.side} {{{members}}}"
+        joint, product = _rational_text(self.joint, name), _rational_text(self.product, name)
+        return f"{name}: joint={joint} product={product}"
 
 
 @dataclass(frozen=True)

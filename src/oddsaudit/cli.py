@@ -29,7 +29,7 @@ from .construct import EXAMPLE_NAMES, example_model, from_conditionals, measurem
 from .errors import ModelError, SweepLimitError
 from .model import Side
 from .modelfile import dump, dumps, load
-from .rational import NumeralLengthError, parse_integer, parse_rational
+from .rational import _rational_text, parse_integer, parse_rational
 from .sweep import (
     DEFAULT_MAX_MODELS, SweepConfig, SweepResult, spec_from_grid, sweep, witness_filename
 )
@@ -92,12 +92,7 @@ def _noise_map(text: str) -> dict[Fraction, Fraction]:
 
 
 def _format_value(value: Fraction, approx: bool, i: int) -> str:
-    try:
-        text = str(value)
-    except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
-        limit = sys.get_int_max_str_digits()
-        message = f"posterior of H{i} has a numeral past the {limit}-digit limit"
-        raise NumeralLengthError(message) from None
+    text = _rational_text(value, f"posterior of H{i}")
     if approx:
         text += f" (approx {float(value):.9g})"
     return text

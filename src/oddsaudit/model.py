@@ -98,74 +98,69 @@ def _mask_bits(mask: int, m: int) -> str:
     return format(mask, f"0{m}b")[::-1]
 
 
-@dataclass(frozen=True)
+def _checked_entries(n: int, m: int, atoms) -> Iterator[tuple[tuple[int, int], Fraction]]:
+    """Check ``atoms`` and then each key and value in turn, yielding it as ``((i, mask), value)``."""
+    if not isinstance(atoms, Mapping):
+        raise InvalidModelError(f"atoms must be a mapping, got {type(atoms).__name__}")
+    bits = [1 << k for k in range(m)]
+    for key, value in atoms.items():
+        if type(key) is not tuple or len(key) != 2:
+            raise InvalidModelError(f"atom key must be (i, signs): {key!r}")
+        i, signs = key
+        if type(i) is not int or not 1 <= i <= n:
+            raise InvalidModelError(f"hypothesis index out of range 1..{n}: {i!r}")
+        _check_signs(signs, m, InvalidModelError)
+        if type(value) is not Fraction:
+            value = _exact(value, f"atom probability for ({i}, {signs_to_bits(signs)})")
+        yield (i, sum(compress(bits, signs))), value
+
+
+@dataclass(frozen=True, init=False)
 class Model:
     """Exact joint distribution over ``n`` hypotheses and ``m`` evidence bits.
 
-    ``atoms`` maps ``(i, signs)`` (an int in ``1..n``, a tuple of ``m`` bools;
-    nothing else is accepted) to the atom probability; omitted atoms are zero.
-    Construction checks that values are nonnegative and total exactly 1, and
-    keeps only the integer form: every query is an integer sum over
-    :meth:`numerators`, the nonzero atoms scaled by :attr:`denominator` ``L``
-    (the lcm of the atom denominators).  The caller's mapping is not kept;
-    ``atoms`` is a read-only view of the nonzero atoms, as ``Fraction``
-    values, built from the integer form when first read.
+    ``Model(n, m, atoms)`` takes ``atoms`` mapping ``(i, signs)`` (an int in
+    ``1..n``, a tuple of ``m`` bools; nothing else is accepted) to the atom
+    probability; omitted atoms are zero.  Construction checks that values are
+    nonnegative and total exactly 1, and keeps only the integer form: every
+    query is an integer sum over :meth:`numerators`, the nonzero atoms scaled
+    by :attr:`denominator` ``L`` (the lcm of the atom denominators).  The
+    caller's mapping is not kept.  Equality and hash compare the integer
+    form, and :attr:`atoms` is a fresh read-only view of it on each read.
     """
 
     n: int
     m: int
-    atoms: Mapping[AtomKey, Fraction]
 
-    def __post_init__(self) -> None:
-        self._build(self._checked_entries())
-        object.__delattr__(self, "atoms")  # rebuilt from the integer form on first read
-
-    def _checked_entries(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
-        """Check :attr:`atoms` and then each key and value in turn, yielding it
-        as ``((i, mask), value)``."""
-        if not isinstance(self.atoms, Mapping):
-            raise InvalidModelError(f"atoms must be a mapping, got {type(self.atoms).__name__}")
-        bits = [1 << k for k in range(self.m)]
-        for key, value in self.atoms.items():
-            if type(key) is not tuple or len(key) != 2:
-                raise InvalidModelError(f"atom key must be (i, signs): {key!r}")
-            i, signs = key
-            if type(i) is not int or not 1 <= i <= self.n:
-                raise InvalidModelError(f"hypothesis index out of range 1..{self.n}: {i!r}")
-            _check_signs(signs, self.m, InvalidModelError)
-            if type(value) is not Fraction:
-                value = _exact(value, f"atom probability for ({i}, {signs_to_bits(signs)})")
-            yield (i, sum(compress(bits, signs))), value
+    def __init__(self, n: int, m: int, atoms: Mapping[AtomKey, Fraction]) -> None:
+        self._build(n, m, _checked_entries(n, m, atoms))
 
     @classmethod
     def _from_table(cls, n: int, m: int, table: Mapping[tuple[int, int], Fraction]) -> Model:
         """The model of ``{(i, mask): value}``, whose keys the caller has checked
-        (``1 <= i <= n``, ``0 <= mask < 2**m``); :attr:`atoms` is built when first read."""
+        (``1 <= i <= n``, ``0 <= mask < 2**m``)."""
         model = object.__new__(cls)
-        object.__setattr__(model, "n", n)
-        object.__setattr__(model, "m", m)
-        model._build(table.items())
+        model._build(n, m, table.items())
         return model
 
-    def _build(self, entries) -> None:
-        """Check ``n`` and ``m``, then set the integer form from ``((i, mask),
+    def _build(self, n: int, m: int, entries) -> None:
+        """Check ``n`` and ``m``, then set them and the integer form from ``((i, mask),
         value)`` entries with checked keys, refusing in order a negative value,
         a common denominator past :data:`MAX_DENOMINATOR_BITS` and a total other than 1."""
-        if type(self.n) is not int or self.n < 1:
-            raise InvalidModelError(f"need at least one hypothesis, got n={self.n!r}")
-        if type(self.m) is not int or self.m < 1:
-            raise InvalidModelError(f"need at least one evidence proposition, got m={self.m!r}")
-        if self.m > MAX_EVIDENCE:
+        if type(n) is not int or n < 1:
+            raise InvalidModelError(f"need at least one hypothesis, got n={n!r}")
+        if type(m) is not int or m < 1:
+            raise InvalidModelError(f"need at least one evidence proposition, got m={m!r}")
+        if m > MAX_EVIDENCE:
             raise InvalidModelError(
-                f"m={self.m} exceeds the evidence cap {MAX_EVIDENCE} "
-                f"(audits enumerate 2**m subsets)"
+                f"m={m} exceeds the evidence cap {MAX_EVIDENCE} (audits enumerate 2**m subsets)"
             )
         nonzero: list[tuple[int, int, int, int]] = []  # (i, mask, p, q) of each nonzero p/q
         for (i, mask), value in entries:
             numerator = value.numerator
             if numerator < 0:
                 raise InvalidModelError(
-                    f"negative atom probability {value} for ({i}, {_mask_bits(mask, self.m)})"
+                    f"negative atom probability {value} for ({i}, {_mask_bits(mask, m)})"
                 )
             if numerator:
                 nonzero.append((i, mask, numerator, value.denominator))
@@ -174,7 +169,7 @@ class Model:
         for q in denominators:
             if (scale := math.lcm(scale, q)).bit_length() > MAX_DENOMINATOR_BITS:
                 i, mask = next((i, mask) for i, mask, _, d in nonzero if d == q)
-                raise InvalidModelError(f"atom ({i}, {_mask_bits(mask, self.m)}) takes the common "
+                raise InvalidModelError(f"atom ({i}, {_mask_bits(mask, m)}) takes the common "
                                         f"denominator past {MAX_DENOMINATOR_BITS} bits")
         factors = {q: scale // q for q in denominators}
         columns: dict[int, list[tuple[int, int]]] = {}
@@ -185,24 +180,28 @@ class Model:
         if total != scale:
             shown = _shown_total(Fraction(total, scale))
             raise InvalidModelError(f"atom probabilities total {shown}, expected exactly 1")
-        object.__setattr__(self, "denominator", scale)
-        object.__setattr__(self, "_columns", {i: tuple(c) for i, c in columns.items()})
-        object.__setattr__(self, "_masses", masses)
+        vars(self).update(n=n, m=m, denominator=scale, _masses=masses,  # once: the class is frozen
+                          _columns={i: tuple(c) for i, c in columns.items()})
 
-    def __getattr__(self, name: str):
-        # Called only for a missing attribute: the atoms, built from the integer form on first read.
-        if name != "atoms":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        atoms = {
+    @property
+    def atoms(self) -> Mapping[AtomKey, Fraction]:
+        """A read-only view of the nonzero atoms, ``(i, signs) -> Fraction``,
+        built anew from the integer form on each read."""
+        return MappingProxyType({
             (i, tuple(bool(mask >> k & 1) for k in range(self.m))): Fraction(num, self.denominator)
             for i, column in self._columns.items() for mask, num in column
-        }
-        object.__setattr__(self, "atoms", MappingProxyType(atoms))
-        return self.atoms
+        })
 
-    def __getstate__(self) -> dict:
-        # The atoms are only a view of the integer form, and a view cannot be pickled.
-        return {name: value for name, value in vars(self).items() if name != "atoms"}
+    def _identity(self) -> tuple:
+        """What equal models share: ``n``, ``m``, ``L`` and each column as a set."""
+        columns = frozenset((i, frozenset(column)) for i, column in self._columns.items())
+        return self.n, self.m, self.denominator, columns
+
+    def __eq__(self, other) -> bool:
+        return self._identity() == other._identity() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
 
     def __repr__(self) -> str:
         count = sum(map(len, self._columns.values()))
@@ -225,7 +224,7 @@ class Model:
         """P(H_i AND the full conjunction described by ``signs``)."""
         self.check_hypothesis(i)
         _check_signs(signs, self.m, ValueError)
-        return self.atoms.get((i, signs), Fraction(0))
+        return self.joint_prob(dict(enumerate(signs, 1)), i)
 
     def numerators(self, i: int) -> tuple[tuple[int, int], ...]:
         """H_i's nonzero atoms as ``(mask, L * probability)`` pairs, ``L`` being

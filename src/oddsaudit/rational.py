@@ -30,6 +30,15 @@ def parse_integer(text: str) -> int:
     return int(text)
 
 
+def _rational_text(value: Fraction, what: str) -> str:
+    """``str(value)``; a numeral too long for ``str(int)`` is refused, naming ``what``."""
+    try:
+        return str(value)
+    except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise NumeralLengthError(f"{what} has a numeral past the {limit}-digit limit") from None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q`` or a bare integer written in base 10.
 

@@ -1,6 +1,9 @@
 import contextlib
+import copy
 import importlib
 import io
+import pickle
+import random
 import time
 from collections import Counter
 from fractions import Fraction as F
@@ -373,13 +376,31 @@ def test_a_posterior_too_long_to_print_is_refused_in_own_words(model_file):
         assert _run(only_h3) == (2, "", message)
 
 
+def test_an_audit_figure_too_long_to_print_is_refused_in_own_words(model_file):
+    """Eleven atoms of 1/q, each q a random 250-digit integer, and one that
+    closes the total: ``L`` has 9,080 bits, under the cap, but a violation's
+    product figure passes the 4300-digit limit of ``str(int)``."""
+    rng = random.Random(1)
+    values = [F(1, rng.randrange(10**249, 10**250)) for _ in range(11)]
+    values.append(1 - sum(values))
+    cells = [(i, bits) for i in range(1, 4) for bits in ("00", "01", "10", "11")]
+    path = model_file("long.model", text="hypotheses 3\nevidence 2\n" + "".join(
+        f"atom {i} {bits} {value}\n" for (i, bits), value in zip(cells, values)
+    ))
+    assert load(path).denominator.bit_length() == 9080
+    message = "error: H3 given-H {E1,E2} has a numeral past the 4300-digit limit\n"
+    for pairwise in ([], ["--pairwise"]):
+        assert _run(["audit", path, *pairwise]) == (2, "", message)
+
+
 def test_posterior_and_audit_read_only_the_integer_form(tmp_path, monkeypatch, capsys):
-    """Runs on a loaded file never build its ``atoms`` mapping, and
-    ``posterior --all`` visits each atom once, or once per literal on the
-    odds route.  No model that ``example``, ``scenario`` or a sweep's
-    witnesses write builds it either, and no ``Model(...)`` keeps one."""
-    assert "atoms" not in vars(Model(n=2, m=1, atoms={(1, (True,)): F(1, 2), (2, (False,)): F(1, 2)}))
-    visits, loaded, written = Counter(), [], []
+    """No CLI command, nor ``==``, ``hash``, ``atom``, ``pickle`` or
+    ``copy.deepcopy``, reads a model's ``atoms`` view (each read is counted),
+    and ``posterior --all`` visits each atom once, or once per literal on the
+    odds route."""
+    reads, visits, loaded, written = [], Counter(), [], []
+    view = Model.atoms
+    monkeypatch.setattr(Model, "atoms", property(lambda model: reads.append(model) or view.fget(model)))
 
     class Column(tuple):
         def __iter__(self):
@@ -410,7 +431,7 @@ def test_posterior_and_audit_read_only_the_integer_form(tmp_path, monkeypatch, c
         assert visits == Counter(dict.fromkeys(atoms, scans))
     for argv in (["audit", path], ["audit", path, "--pairwise"], ["posterior", path, "-i", "2"]):
         main(argv)
-    assert len(loaded) == 8 and not any("atoms" in vars(model) for model in loaded)
+    assert len(loaded) == 8 and reads == []
 
     def recorded(write):
         def record(model, *args):
@@ -429,8 +450,16 @@ def test_posterior_and_audit_read_only_the_integer_form(tmp_path, monkeypatch, c
     ):
         assert main(argv) == 0
     witnesses = len(list((tmp_path / "w").iterdir()))
-    assert witnesses and len(written) == 3 + witnesses
-    assert not any("atoms" in vars(model) for model in written)
+    assert witnesses and len(written) == 3 + witnesses and reads == []
+
+    constructed = Model(n=2, m=1, atoms={(1, (True,)): F(1, 2), (2, (False,)): F(1, 2)})
+    for built in (constructed, load(path), model, written[0]):
+        copies = [pickle.loads(pickle.dumps(built)), copy.deepcopy(built)]
+        assert all(clone == built and hash(clone) == hash(built) for clone in copies)
+        assert (built == constructed) == (built is constructed)
+        built.atom(1, (True,) * built.m)
+    assert reads == []
+    assert constructed.atoms and reads == [constructed]  # the counter counts
 
 
 # --- numerals past the digit limit ------------------------------------------------

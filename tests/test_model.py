@@ -215,7 +215,8 @@ def test_models_compare_by_value(glymour):
 
 def test_models_pickle_and_deep_copy():
     """Constructed, loaded and product models survive ``pickle`` and
-    ``copy.deepcopy``, before and after their ``atoms`` view is built."""
+    ``copy.deepcopy``, before and after their ``atoms`` view is read, and
+    hash as before."""
     makers = (
         lambda: Model(n=2, m=2, atoms={(2, (T, N)): F(1, 3), (1, (N, T)): F(2, 3)}),
         lambda: loads(dumps(example_model("four"))),
@@ -229,7 +230,26 @@ def test_models_pickle_and_deep_copy():
             for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
                 assert dumps(clone) == dumps(model)
                 assert clone.denominator == model.denominator
-                assert clone == model
+                assert clone == model and hash(clone) == hash(model)
+
+
+def test_reading_a_model_leaves_its_state_unchanged():
+    """A model's attributes are set once, when it is built: reading ``atoms``
+    or an atom, comparing and hashing add, drop or replace none of them."""
+    models = (
+        Model(n=2, m=2, atoms={(2, (T, N)): F(1, 3), (1, (N, T)): F(2, 3)}),
+        loads(dumps(example_model("four"))),
+        example_model("glymour"),
+    )
+    for model in models:
+        state = dict(vars(model))
+        assert model.atoms and model.atom(1, (N, T)) >= 0
+        assert model == copy.deepcopy(model) and model != 1
+        assert hash(model) == hash(model)
+        assert vars(model).keys() == state.keys()
+        assert all(vars(model)[name] is value for name, value in state.items())
+    with pytest.raises(AttributeError):
+        models[0].atoms = {}
 
 
 def test_integer_form_matches_atoms():

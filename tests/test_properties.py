@@ -1,4 +1,5 @@
-"""Property tests: the model file format round-trips, a loaded table equals
+"""Property tests: the model file format round-trips, models are equal
+exactly when their files are and equal models hash alike, a loaded table equals
 the model built from its atoms, and a model is built only from canonical
 ``(i, signs)`` keys; the product builder equals the oracle's product
 atoms; the odds route equals an
@@ -66,6 +67,61 @@ def test_model_file_round_trips(model):
     assert all(value != "0" for *_, value in atoms)
     # Insertion order does not reach the canonical text.
     assert dumps(Model(n=model.n, m=model.m, atoms=dict(sorted(model.atoms.items())))) == text
+
+
+@st.composite
+def model_pairs(draw):
+    """Two models over n = 1..3 and m = 1..2, each constructed, loaded or, for
+    a product table, built by ``from_conditionals``; both from one table or
+    from two, with explicit zero atoms, atoms in a shuffled order."""
+
+    def table():
+        if draw(st.booleans()):  # a product spec on a grid of denominator 1..2
+            n, d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+            priors = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any))
+            row = st.lists(st.integers(0, d), min_size=n, max_size=n)
+            rows = draw(st.lists(row, min_size=1, max_size=2))
+            spec = ConditionalSpec(
+                priors=tuple(F(p, sum(priors)) for p in priors),
+                cond=tuple(tuple(F(c, d) for c in row) for row in rows),
+            )
+            return spec.n, spec.m, _brute.product_atoms(spec.priors, spec.cond), spec
+        n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        cell = st.tuples(st.integers(1, n), st.tuples(*[st.booleans()] * m))
+        weights = draw(st.dictionaries(cell, st.integers(0, 2)).filter(lambda w: any(w.values())))
+        return n, m, {key: F(w, sum(weights.values())) for key, w in weights.items()}, None
+
+    def build(n, m, atoms, spec):
+        route = draw(st.sampled_from(["model", "file", "product"] if spec else ["model", "file"]))
+        order = draw(st.permutations(list(atoms)))
+        if route == "product":
+            return from_conditionals(spec)
+        if route == "model":
+            return Model(n, m, {key: atoms[key] for key in order})
+        lines = [f"atom {i} {signs_to_bits(signs)} {atoms[i, signs]}" for i, signs in order]
+        return loads("\n".join([f"hypotheses {n}", f"evidence {m}", *lines]) + "\n")
+
+    first = table()
+    return build(*first), build(*(first if draw(st.booleans()) else table()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_pairs())
+@example((Model(2, 1, {(1, (True,)): 1}), Model(3, 1, {(1, (True,)): 1})))  # n differs
+@example((Model(1, 1, {(1, (True,)): 1}), Model(1, 2, {(1, (True, False)): 1})))  # m differs
+def test_models_are_equal_iff_their_files_are_and_equal_models_hash_alike(pair):
+    """``==`` is the equality of the atoms (and of ``dumps``), equal models
+    hash alike, sets and dict keys merge exactly the equal models, and a model
+    never equals a non-model."""
+    a, b = pair
+    equal = dumps(a) == dumps(b)
+    assert (a == b) == (b == a) == (not a != b) == equal
+    assert equal == ((a.n, a.m, dict(a.atoms)) == (b.n, b.m, dict(b.atoms)))
+    if equal:
+        assert hash(a) == hash(b)
+    assert len({a, b}) == len({a: 0, b: 1}) == 2 - equal
+    assert {a: 0, b: 1}[a] == equal
+    assert a != 1 and not a == dumps(a) and a != (a.n, a.m)
 
 
 def _spelling(draw, value):
