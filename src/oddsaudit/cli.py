@@ -268,7 +268,17 @@ def _scenario_arguments(p) -> None:
     p.set_defaults(func=cmd_scenario)
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
+#: name -> (help line, function that gives the command's parser its arguments)
+_COMMANDS = {
+    "audit": ("check a model file against the updating assumptions", _audit_arguments),
+    "posterior": ("posterior probabilities for a model", _posterior_arguments),
+    "example": ("emit a bundled example model", _example_arguments),
+    "sweep": ("enumerate a conditional grid and verify single-updating", _sweep_arguments),
+    "scenario": ("build a two-instrument measurement model", _scenario_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oddsaudit",
         description=(
@@ -277,23 +287,28 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, help_line, add_arguments in (
-        ("audit", "check a model file against the updating assumptions", _audit_arguments),
-        ("posterior", "posterior probabilities for a model", _posterior_arguments),
-        ("example", "emit a bundled example model", _example_arguments),
-        ("sweep", "enumerate a conditional grid and verify single-updating", _sweep_arguments),
-        ("scenario", "build a two-instrument measurement model", _scenario_arguments),
-    ):
-        command = commands.add_parser(name, help=help_line)
-        if argv is None or name in argv:  # argparse runs a command that is one of argv's strings
-            add_arguments(command)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        add_arguments(commands.add_parser(name, help=help_line))
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with only the parser of the command
+    argv starts with: the tree hands it the rest by this same ``parse_known_args``.
+    An argv with leftover strings, or not led by a command, goes to the tree."""
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"oddsaudit {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, leftover = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not leftover:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

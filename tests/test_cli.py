@@ -1,12 +1,18 @@
+import argparse
 import contextlib
 import copy
 import importlib
 import io
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -802,12 +808,15 @@ def test_help_and_missing_command(capsys):
     capsys.readouterr()
 
 
-def test_commands_argv_does_not_name_change_nothing(glymour_file, tmp_path, monkeypatch, capsys):
-    """main() gives arguments only to the commands its argv names; every call
-    of a mixed sequence (help, usage errors before and after valid calls,
-    options before the command, ``--``) prints and exits exactly as on the
-    whole tree."""
-    sequence = [
+def test_each_call_answers_as_on_the_whole_tree(glymour_file, tmp_path, monkeypatch, capsys):
+    """main() parses a call led by a command with that command's parser alone;
+    every call of a mixed sequence (help, usage errors before and after valid
+    calls, leftover strings, options before the command, ``--``, abbreviations)
+    exits and prints exactly as when the whole tree parses it, at two widths."""
+    monkeypatch.chdir(tmp_path)
+    Path("audit").write_text(Path(glymour_file).read_text())  # a file named like a command
+    scenario = ["scenario", "--values", "0,1", "--weights", "1/2,1/2", "--noise", "0:1"]
+    calls = [
         ["--help"],
         ["posterior", "--help"],
         [],
@@ -820,25 +829,92 @@ def test_commands_argv_does_not_name_change_nothing(glymour_file, tmp_path, monk
         ["posterior", glymour_file, "--all", "--method", "odds", "--observe", "E1=1"],
         ["sweep", "--n", "3", "--m", "2", "--denominator", "2"],
         ["example", "four", "-o", str(tmp_path / "four.model")],
-        ["scenario", "--values", "0,1", "--weights", "1/2,1/2", "--noise", "0:1"],
+        scenario,
         ["posterior", glymour_file, "-i", "1", "--all"],
         [],
+        [""],
+        [*scenario, "--thresholds", "0,1", "-o", str(tmp_path / "scenario.model")],
+        *([name, "--help"] for name in cli._COMMANDS),
+        *([name] for name in cli._COMMANDS),
+        ["audit", glymour_file, "extra"],
+        ["audit", glymour_file, "--bogus"],
+        ["sweep", "--n", "3", "--m", "2", "--denominator", "1", "extra"],
+        ["posterior", glymour_file, "--all", "zzz"],
+        ["audit", "--", glymour_file],
+        ["audit", glymour_file, "--"],
+        ["posterior", glymour_file, "--", "--all"],
+        ["audit", "-h", glymour_file],
+        ["sweep", "--n", "3", "-h"],
+        ["audit", "--bogus", "-h"],
+        ["audit", glymour_file, "--pair"],
+        ["posterior", glymour_file, "--all", "--appr"],
+        ["posterior", glymour_file, "-i", "1", "--meth", "odds"],
+        ["posterior", glymour_file, "--observe=E1=1,E2=0", "--method=odds", "--all"],
+        ["sweep", "--n=3", "--m=2", "--denominator=1", "--max-models=100"],
+        ["posterior", glymour_file, "-i", "-1"],
+        ["audit", "audit"],
     ]
 
     def run_all():
         answers = []
-        for argv in sequence:
-            code = main(argv)
-            captured = capsys.readouterr()
-            answers.append((code, captured.out, captured.err))
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for argv in calls:
+                code = main(argv)
+                captured = capsys.readouterr()
+                answers.append((code, captured.out, captured.err))
         return answers
 
-    named = run_all()
-    whole = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=None: whole())
-    assert named == run_all()
-    assert [code for code, _, _ in named] == [0, 0, 2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 2, 2, 2]
-    assert "not allowed with argument" in named[6][2] == named[13][2]
-    assert "invalid int value: 'x'" in named[7][2]
-    assert "unrecognized arguments: --pairwise" in named[4][2]
-    assert "invalid choice: '--'" in named[5][2]
+    own = run_all()
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+    for argv, answer, whole in zip(calls * 2, own, run_all(), strict=True):
+        assert answer == whole, argv
+    assert [code for code, _, _ in own[:15]] == [0, 0, 2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 2, 2, 2]
+    assert "not allowed with argument" in own[6][2] == own[13][2]
+    assert "invalid int value: 'x'" in own[7][2]
+    assert "unrecognized arguments: --pairwise" in own[4][2]
+    assert "invalid choice: '--'" in own[5][2]
+    answers = dict(zip(map(tuple, calls), own))
+    assert [answers[name, "--help"][0] for name in cli._COMMANDS] == [0] * 5
+    assert [answers[(name,)][0] for name in cli._COMMANDS] == [2] * 5
+    assert answers["audit", "audit"][0] == answers["audit", glymour_file, "--"][0] == 0
+    assert answers["audit", "--bogus", "-h"][0] == 0
+    assert answers["audit", glymour_file, "extra"][2].startswith("usage: oddsaudit [-h]")
+    assert "unrecognized arguments: zzz" in answers["posterior", glymour_file, "--all", "zzz"][2]
+
+
+def test_a_call_led_by_a_command_builds_only_its_parser(glymour_file, monkeypatch, capsys):
+    """One parser for a call its command's parser reads whole; the tree's six
+    (itself and five commands) for one it does not, after that one parser when
+    strings are left over."""
+    spy = mock.Mock(wraps=argparse.ArgumentParser.__init__)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda *a, **kw: spy(*a, **kw))
+    cases = [
+        (["audit", glymour_file, "--pair"], 1),
+        (["posterior", glymour_file, "--appr", "--observe=E1=1", "--all"], 1),
+        (["example", "four"], 1),
+        (["sweep", "--n", "3", "--m", "2", "--denominator", "1"], 1),
+        (["scenario", "--values", "0"], 1),
+        (["--help"], 6),
+        ([], 6),
+        (["nosuch"], 6),
+        (["audit", glymour_file, "extra"], 1 + 6),
+    ]
+    for argv, parsers in cases:
+        spy.reset_mock()
+        main(argv)
+        assert spy.call_count == parsers, argv
+    capsys.readouterr()
+
+
+def test_a_fresh_process_answers_as_main(glymour_file, monkeypatch, capsys):
+    """``python -m oddsaudit.cli`` reads ``sys.argv`` and exits with main's code."""
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv in (["audit", glymour_file], ["audit", glymour_file, "--bogus"], ["--help"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "oddsaudit.cli", *argv], env=env, capture_output=True, text=True
+        )
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
