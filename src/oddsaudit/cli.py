@@ -141,7 +141,7 @@ def cmd_sweep(args) -> int:
     if args.witness_dir is not None:
         witness_dir, made = Path(args.witness_dir), False
 
-        def on_survivor(priors, digits):  # a refused sweep leaves no directory
+        def on_survivor(priors, digits):  # a refusal before any work makes no directory
             nonlocal made
             if not made:
                 witness_dir.mkdir(parents=True, exist_ok=True)

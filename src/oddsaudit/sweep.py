@@ -56,9 +56,10 @@ updating.  So the m = 2 sweep certifies every m: a violation at any m holds a
 clash, which is a violating m = 2 survivor on its own.
 
 Relabelling hypotheses (priors and columns together) keeps the counts, so
-each nonincreasing composition is counted once.  Survivors and violations are
-listed by a walk over each composition's grid rows, which must match its
-sorted form's counts; where the sorted form has clashes, the walk counts.
+each nonincreasing composition is checked and counted once.  Survivors and
+violations are listed by a walk over each composition's grid rows that reads
+its sorted form's check; it must match that form's counts, or count them
+where the form has clashes.
 
 Every identity term is at most D^5, so the arithmetic is int64 and
 :func:`sweep` refuses D > 6208 (D^5 >= 2^63), m > 16 (a Model's cap: every
@@ -199,15 +200,13 @@ def _identity(P, D, live, rows, X):
 def _pairs(P, D, c1):
     """Check every pair of shift classes of composition ``P`` over its columns of
     nonzero prior against their masks (bit k: the class updates the k-th one).
-    Returns the masks, the class sizes, each row's class and the clashes, pairs
-    p <= q that pass although their masks meet; disjoint masks that fail raise."""
+    Returns the representatives (least entry ``c1``, in grid order), their masks
+    and the clashes, pairs p <= q that pass although their masks meet; disjoint
+    masks that fail raise."""
     import numpy as np
     live = np.array([p for p in P if p], dtype=np.int64)
     rows = _rows(len(live), D, c1)
-    low = rows.min(axis=1) - c1  # each row is its class's representative plus low
-    unit = sum((D + 1 - c1) ** k for k in range(len(live)))  # index step of adding 1 to a row
-    classes = (np.cumsum(low == 0) - 1)[np.arange(len(rows)) - low * unit]
-    rows = rows[low == 0]
+    rows = rows[rows.min(axis=1) == c1]
     X = D * rows - (rows @ live)[:, None]
     mask = ((X != 0) & (live < D)) @ (1 << np.arange(len(live), dtype=np.int64))
     clashes = []
@@ -221,17 +220,17 @@ def _pairs(P, D, c1):
                 raise AssertionError(f"composition {P}: rows {a} and {b} of disjoint masks "
                                      "fail the pair identity")
             clashes.append((a, b))
-    return mask, D + 1 - rows.max(axis=1), classes, clashes
+    return rows, mask, clashes
 
 
-def _counts(P, m, D, c1):
+def _counts(P, m, D, check):
     """Grid models of sorted composition ``P`` that survive, that survive with
-    some hypothesis updated, and that survive with one updated twice (none);
-    None when ``P`` has clashes, and the walk that lists violations counts."""
-    mask, size, _, clashes = _pairs(P, D, c1)
+    some hypothesis updated, and that survive with one updated twice (none), by
+    its ``check``; None when it has clashes, and the walk that lists them counts."""
+    reps, mask, clashes = check
     if clashes:
         return None
-    histogram = Counter(mask.repeat(size).tolist())  # a class counts each of its rows
+    histogram = Counter(mask.repeat(D + 1 - reps.max(axis=1)).tolist())  # a class counts its rows
     quiet = histogram.pop(0, 0)
     # (union, k) -> ways to pick k rows of pairwise disjoint nonzero masks with that union
     sets = Counter({(0, 0): 1})
@@ -244,19 +243,23 @@ def _counts(P, m, D, c1):
     return [weight * survivors, weight * (survivors - quiet**m), 0]
 
 
-def _members(P, m, D, c1, listed):
+def _members(P, m, D, c1, check, listed):
     """Survivors of composition ``P`` in flat-index order, each with 0 or the
     lowest hypothesis that two rows update and the first two of them: a walk
     over grid rows extends a prefix by the rows that every prefix row joins,
-    by disjoint masks or a clash.  ``listed`` adds up their counts."""
+    by disjoint masks or a clash.  ``check`` is the sorted form's: its classes
+    read P's live columns in that form's order.  ``listed`` adds up the counts."""
     import numpy as np
-    mask, _, classes, clashes = _pairs(P, D, c1)
+    reps, mask, clashes = check
+    live = np.flatnonzero(P)
+    order = np.argsort(-np.asarray(P)[live], kind="stable")  # live[order]: sorted form's columns
+    mask = (mask[:, None] >> np.arange(len(live)) & 1) @ (1 << order)  # bit k: live[k] updated
     near = {}  # each clashing class's partners
     for a, b in clashes + [(b, a) for a, b in clashes]:
         near.setdefault(a, np.zeros(len(mask), dtype=bool))[b] = True
-    live = np.flatnonzero(P)
     grid_rows = _rows(len(P), D, c1)
-    node = classes[np.ravel_multi_index((grid_rows[:, live] - c1).T, (D + 1 - c1,) * len(live))]
+    ordered, place = grid_rows[:, live[order]], (D + 1 - c1) ** np.arange(len(live))[::-1]
+    node = np.searchsorted((reps - c1) @ place, (ordered - ordered.min(axis=1)[:, None]) @ place)
     masks, digits = mask[node], list(map(tuple, grid_rows.tolist()))
 
     def walk(prefix, allowed, union, twice):  # each (m-1)-row prefix and its last rows
@@ -307,18 +310,18 @@ def sweep(
     the prior compositions whose blocks fit in it whole, and only those are
     counted, so partial results stop at a composition boundary.  A D past
     6208 or a grid past 2^33 pair tests is refused the same way, with empty
-    tallies; m past 16 raises :class:`InvalidModelError`.
+    tallies; m past 16 raises :class:`InvalidModelError` before the budget.
     """
     if type(max_models) is not int or max_models < 0:
         raise InvalidModelError(f"max_models must be a non-negative int, got {max_models!r}")
     n, m, D = config.n, config.m, config.denominator
     c1 = config.require_condition1
+    if m > MAX_EVIDENCE:  # the walk runs m deep, and a witness is a Model
+        raise InvalidModelError(f"m={m} exceeds the evidence cap {MAX_EVIDENCE}")
     result = SweepResult()
     # (D+1)**(n*m) >= 2**(n*m) > max_models once n*m reaches its bit length.
     if n * m >= max_models.bit_length() or (block := (D + 1) ** (n * m)) > max_models:
         raise _budget_exhausted(max_models, result)
-    if m > MAX_EVIDENCE:  # the walk runs m deep, and a witness is a Model
-        raise InvalidModelError(f"m={m} exceeds the evidence cap {MAX_EVIDENCE}")
     if D**5 >= 2**63:  # an identity term would overflow int64
         raise SweepLimitError(f"denominator {D} is past the int64 kernel", partial=result)
     # The budget admits the first max_models // block compositions (a range, as
@@ -332,13 +335,13 @@ def sweep(
             if (tests := tests + rows * (rows + 1) // 2) > _MAX_PAIR_TESTS:
                 message = f"composition {P} brings the pair tests to {tests}"
                 raise SweepLimitError(f"{message}, past the cap {_MAX_PAIR_TESTS}", partial=result)
-    tallies = {P: _counts(P, m, D, c1) for P in stars}
+    tallies = {P: (check := _pairs(P, D, c1), _counts(P, m, D, check)) for P in stars}
 
     for _, P in zip(range(max_models // block), _compositions(n, D)):
-        counts = tallies.get(tuple(sorted(P, reverse=True)), [0, 0, 0])
+        check, counts = tallies.get(tuple(sorted(P, reverse=True)), (None, [0, 0, 0]))
         if counts is None or (on_survivor is not None and counts[0]):
             listed = [0, 0, 0]
-            for digits, clash in _members(P, m, D, c1, listed):
+            for digits, clash in _members(P, m, D, c1, check, listed):
                 if clash:
                     spec = spec_from_grid(P, digits, D)
                     result.theorem_violations.append(SweepViolation(spec, *clash))

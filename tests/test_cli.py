@@ -594,8 +594,8 @@ def test_sweep_reaches_grid_4_3_3(capsys):
 
 
 def test_sweep_budget_checked_before_enumerating_subsets(capsys):
-    # The grid holds 2**120 models; the budget refuses it before any pair test.
-    assert main(["sweep", "--n", "3", "--m", "40", "--denominator", "1"]) == 3
+    # The grid holds 2**128 models; the budget refuses it before any pair test.
+    assert main(["sweep", "--n", "8", "--m", "16", "--denominator", "1"]) == 3
     captured = capsys.readouterr()
     assert "budget" in captured.err
     assert "models-enumerated: 0" in captured.err
@@ -663,6 +663,16 @@ def test_refused_sweep_leaves_no_witness_dir(grid, code, tmp_path, capsys):
     assert main(["sweep", "--n", "3", *grid, "--witness-dir", str(wdir)]) == code
     assert not wdir.exists()
     capsys.readouterr()
+
+
+def test_budget_refused_sweep_keeps_the_witnesses_it_counted(tmp_path, capsys):
+    # The budget admits two of the six compositions; their survivors are written.
+    wdir = tmp_path / "witnesses"
+    argv = ["sweep", "--n", "3", "--m", "2", "--denominator", "2", "--max-models", "2000"]
+    assert main([*argv, "--witness-dir", str(wdir)]) == 3
+    err = capsys.readouterr().err
+    assert "models-satisfying-assumptions: 1134\n" in err
+    assert len(list(wdir.iterdir())) == 1134
 
 
 def test_sweep_without_survivors_still_makes_the_witness_dir(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import importlib
 import re
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from time import perf_counter
 
 import numpy as np
@@ -165,16 +165,22 @@ def test_sweep_matches_relevance_counts_on_large_grids(grid):
     assert not result.theorem_violations
 
 
+def row_classes(reps, rows, d, c1):
+    """Each row's shift class among the representatives ``reps`` of a pair
+    check over the same columns, looked up as the listing walk looks it up:
+    the row less its least entry, plus c1, by flat index in grid order."""
+    place = (d + 1 - c1) ** np.arange(reps.shape[1])[::-1]
+    return np.searchsorted((reps - c1) @ place, (rows - rows.min(axis=1)[:, None]) @ place)
+
+
 def graph_survives(priors, flat, n, m, d):
     """A spec's verdict read off its composition's pair check: the shift
     classes of every pair of its rows, over the columns of nonzero prior, have
     disjoint masks or are a clash."""
-    mask, _, classes, clashes = sweep_module._pairs(priors, d, False)
+    reps, mask, clashes = sweep_module._pairs(priors, d, False)
     live = [i for i, p in enumerate(priors) if p]
-    nodes = [
-        classes[sum(flat[j * n + i] * (d + 1) ** (len(live) - 1 - k) for k, i in enumerate(live))]
-        for j in range(m)
-    ]
+    rows = np.array([[flat[j * n + i] for i in live] for j in range(m)])
+    nodes = row_classes(reps, rows, d, False).tolist()
     return all(
         not mask[a] & mask[b] or (min(a, b), max(a, b)) in clashes
         for a, b in combinations(nodes, 2)
@@ -261,8 +267,10 @@ def test_object_kernel_matches_int64_kernel(grid):
             continue
         live = [p for p in P if p]
         for c1 in (False, True):
-            mask, _, classes, clashes = sweep_module._pairs(P, d, c1)
-            rows = sweep_module._rows(len(live), d, c1).astype(object)
+            reps, mask, clashes = sweep_module._pairs(P, d, c1)
+            rows = sweep_module._rows(len(live), d, c1)
+            classes = row_classes(reps, rows, d, c1)
+            rows = rows.astype(object)
             t = rows @ np.array(live, dtype=object)
             T = (rows * np.array(live, dtype=object)) @ rows.T
             exact = np.ones((len(rows), len(rows)), dtype=bool)
@@ -292,20 +300,24 @@ def test_every_row_has_its_shift_class_x_and_mask(grid):
     tests one row per shift class, the one whose least entry is c1.  On every
     composition, with and without ``require_condition1``: each grid row is its
     class's representative plus a constant, with the representative's X and
-    mask; the classes number (D+1-c1)^w - (D-c1)^w over w live columns; and
-    their weights, D + 1 less the representative's largest entry, count the
-    rows of each class and add up to (D+1-c1)^w."""
+    mask; the classes number (D+1-c1)^w - (D-c1)^w over w live columns, their
+    representatives in grid order; and their weights, D + 1 less the
+    representative's largest entry, count the rows of each class and add up
+    to (D+1-c1)^w."""
     n, _, d = grid
     for P in compositions(d, n):
         live = np.array([p for p in P if p])
         w = len(live)
         for c1 in (False, True):
-            mask, weight, classes, clashes = sweep_module._pairs(P, d, c1)
+            representatives, mask, clashes = sweep_module._pairs(P, d, c1)
+            weight = d + 1 - representatives.max(axis=1)  # the class sizes, as _counts takes them
             rows = np.array(list(product(range(c1, d + 1), repeat=w)))
+            classes = row_classes(representatives, rows, d, c1)
             X = d * rows - (rows @ live)[:, None]
             bits = ((X != 0) & (live < d)) @ (1 << np.arange(w))
             reps = np.flatnonzero(rows.min(axis=1) == c1)
             assert len(mask) == len(weight) == len(reps) == (d + 1 - c1) ** w - (d - c1) ** w
+            assert np.array_equal(representatives, rows[reps]), (P, c1)
             shift = rows - rows[reps][classes]
             assert (shift == shift[:, :1]).all() and (shift >= 0).all(), (P, c1)
             assert np.array_equal(X, X[reps][classes]), (P, c1)
@@ -342,6 +354,9 @@ def test_evidence_past_the_model_cap_is_refused(monkeypatch):
     for m in (17, 1000):
         with pytest.raises(InvalidModelError, match=f"^m={m} exceeds the evidence cap 16"):
             sweep(SweepConfig(3, m, 1), max_models=10**1000)
+    # The cap comes before the budget, which the default would exhaust at m = 17.
+    with pytest.raises(InvalidModelError, match="^m=17 exceeds the evidence cap 16"):
+        sweep(SweepConfig(3, 17, 1))
 
 
 def pair_tests(n, d, c1):
@@ -500,6 +515,101 @@ def test_budget_bounds_the_kernel(monkeypatch):
         sweep(SweepConfig(3, 2, 2), max_models=3**6)
     assert info.value.partial.models_enumerated == 3**6
     assert seen == {(2, 0, 0)}
+
+
+@pytest.mark.parametrize("grid", [(3, 2, 4, False), (3, 2, 4, True), (4, 2, 3, False)])
+def test_each_sorted_composition_is_checked_once(grid, monkeypatch):
+    """A sweep that lists its survivors runs the pair check once for each
+    sorted composition it admits, and on no other composition: counting and
+    listing both read that one check."""
+    n, m, d, c1 = grid
+    calls, original = [], sweep_module._pairs
+
+    def spy(P, *args):
+        calls.append(P)
+        return original(P, *args)
+
+    monkeypatch.setattr(sweep_module, "_pairs", spy)
+    listed = []
+    result = sweep(SweepConfig(n, m, d, c1), on_survivor=lambda p, c: listed.append(p))
+    assert len(listed) == result.models_satisfying_all > 0
+    assert {P for P in listed if P != tuple(sorted(P, reverse=True))}  # unsorted ones are listed
+    stars = {tuple(sorted(P, reverse=True)) for P in compositions(d, n) if not (c1 and 0 in P)}
+    assert sorted(calls) == sorted(stars)
+    assert all(list(P) == sorted(P, reverse=True) for P in calls)
+
+
+@pytest.mark.parametrize("n, d", [(3, 5), (4, 3)])
+def test_relabelled_classes_are_the_sorted_forms(n, d):
+    """Relabelling hypotheses maps a composition's classes onto its sorted
+    form's, which is what lets the walk read the sorted form's check: on every
+    composition, with and without ``require_condition1``, the check finds no
+    clash, and each representative with its live columns in the sorted order
+    (stable by descending prior) is a representative of the sorted form, with
+    the same mask once its bits are moved the same way."""
+    for P in compositions(d, n):
+        live = [i for i in range(n) if P[i]]
+        order = sorted(range(len(live)), key=lambda k: -P[live[k]])  # sorted bit j: order[j]
+        star = tuple(sorted(P, reverse=True))
+        for c1 in (False, True):
+            reps, mask, clashes = sweep_module._pairs(P, d, c1)
+            star_reps, star_mask, _ = sweep_module._pairs(star, d, c1)
+            assert clashes == [], (P, c1)
+            index = {row: k for k, row in enumerate(map(tuple, star_reps.tolist()))}
+            found = [index[tuple(row)] for row in reps[:, order].tolist()]
+            assert sorted(found) == list(range(len(star_reps))), (P, c1)
+            moved = [
+                sum((bits >> k & 1) << j for j, k in enumerate(order)) for bits in mask.tolist()
+            ]
+            assert star_mask[found].tolist() == moved, (P, c1)
+
+
+@pytest.mark.parametrize("star, d", [((2, 1, 0), 3), ((2, 1, 1, 0), 4)])
+def test_an_injected_clash_is_named_on_every_relabelling(star, d, monkeypatch):
+    """One meeting pair of classes of a sorted composition with a zero, made
+    to pass its identity, is a clash that every permutation of it lists: the
+    specs with a row of each class, whose live columns, in the sorted order
+    (ties kept in column order), are the class's representative plus a
+    constant.  Each violation names the lowest hypothesis that both rows
+    update and the two rows, as the oracle's updating sets do, in grid order.
+    On (2, 1, 1, 0) the pair's masks differ and meet on two bits, so the name
+    depends on moving the sorted form's mask bits back to P's columns."""
+    n, m = len(star), 2
+    reps, mask, clashes = sweep_module._pairs(star, d, False)
+    assert clashes == []
+    meeting = [
+        (a, b) for a, b in combinations(range(len(mask)), 2)
+        if bin(int(mask[a] & mask[b])).count("1") == 2
+    ]
+    a, b = min(meeting, key=lambda pair: mask[pair[0]] == mask[pair[1]])  # masks differ if any do
+    pass_one_pair(monkeypatch, a, b, True, star)
+    result = sweep(SweepConfig(n, m, d))
+    listed = [
+        (tuple(p * d for p in v.spec.priors), tuple(c * d for row in v.spec.cond for c in row),
+         v.hypothesis, v.evidence)
+        for v in result.theorem_violations
+    ]
+    expected = []
+    for P in compositions(d, n):
+        if tuple(sorted(P, reverse=True)) != star:
+            continue
+        columns = sorted((i for i in range(n) if P[i]), key=lambda i: -P[i])
+        zeros = [i for i in range(n) if not P[i]]
+        sides = []
+        for rep in (reps[a].tolist(), reps[b].tolist()):
+            free = product(range(d + 1), repeat=len(zeros))
+            rows = [
+                dict(zip(columns, (x + shift for x in rep))) | dict(zip(zeros, values))
+                for shift, values in product(range(d + 1 - max(rep)), free)
+            ]
+            sides.append([tuple(row[i] for i in range(n)) for row in rows])
+        pairs = list(product(*sides))
+        for flat in sorted([x + y for x, y in pairs] + [y + x for x, y in pairs]):
+            sets = _brute.grid_updating_sets(P, flat, n, m, d)
+            first = min(i for i in sets if len(sets[i]) >= 2)
+            expected.append((P, flat, first, tuple(sorted(sets[first])[:2])))
+    assert {P for P, *_ in expected} == set(permutations(star))
+    assert listed == expected
 
 
 def test_compositions_come_in_the_product_order():
@@ -673,20 +783,22 @@ def test_cli_lists_violations_and_exits_1(monkeypatch, capsys):
     assert len(violations) > 0
 
 
-def pass_one_pair(monkeypatch, a, b, passes):
-    """Patch the identity of composition (1, 1, 1) so that the pair of shift
+def pass_one_pair(monkeypatch, a, b, passes, star=(1, 1, 1)):
+    """Patch the identity of composition ``star`` so that the pair of shift
     classes a < b passes it or fails it."""
 
     def edit(P, s, ok):
-        if P == (1, 1, 1) and s <= a < s + len(ok):
+        if P == star and s <= a < s + len(ok):
             ok[a - s, b - s] = passes
 
     patch_identity(monkeypatch, edit)
 
 
-def class_rows(classes, p, d):
-    """The grid rows of shift class ``p`` of composition (1, 1, 1), as digit
-    tuples in grid order; the first is the class's representative."""
+def class_rows(reps, p, d):
+    """The grid rows of shift class ``p`` of composition (1, 1, 1), whose
+    check found the representatives ``reps``, as digit tuples in grid order;
+    the first is the class's representative."""
+    classes = row_classes(reps, sweep_module._rows(3, d, False), d, False)
     return [
         tuple(r // (d + 1) ** (2 - k) % (d + 1) for k in range(3))
         for r in np.flatnonzero(classes == p).tolist()
@@ -701,15 +813,15 @@ def test_an_injected_clashing_edge_is_reported(m, monkeypatch):
     specs holding a row of each class."""
     d = 3
     clean = sweep(SweepConfig(3, m, d))
-    mask, _, classes, clashes = sweep_module._pairs((1, 1, 1), d, False)
+    reps, mask, clashes = sweep_module._pairs((1, 1, 1), d, False)
     assert clashes == []  # so every pair of meeting masks fails the identity
     a, b = next((a, b) for a, b in combinations(range(len(mask)), 2) if mask[a] & mask[b])
     pass_one_pair(monkeypatch, a, b, True)
-    assert sweep_module._pairs((1, 1, 1), d, False)[3] == [(a, b)]
+    assert sweep_module._pairs((1, 1, 1), d, False)[2] == [(a, b)]
     result = sweep(SweepConfig(3, m, d))
     violations = result.theorem_violations
     assert len(violations) == result.models_satisfying_all - clean.models_satisfying_all > 0
-    rows = [[tuple(F(c, d) for c in row) for row in class_rows(classes, p, d)] for p in (a, b)]
+    rows = [[tuple(F(c, d) for c in row) for row in class_rows(reps, p, d)] for p in (a, b)]
     assert len(rows[0]) * len(rows[1]) > 1  # a class of several rows is reported whole
     shared = int(mask[a] & mask[b])
     for v in violations:
@@ -728,10 +840,10 @@ def test_a_missing_edge_fails_loudly(monkeypatch):
     composition and the two representative rows, instead of counting fewer
     survivors."""
     d = 3
-    mask, _, classes, _ = sweep_module._pairs((1, 1, 1), d, False)
+    reps, mask, _ = sweep_module._pairs((1, 1, 1), d, False)
     a, b = next((a, b) for a, b in combinations(range(len(mask)), 2) if not mask[a] & mask[b])
     pass_one_pair(monkeypatch, a, b, False)
-    rows = [class_rows(classes, p, d)[0] for p in (a, b)]
+    rows = [class_rows(reps, p, d)[0] for p in (a, b)]
     message = f"composition (1, 1, 1): rows {rows[0]} and {rows[1]} of disjoint masks fail"
     with pytest.raises(AssertionError, match=re.escape(message)):
         sweep(SweepConfig(3, 2, d))
