@@ -53,7 +53,7 @@ from .sweep import (
     sweep,
     witness_filename,
 )
-from .updating import odds_posterior
+from .updating import odds_posteriors
 
 __version__ = "0.1.0"
 
@@ -88,7 +88,7 @@ __all__ = [
     "load",
     "loads",
     "measurement_scenario",
-    "odds_posterior",
+    "odds_posteriors",
     "parse_rational",
     "render_report",
     "sign_vectors",

@@ -183,36 +183,33 @@ def check_assumptions(model: Model, *, pairwise: bool = False) -> AuditReport:
     the assumptions.
 
     The tables are local to the run: the whole model's ``T`` once, then one
-    ``g`` per hypothesis of nonzero mass, read for relevance
+    ``g`` per hypothesis of prior strictly between 0 and 1, read for relevance
     (``g[{j}] * L != T[{j}] * L * P(H_i)``) and condition 1, walked given H
     and, as ``T - g``, given not-H.  On a cell's table, J factorizes iff
-    ``g[J] * g[{}]**(|J|-1) == prod_{j in J} g[{j}]``.  Every empty cell's
-    complement is the whole model, whose walk runs at most once.
+    ``g[J] * g[{}]**(|J|-1) == prod_{j in J} g[{j}]``.  A cell of prior 0 (1)
+    has only its given-not-H (given-H) side, which is ``T``, walked at most once.
     """
     L, m, hypotheses = model.denominator, model.m, range(1, model.n + 1)
     totals = _superset_sums(model, hypotheses)
-    whole_model = None  # failing subsets of T, once some cell is empty
+    degenerate = frozenset(i for i in hypotheses if model.mass(i) in (0, L))
+    whole_model = _failing_subsets(list(totals), m, pairwise) if degenerate else []
     found: list[IndependenceViolation] = []
     relevance = dict.fromkeys(hypotheses, frozenset())
     corner = dict.fromkeys(hypotheses, 0)  # L * P(H_i and every E_j true)
     for i in hypotheses:
         mass = model.mass(i)
-        if mass == 0:
-            if whole_model is None:
-                whole_model = _failing_subsets(list(totals), m, pairwise)
-            found += (IndependenceViolation(i, Side.GIVEN_NOT_H, *f) for f in whole_model)
-            continue
-        table = _superset_sums(model, (i,))
-        corner[i] = table[-1]  # read before the walk overwrites it
-        sides = [(Side.GIVEN_H, table)]
-        if mass != L:
-            relevance[i] = frozenset(
-                j + 1 for j in range(m) if table[1 << j] * L != totals[1 << j] * mass
-            )
-            sides.append((Side.GIVEN_NOT_H, list(map(operator.sub, totals, table))))
-        for side, cells in sides:
-            failing = _failing_subsets(cells, m, pairwise)
-            found += (IndependenceViolation(i, side, *f) for f in failing)
+        if i in degenerate:  # one nonempty side, whose table is T
+            corner[i] = totals[-1] if mass else 0
+            walks = [(Side.GIVEN_H if mass else Side.GIVEN_NOT_H, whole_model)]
+        else:
+            table = _superset_sums(model, (i,))
+            corner[i] = table[-1]  # read before the walk overwrites it
+            relevance[i] = frozenset(j + 1 for j in range(m)
+                                     if table[1 << j] * L != totals[1 << j] * mass)
+            complement = list(map(operator.sub, totals, table))
+            walks = [(side, _failing_subsets(cells, m, pairwise))
+                     for side, cells in ((Side.GIVEN_H, table), (Side.GIVEN_NOT_H, complement))]
+        found += (IndependenceViolation(i, side, *f) for side, rows in walks for f in rows)
     violations = tuple(found)
 
     return AuditReport(
@@ -221,7 +218,7 @@ def check_assumptions(model: Model, *, pairwise: bool = False) -> AuditReport:
         pairwise=pairwise,
         independence_violations=violations,
         relevance=relevance,
-        degenerate_hypotheses=frozenset(i for i in hypotheses if model.mass(i) in (0, L)),
+        degenerate_hypotheses=degenerate,
         condition1_failures=tuple(i for i in hypotheses if not corner[i]) if totals[-1] else None,
         theorem=_theorem_outcome(model.n, violations, relevance),
     )
@@ -242,9 +239,10 @@ def check_pair_identities(model: Model, j: int, k: int) -> PairIdentities:
     bracket i is ``(A M_i - a_i L)(B M_i - b_i L) / (L M_i)^2``, and the
     marginals factorize iff ``AB = CL``.
     """
+    model.validate_event({j: True})  # each on its own: True == 1 would merge the keys
+    model.validate_event({k: True})
     if j == k:
         raise ValueError(f"need two distinct evidence indices, got j=k={j}")
-    model.validate_event({j: True, k: True})
     L = model.denominator
     bits = (1 << (j - 1), 1 << (k - 1), 1 << (j - 1) | 1 << (k - 1))
     sums = {}

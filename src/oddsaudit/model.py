@@ -2,8 +2,9 @@
 
 A :class:`Model` fixes ``n`` mutually exclusive, jointly exhaustive
 hypotheses ``H_1..H_n`` and ``m`` binary evidence propositions ``E_1..E_m``,
-and stores the exact probability of every atom ``H_i AND E_1^{s_1} AND ...
-AND E_m^{s_m}`` (an atom pins the truth value of every proposition).  The
+and keeps the exact probability of every nonzero atom ``H_i AND E_1^{s_1} AND
+... AND E_m^{s_m}`` (an atom pins the truth value of every proposition) as an
+integer numerator over one common denominator ``L``.  The
 partition structure is therefore built in: exhaustiveness and exclusivity are
 properties of the representation, not runtime checks, and the complement of a
 hypothesis is always the union of the remaining cells.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product, repeat
@@ -80,10 +82,9 @@ def _exact(value, what: str) -> Fraction:
         return value
     if isinstance(value, float):
         raise InvalidModelError(f"{what} must be exact (int or Fraction), got float {value!r}")
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidModelError(f"{what} is not a rational value: {value!r}") from exc
+    if not isinstance(value, numbers.Rational):  # text goes through rational.parse_rational
+        raise InvalidModelError(f"{what} is not a rational value: {value!r}")
+    return Fraction(value)
 
 
 def _shown_total(total: Fraction) -> Fraction | str:
@@ -254,10 +255,6 @@ class Model:
         want = sum(1 << (j - 1) for j, sign in event.items() if sign)
         return care, want
 
-    def _numerator(self, event: Event, i: int | None = None) -> int:
-        """L * P(event), or L * P(event AND H_i) when ``i`` is given."""
-        return self._masked_sum(*self._event_masks(event), i)
-
     # -- marginals and conditionals --------------------------------------
 
     def prior(self, i: int) -> Fraction:
@@ -266,12 +263,12 @@ class Model:
 
     def event_prob(self, event: Event) -> Fraction:
         """P(event): mass of all atoms consistent with every literal."""
-        return Fraction(self._numerator(event), self.denominator)
+        return Fraction(self._masked_sum(*self._event_masks(event)), self.denominator)
 
     def joint_prob(self, event: Event, i: int) -> Fraction:
         """P(event AND H_i)."""
         self.check_hypothesis(i)
-        return Fraction(self._numerator(event, i), self.denominator)
+        return Fraction(self._masked_sum(*self._event_masks(event), i), self.denominator)
 
     def cond(self, event: Event, i: int, side: Side) -> Fraction:
         """P(event | H_i) or P(event | not-H_i), per ``side``.
@@ -281,9 +278,10 @@ class Model:
         """
         if not isinstance(side, Side):
             raise ValueError(f"side must be a Side member, got {side!r}")
-        mass, top = self.mass(i), self._numerator(event, i)
+        mass, masks = self.mass(i), self._event_masks(event)
+        top = self._masked_sum(*masks, i)
         if side is Side.GIVEN_NOT_H:
-            mass, top = self.denominator - mass, self._numerator(event) - top
+            mass, top = self.denominator - mass, self._masked_sum(*masks) - top
         if mass == 0:
             raise ZeroProbabilityError(
                 f"cannot condition on {'H' if side is Side.GIVEN_H else 'not-H'}{i}: "
@@ -292,8 +290,9 @@ class Model:
         return Fraction(top, mass)
 
     def posteriors(self, event: Event) -> Callable[[int], Fraction]:
-        """The function ``i -> P(H_i | event)``, from one scan of the atoms for
-        every hypothesis; it raises on an event of probability 0."""
+        """The function ``i -> P(H_i | event)`` by direct conditioning, from one scan
+        of the atoms; the event is checked here, ``i`` on each call, which raises
+        on an event of probability 0."""
         joint = self._masked_sums(*self._event_masks(event))
         total = sum(joint.values())
 
@@ -304,8 +303,3 @@ class Model:
             return Fraction(joint.get(i, 0), total)
 
         return posterior
-
-    def posterior(self, event: Event, i: int) -> Fraction:
-        """P(H_i | event) computed directly from the atom table."""
-        self.check_hypothesis(i)
-        return self.posteriors(event)(i)

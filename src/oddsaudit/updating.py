@@ -25,8 +25,19 @@ from .model import Event, Model
 
 
 def odds_posteriors(model: Model, event: Event) -> Callable[[int], Fraction]:
-    """The function ``i -> P(H_i | event)`` of :func:`odds_posterior`, with
-    every hypothesis' masked sum of each literal taken in one scan of the atoms."""
+    """The function ``i -> P(H_i | event)`` via the odds-product scheme.
+
+    One likelihood pair per literal of ``event``, in index order, each from one
+    scan of the atoms for every hypothesis; unobserved propositions contribute
+    nothing.  With no literals this is exactly the prior.  A literal needs
+    0 < P(H_i) < 1 (else :class:`DegeneratePriorError`) and a nonzero
+    probability on at least one side (else :class:`ImpossibleEvidenceError`);
+    a product of ``(0, 0)`` means the combination is impossible both given H_i
+    and given not-H_i, also an :class:`ImpossibleEvidenceError`.  The event is
+    checked here, ``i`` on each call.  Exact agreement with
+    :meth:`Model.posteriors` is guaranteed only when the model is
+    conditionally independent given H_i and given not-H_i.
+    """
     model.validate_event(event)
     literals = []
     for j, sign in sorted(event.items()):
@@ -58,19 +69,3 @@ def odds_posteriors(model: Model, event: Event) -> Callable[[int], Fraction]:
         return Fraction(for_h, for_h + against_h)
 
     return posterior
-
-
-def odds_posterior(model: Model, event: Event, i: int) -> Fraction:
-    """Posterior P(H_i | event) via the odds-product scheme.
-
-    One likelihood pair per literal of ``event``, in index order; unobserved
-    propositions contribute nothing.  With no literals this is exactly the
-    prior.  A literal needs 0 < P(H_i) < 1 (else :class:`DegeneratePriorError`)
-    and a nonzero probability on at least one side (else
-    :class:`ImpossibleEvidenceError`); a product of ``(0, 0)`` means the
-    combination is impossible both given H_i and given not-H_i, also an
-    :class:`ImpossibleEvidenceError`.  Exact agreement with
-    :meth:`Model.posterior` is guaranteed only when the model is conditionally
-    independent given H_i and given not-H_i.
-    """
-    return odds_posteriors(model, event)(i)

@@ -20,7 +20,7 @@ from oddsaudit import (
     from_conditionals,
     loads,
     measurement_scenario,
-    odds_posterior,
+    odds_posteriors,
     sign_vectors,
     spec_from_grid,
     sweep,
@@ -78,7 +78,7 @@ def test_criterion_3_modified_counterexample(modified):
     assert audit.independence_violations == ()
     assert audit.condition1_failures == ()
     conjunction = {1: T, 2: T}
-    posteriors = [modified.posterior(conjunction, i) for i in (1, 2, 3)]
+    posteriors = [modified.posteriors(conjunction)(i) for i in (1, 2, 3)]
     assert posteriors == [F(1, 2), F(1, 3), F(1, 6)]
     assert all(p != 0 for p in posteriors)
     # updating still occurs, through the second proposition
@@ -141,7 +141,7 @@ def test_criterion_7_oracle_equivalence(sweep_records, glymour, modified, four):
             if model.event_prob(event) == 0:
                 continue
             for i in nondegenerate:
-                assert odds_posterior(model, event, i) == model.posterior(event, i)
+                assert odds_posteriors(model, event)(i) == model.posteriors(event)(i)
                 count += 1
         return count
 

@@ -326,12 +326,16 @@ def test_identities_match_the_papers_formulas():
 
 
 def test_identities_error_order_and_messages():
-    """j == k is refused first, then a bad index, then the first degenerate prior."""
+    """A bad index is refused first, each on its own (a bool is no index, though
+    True == 1), then j == k, then the first degenerate prior."""
     zero_second = Model(n=3, m=2, atoms={(1, (T, T)): F(1, 2), (3, (N, T)): F(1, 2)})
     with pytest.raises(ValueError, match="got j=k=1"):
         check_pair_identities(zero_second, 1, 1)
     with pytest.raises(ValueError, match=r"out of range 1\.\.2: 3"):
         check_pair_identities(zero_second, 1, 3)
+    for j, k in ((1, True), (True, 1), (True, True)):
+        with pytest.raises(ValueError, match=r"^evidence index out of range 1\.\.2: True$"):
+            check_pair_identities(zero_second, j, k)
     with pytest.raises(DegeneratePriorError, match=r"^pair identities need 0 < P\(H2\) < 1, got 0$"):
         check_pair_identities(zero_second, 1, 2)
     certain_first = Model(n=3, m=2, atoms={(1, (T, N)): F(1, 3), (1, (N, T)): F(2, 3)})
@@ -402,9 +406,9 @@ def test_audits_leave_the_model_as_built():
         assert vars(model) == built
 
 
-def test_whole_audit_builds_one_table_per_hypothesis_with_mass(monkeypatch):
+def test_whole_audit_builds_one_table_per_hypothesis_of_prior_between_0_and_1(monkeypatch):
     """One superset-sum table for the whole model and one for each hypothesis
-    of nonzero prior (prior 1 included); the empty cells build none."""
+    of prior strictly between 0 and 1; cells of prior 0 or 1 build none."""
     spy = mock.Mock(wraps=audit._superset_sums)
     monkeypatch.setattr(audit, "_superset_sums", spy)
     rng = random.Random(11)
@@ -415,11 +419,33 @@ def test_whole_audit_builds_one_table_per_hypothesis_with_mass(monkeypatch):
         Model(n=1024, m=16, atoms={(1, (T,) * 16): 1}),
     ]
     for model in models:
-        with_mass = sum(model.mass(i) > 0 for i in range(1, model.n + 1))
+        L = model.denominator
+        between = sum(0 < model.mass(i) < L for i in range(1, model.n + 1))
         for pairwise in (False, True):
             spy.reset_mock()
             check_assumptions(model, pairwise=pairwise)
-            assert spy.call_count == 1 + with_mass
+            assert spy.call_count == 1 + between
+
+
+def test_prior_one_and_empty_cells_share_one_whole_model_walk(monkeypatch):
+    """H1 holds all the mass and its evidence is dependent: its given-H side,
+    like the empty cells' given-not-H side, is the whole model, walked once."""
+    spy = mock.Mock(wraps=audit._failing_subsets)
+    monkeypatch.setattr(audit, "_failing_subsets", spy)
+    model = Model(n=3, m=3, atoms={(1, (T, T, N)): F(1, 2), (1, (N, N, T)): F(1, 2)})
+    for pairwise in (False, True):
+        spy.reset_mock()
+        report = check_assumptions(model, pairwise=pairwise)
+        assert spy.call_count == 1
+        figures = {
+            (i, side): [(v.subset, v.joint, v.product) for v in side_violations(report, i, side)]
+            for i in (1, 2, 3) for side in Side
+        }
+        assert figures[1, Side.GIVEN_H]
+        assert figures[1, Side.GIVEN_NOT_H] == figures[2, Side.GIVEN_H] == []
+        assert figures[1, Side.GIVEN_H] == figures[2, Side.GIVEN_NOT_H] == figures[3, Side.GIVEN_NOT_H]
+        assert report.degenerate_hypotheses == {1, 2, 3}
+        assert report.relevance == dict.fromkeys((1, 2, 3), frozenset())
 
 
 def test_mode_validation(glymour):

@@ -1,7 +1,10 @@
 import random
+import time
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import product
 
+import numpy as np
 import pytest
 
 import _brute
@@ -69,6 +72,29 @@ def test_spec_validation():
         ConditionalSpec(priors=(F(1),), cond=((F(1, 2), F(1, 2)),))  # row length
     with pytest.raises(InvalidModelError):
         ConditionalSpec(priors=(0.5, 0.5), cond=((F(1), F(1)),))  # float
+
+
+def test_values_are_rationals_and_never_text():
+    """``Model``, ``ConditionalSpec`` and ``measurement_scenario`` take ints,
+    ``Fraction``s and numpy integers; text and ``Decimal``s are refused at once
+    whatever their exponent (``Fraction("1e-10000000")`` takes seconds), so a
+    numeral is read only by ``parse_rational``."""
+    huge = "1e-10000000"
+    builders = (
+        lambda v: Model(1, 1, {(1, (T,)): v, (1, (N,)): 1}),
+        lambda v: ConditionalSpec(priors=(v, 1), cond=((0, 0),)),
+        lambda v: measurement_scenario([v, 1], [F(1, 2)] * 2, {0: 1}, bool, bool),
+    )
+    started = time.perf_counter()
+    for value in (huge, Decimal(huge), Decimal(0), "\u0661/\u0662", "\uff11", "1_000", " 3 ", "0"):
+        for build in builders:
+            with pytest.raises(InvalidModelError, match=r" is not a rational value: "):
+                build(value)
+    assert time.perf_counter() - started < 1
+    for value in (0, F(0), np.int64(0), False):
+        assert Model(1, 1, {(1, (T,)): value, (1, (N,)): 1}).prior(1) == 1
+        assert ConditionalSpec(priors=(value, 1), cond=((0, 0),)).priors == (0, 1)
+        assert measurement_scenario([value, 1], [F(1, 2)] * 2, {0: 1}, bool, bool).n == 2
 
 
 def test_spec_priors_total_too_long_to_print_is_still_a_model_error():

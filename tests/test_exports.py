@@ -13,7 +13,7 @@ PUBLIC_NAMES = (
     "ModelError ModelFormatError PairIdentities Side SweepConfig SweepLimitError SweepResult "
     "SweepViolation TheoremOutcome ZeroProbabilityError bits_to_signs check_assumptions "
     "check_pair_identities dump dumps example_model from_conditionals load loads "
-    "measurement_scenario odds_posterior parse_rational render_report sign_vectors "
+    "measurement_scenario odds_posteriors parse_rational render_report sign_vectors "
     "signs_to_bits spec_from_grid sweep witness_filename"
 ).split()
 

@@ -17,6 +17,7 @@ from oddsaudit import (
     dumps,
     example_model,
     loads,
+    odds_posteriors,
     sign_vectors,
     signs_to_bits,
 )
@@ -284,7 +285,7 @@ def test_queries_match_oracle_on_sparse_models():
                 if model.prior(i) != 1:
                     assert model.cond(event, i, Side.GIVEN_NOT_H) == _brute.cond_not_h(raw, event, i)
                 if model.event_prob(event) != 0:
-                    assert model.posterior(event, i) == _brute.posterior(raw, event, i)
+                    assert model.posteriors(event)(i) == _brute.posterior(raw, event, i)
 
 
 # --- prior -------------------------------------------------------------------
@@ -371,6 +372,18 @@ def test_cond_zero_mass_is_an_error_not_a_sentinel():
         model.cond({1: T}, 1, "given-H")  # not a Side member
 
 
+def test_error_order_with_a_bad_hypothesis_and_a_bad_event(glymour):
+    """``cond`` and ``joint_prob`` check the hypothesis first; both posterior
+    functions check the event when built, before they are asked for any i."""
+    with pytest.raises(IndexError, match="hypothesis index out of range 1..3: 0"):
+        glymour.cond({9: T}, 0, Side.GIVEN_NOT_H)
+    with pytest.raises(IndexError, match="hypothesis index out of range 1..3: 0"):
+        glymour.joint_prob({9: T}, 0)
+    for posteriors in (glymour.posteriors, lambda event: odds_posteriors(glymour, event)):
+        with pytest.raises(ValueError, match="evidence index out of range 1..2: 9"):
+            posteriors({9: T})
+
+
 def test_cond_mixture_recovers_event_prob(glymour, modified, four):
     rng = random.Random(13)
     models = [glymour, modified, four] + [random_model(rng, 3, 2) for _ in range(10)]
@@ -390,16 +403,16 @@ def test_cond_mixture_recovers_event_prob(glymour, modified, four):
 
 
 def test_posterior_values(glymour, modified):
-    assert glymour.posterior({1: T, 2: T}, 1) == 1  # only H1 has mass on E1E2
-    assert modified.posterior({1: T, 2: T}, 1) == F(1, 2)
+    assert glymour.posteriors({1: T, 2: T})(1) == 1  # only H1 has mass on E1E2
+    assert modified.posteriors({1: T, 2: T})(1) == F(1, 2)
     for i in (1, 2, 3):
-        assert glymour.posterior({}, i) == glymour.prior(i)
+        assert glymour.posteriors({})(i) == glymour.prior(i)
 
 
 def test_posterior_zero_event_is_an_error():
     model = single_atom_model()
     with pytest.raises(ZeroProbabilityError):
-        model.posterior({1: N}, 1)
+        model.posteriors({1: N})(1)
 
 
 def test_posteriors_sum_to_one(glymour, modified, four):
@@ -409,10 +422,10 @@ def test_posteriors_sum_to_one(glymour, modified, four):
         for event in _brute.all_events(model.m):
             if model.event_prob(event) == 0:
                 continue
-            assert sum(model.posterior(event, i) for i in range(1, model.n + 1)) == 1
+            assert sum(model.posteriors(event)(i) for i in range(1, model.n + 1)) == 1
 
 
 def test_results_are_canonical(glymour):
-    for value in (glymour.prior(1), glymour.event_prob({1: T}), glymour.posterior({1: T}, 2)):
+    for value in (glymour.prior(1), glymour.event_prob({1: T}), glymour.posteriors({1: T})(2)):
         assert F(value.numerator, value.denominator) == value
         assert value.denominator > 0

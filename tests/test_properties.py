@@ -31,7 +31,7 @@ from oddsaudit import (
     dumps,
     from_conditionals,
     loads,
-    odds_posterior,
+    odds_posteriors,
     signs_to_bits,
 )
 
@@ -294,12 +294,12 @@ def test_odds_route_matches_the_product_rule_oracle(drawn):
         expected = _brute.odds_posterior(dict(model.atoms), event, i)
     except _brute.DegeneratePrior:
         with pytest.raises(DegeneratePriorError):
-            odds_posterior(model, event, i)
+            odds_posteriors(model, event)(i)
     except _brute.ImpossibleEvidence:
         with pytest.raises(ImpossibleEvidenceError):
-            odds_posterior(model, event, i)
+            odds_posteriors(model, event)(i)
     else:
-        assert odds_posterior(model, event, i) == expected
+        assert odds_posteriors(model, event)(i) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -377,7 +377,7 @@ def test_one_varying_row_odds_route_is_exact(spec):
         for i in range(1, model.n + 1):
             if model.prior(i) in (0, 1):
                 continue
-            assert odds_posterior(model, event, i) == model.posterior(event, i)
+            assert odds_posteriors(model, event)(i) == model.posteriors(event)(i)
 
 
 @st.composite
@@ -505,4 +505,4 @@ def test_disjoint_updating_audits_clean_and_odds_are_exact(drawn):
         if model.event_prob(event) == 0:
             continue
         for i in range(1, model.n + 1):
-            assert odds_posterior(model, event, i) == model.posterior(event, i)
+            assert odds_posteriors(model, event)(i) == model.posteriors(event)(i)

@@ -12,7 +12,7 @@ from oddsaudit import (
     Side,
     ZeroProbabilityError,
     from_conditionals,
-    odds_posterior,
+    odds_posteriors,
 )
 
 from test_model import random_model, single_atom_model, sparse_model
@@ -28,9 +28,9 @@ COLLAPSE_SPEC = ConditionalSpec(
 
 
 def outcome(model, event, i):
-    """The value of ``odds_posterior``, or its exception's type and message."""
+    """The value of ``odds_posteriors(model, event)(i)``, or its exception's type and message."""
     try:
-        return odds_posterior(model, event, i)
+        return odds_posteriors(model, event)(i)
     except (DegeneratePriorError, ImpossibleEvidenceError) as exc:
         return type(exc), str(exc)
 
@@ -40,48 +40,48 @@ def outcome(model, event, i):
 
 def test_prior_odds_values(glymour, four):
     # With no literals the odds stay (P(H_i), P(not-H_i)).
-    assert odds_posterior(glymour, {}, 1) == F(1, 3)
-    assert odds_posterior(four, {}, 3) == F(1, 4)
-    assert odds_posterior(single_atom_model(), {}, 1) == 1
+    assert odds_posteriors(glymour, {})(1) == F(1, 3)
+    assert odds_posteriors(four, {})(3) == F(1, 4)
+    assert odds_posteriors(single_atom_model(), {})(1) == 1
     with pytest.raises(IndexError):
-        odds_posterior(glymour, {}, 0)
+        odds_posteriors(glymour, {})(0)
 
 
 def test_odds_pair_posterior(glymour):
     # Infinite odds (P(E2 | H1), P(E2 | not-H1)) = (1, 0), and zero odds for H2.
-    assert odds_posterior(glymour, {2: T}, 1) == 1
-    assert odds_posterior(glymour, {2: T}, 2) == 0
-    assert odds_posterior(glymour, {2: T, 1: N}, 3) == 0
+    assert odds_posteriors(glymour, {2: T})(1) == 1
+    assert odds_posteriors(glymour, {2: T})(2) == 0
+    assert odds_posteriors(glymour, {2: T, 1: N})(3) == 0
 
 
 def test_likelihood_pair_values(glymour, modified):
     # Pairs (1/2, 1/2) and (1/2, 1/4) on the prior odds (1/3, 2/3).
-    assert odds_posterior(glymour, {1: T}, 1) == F(1, 3)
-    assert odds_posterior(modified, {2: T}, 1) == F(1, 2)
-    assert odds_posterior(modified, {2: N}, 1) == F(1, 4)
+    assert odds_posteriors(glymour, {1: T})(1) == F(1, 3)
+    assert odds_posteriors(modified, {2: T})(1) == F(1, 2)
+    assert odds_posteriors(modified, {2: N})(1) == F(1, 4)
 
 
 def test_likelihood_pair_degenerate_prior():
     model = Model(n=2, m=1, atoms={(1, (T,)): 1})  # P(H1)=1, P(H2)=0
     for i, prior in ((1, 1), (2, 0)):
-        assert odds_posterior(model, {}, i) == prior
+        assert odds_posteriors(model, {})(i) == prior
         with pytest.raises(
             DegeneratePriorError, match=rf"for H{i} needs 0 < P\(H{i}\) < 1, got {prior}$"
         ):
-            odds_posterior(model, {1: T}, i)
+            odds_posteriors(model, {1: T})(i)
 
 
 def test_likelihood_pair_impossible_on_both_sides():
     # E1 never happens; it is refused as the first literal in index order,
     # wherever the event lists it.
     model = Model(n=2, m=2, atoms={(1, (N, N)): F(1, 2), (2, (N, T)): F(1, 2)})
-    assert odds_posterior(model, {2: N}, 1) == 1
+    assert odds_posteriors(model, {2: N})(1) == 1
     for event in ({1: T}, {2: N, 1: T}, {1: T, 2: T}):
         with pytest.raises(
             ImpossibleEvidenceError,
             match="^E1=1 has probability 0 both given H1 and given not-H1$",
         ):
-            odds_posterior(model, event, 1)
+            odds_posteriors(model, event)(1)
 
 
 def test_negated_literal_is_complement(glymour, modified, four):
@@ -92,7 +92,7 @@ def test_negated_literal_is_complement(glymour, modified, four):
                 x = model.cond({j: T}, i, Side.GIVEN_H)
                 y = model.cond({j: T}, i, Side.GIVEN_NOT_H)
                 expected = p * (1 - x) / (p * (1 - x) + (1 - p) * (1 - y))
-                assert odds_posterior(model, {j: N}, i) == expected
+                assert odds_posteriors(model, {j: N})(i) == expected
 
 
 def test_single_literal_matches_exact_everywhere():
@@ -108,40 +108,40 @@ def test_single_literal_matches_exact_everywhere():
                     event = {j: sign}
                     if model.event_prob(event) == 0:
                         continue
-                    assert odds_posterior(model, event, i) == model.posterior(event, i)
+                    assert odds_posteriors(model, event)(i) == model.posteriors(event)(i)
 
 
 # --- products of several literals ------------------------------------------------
 
 
 def test_odds_posterior_examples(glymour, modified):
-    assert odds_posterior(glymour, {1: T, 2: T}, 1) == 1
-    assert odds_posterior(modified, {1: T, 2: T}, 1) == F(1, 2)
+    assert odds_posteriors(glymour, {1: T, 2: T})(1) == 1
+    assert odds_posteriors(modified, {1: T, 2: T})(1) == F(1, 2)
     for i in (1, 2, 3):
-        assert odds_posterior(modified, {}, i) == modified.prior(i)
+        assert odds_posteriors(modified, {})(i) == modified.prior(i)
 
 
 def test_odds_update_examples(dependent):
     # Dependent given not-H1: (1/3 * 1/2 * 1/5, 2/3 * 7/24 * 1/2) gives 12/47,
     # where direct conditioning gives 6/23.
-    assert odds_posterior(dependent, {1: T, 2: T}, 1) == F(12, 47)
-    assert dependent.posterior({1: T, 2: T}, 1) == F(6, 23)
+    assert odds_posteriors(dependent, {1: T, 2: T})(1) == F(12, 47)
+    assert dependent.posteriors({1: T, 2: T})(1) == F(6, 23)
 
 
 def test_odds_posterior_empty_event_works_even_degenerate():
     model = single_atom_model()
-    assert odds_posterior(model, {}, 1) == 1  # no factors, prior odds (1, 0)
+    assert odds_posteriors(model, {})(1) == 1  # no factors, prior odds (1, 0)
 
 
 def test_odds_update_collapse_is_an_error():
     model = from_conditionals(COLLAPSE_SPEC)
-    assert odds_posterior(model, {1: T}, 1) == 0
-    assert odds_posterior(model, {2: T}, 1) == 1
+    assert odds_posteriors(model, {1: T})(1) == 0
+    assert odds_posteriors(model, {2: T})(1) == 1
     with pytest.raises(
         ImpossibleEvidenceError,
         match="^evidence combination is impossible both given H and given not-H$",
     ):
-        odds_posterior(model, {1: T, 2: T}, 1)
+        odds_posteriors(model, {1: T, 2: T})(1)
 
 
 def test_odds_posterior_impossible_combination():
@@ -149,9 +149,9 @@ def test_odds_posterior_impossible_combination():
     # the same event finds it impossible too.
     model = from_conditionals(COLLAPSE_SPEC)
     with pytest.raises(ZeroProbabilityError):
-        model.posterior({1: T, 2: T}, 1)
+        model.posteriors({1: T, 2: T})(1)
     with pytest.raises(ImpossibleEvidenceError):
-        odds_posterior(model, {2: T, 1: T}, 1)
+        odds_posteriors(model, {2: T, 1: T})(1)
 
 
 def test_odds_update_order_independent():
@@ -177,5 +177,5 @@ def test_matches_exact_on_independent_examples(glymour, modified, four):
             if model.event_prob(event) == 0:
                 continue
             for i in range(1, model.n + 1):
-                assert odds_posterior(model, event, i) == model.posterior(event, i)
+                assert odds_posteriors(model, event)(i) == model.posteriors(event)(i)
 
