@@ -184,10 +184,11 @@ def check_assumptions(model: Model, *, pairwise: bool = False) -> AuditReport:
 
     The tables are local to the run: the whole model's ``T`` once, then one
     ``g`` per hypothesis of prior strictly between 0 and 1, read for relevance
-    (``g[{j}] * L != T[{j}] * L * P(H_i)``) and condition 1, walked given H
-    and, as ``T - g``, given not-H.  On a cell's table, J factorizes iff
+    (``g[{j}] * L != T[{j}] * L * P(H_i)``), walked given H and, as ``T - g``,
+    given not-H.  On a cell's table, J factorizes iff
     ``g[J] * g[{}]**(|J|-1) == prod_{j in J} g[{j}]``.  A cell of prior 0 (1)
     has only its given-not-H (given-H) side, which is ``T``, walked at most once.
+    Condition 1 reads each cell's atom with every E_j true, from one scan.
     """
     L, m, hypotheses = model.denominator, model.m, range(1, model.n + 1)
     totals = _superset_sums(model, hypotheses)
@@ -195,15 +196,12 @@ def check_assumptions(model: Model, *, pairwise: bool = False) -> AuditReport:
     whole_model = _failing_subsets(list(totals), m, pairwise) if degenerate else []
     found: list[IndependenceViolation] = []
     relevance = dict.fromkeys(hypotheses, frozenset())
-    corner = dict.fromkeys(hypotheses, 0)  # L * P(H_i and every E_j true)
     for i in hypotheses:
         mass = model.mass(i)
         if i in degenerate:  # one nonempty side, whose table is T
-            corner[i] = totals[-1] if mass else 0
             walks = [(Side.GIVEN_H if mass else Side.GIVEN_NOT_H, whole_model)]
         else:
             table = _superset_sums(model, (i,))
-            corner[i] = table[-1]  # read before the walk overwrites it
             relevance[i] = frozenset(j + 1 for j in range(m)
                                      if table[1 << j] * L != totals[1 << j] * mass)
             complement = list(map(operator.sub, totals, table))
@@ -211,6 +209,7 @@ def check_assumptions(model: Model, *, pairwise: bool = False) -> AuditReport:
                      for side, cells in ((Side.GIVEN_H, table), (Side.GIVEN_NOT_H, complement))]
         found += (IndependenceViolation(i, side, *f) for side, rows in walks for f in rows)
     violations = tuple(found)
+    corner = model._masked_sums(full := (1 << m) - 1, full)  # L * P(H_i, every E_j true)
 
     return AuditReport(
         n=model.n,
@@ -219,7 +218,7 @@ def check_assumptions(model: Model, *, pairwise: bool = False) -> AuditReport:
         independence_violations=violations,
         relevance=relevance,
         degenerate_hypotheses=degenerate,
-        condition1_failures=tuple(i for i in hypotheses if not corner[i]) if totals[-1] else None,
+        condition1_failures=tuple(i for i in hypotheses if not corner.get(i)) if totals[-1] else None,
         theorem=_theorem_outcome(model.n, violations, relevance),
     )
 

@@ -64,8 +64,10 @@ where the form has clashes.
 Every identity term is at most D^5, so the arithmetic is int64 and
 :func:`sweep` refuses D > 6208 (D^5 >= 2^63), m > 16 (a Model's cap: every
 witness is one, and the walk runs m deep) and, before any pair test, grids
-past 2^33 pair tests, N (N + 1) / 2 for each sorted composition of N rows.
-The check holds a block of classes at a time, so memory follows N, not N^2.
+past 2^33 pair tests, C (C + 1) / 2 for each sorted composition of C classes,
+C = (D + 1 - c1)^w - (D - c1)^w over w live columns: at n = 3, D <= 52, which
+took 112 s at 6.9e7 class pairs a second (3.4e7 at D = 24; a 2-core VM).  The
+check holds a block of classes at a time, so memory follows the rows, not C^2.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ from .model import MAX_EVIDENCE
 #: Default enumeration budget; (n=4, m=2, D=4) needs ~13.7M of it.
 DEFAULT_MAX_MODELS = 20_000_000
 
-_MAX_PAIR_TESTS = 1 << 33  # grid-row pairs: (3, 2, 24) makes 5.86e9, its classes 7.8e7 in ~2 s
+_MAX_PAIR_TESTS = 1 << 33  # class pairs: (3, 2, 52) makes 7.7e9, (3, 2, 26) 1.2e8 in ~3 s
 _CHUNK_ROWS = 1 << 16
 
 GridPoint = tuple[int, ...]
@@ -309,13 +311,12 @@ def sweep(
     :class:`SweepLimitError` carrying the partial tallies; the budget admits
     the prior compositions whose blocks fit in it whole, and only those are
     counted, so partial results stop at a composition boundary.  A D past
-    6208 or a grid past 2^33 pair tests is refused the same way, with empty
+    6208 or a grid past 2^33 class pairs is refused the same way, with empty
     tallies; m past 16 raises :class:`InvalidModelError` before the budget.
     """
     if type(max_models) is not int or max_models < 0:
         raise InvalidModelError(f"max_models must be a non-negative int, got {max_models!r}")
-    n, m, D = config.n, config.m, config.denominator
-    c1 = config.require_condition1
+    n, m, D, c1 = config.n, config.m, config.denominator, config.require_condition1
     if m > MAX_EVIDENCE:  # the walk runs m deep, and a witness is a Model
         raise InvalidModelError(f"m={m} exceeds the evidence cap {MAX_EVIDENCE}")
     result = SweepResult()
@@ -331,8 +332,8 @@ def sweep(
         star = tuple(sorted(P, reverse=True))
         if not (c1 and 0 in P) and star not in stars:
             stars.add(star)
-            rows = (D + 1 - c1) ** (n - P.count(0))
-            if (tests := tests + rows * (rows + 1) // 2) > _MAX_PAIR_TESTS:
+            classes = (D + 1 - c1) ** (w := n - P.count(0)) - (D - c1) ** w  # least entry c1
+            if (tests := tests + classes * (classes + 1) // 2) > _MAX_PAIR_TESTS:
                 message = f"composition {P} brings the pair tests to {tests}"
                 raise SweepLimitError(f"{message}, past the cap {_MAX_PAIR_TESTS}", partial=result)
     tallies = {P: (check := _pairs(P, D, c1), _counts(P, m, D, check)) for P in stars}

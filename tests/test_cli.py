@@ -614,11 +614,11 @@ def test_sweep_refuses_evidence_past_the_model_cap(capsys):
 def test_sweep_refuses_a_grid_past_the_pair_test_bound(monkeypatch, capsys):
     # The refusal comes before any pair test: calling _pairs would fail.
     monkeypatch.setattr(importlib.import_module("oddsaudit.sweep"), "_pairs", None)
-    argv = ["sweep", "--n", "3", "--m", "2", "--denominator", "26", "--max-models", str(10**20)]
+    argv = ["sweep", "--n", "3", "--m", "2", "--denominator", "53", "--max-models", str(10**20)]
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.err == (
-        "error: composition (5, 9, 12) brings the pair tests to 8720863353, "
+        "error: composition (17, 17, 19) brings the pair tests to 8591460903, "
         "past the cap 8589934592\n"
         "models-enumerated: 0\n"
         "models-satisfying-assumptions: 0\n"

@@ -359,38 +359,97 @@ def test_evidence_past_the_model_cap_is_refused(monkeypatch):
         sweep(SweepConfig(3, 17, 1))
 
 
-def pair_tests(n, d, c1):
-    """Pair tests of a whole grid: N (N + 1) / 2 for each sorted composition
-    of N rows over its columns of nonzero prior."""
+def class_pairs(n, d, c1):
+    """Pair tests of a whole grid: C (C + 1) / 2 for each sorted composition
+    of C shift classes, the rows of least entry c1 over its w columns of
+    nonzero prior, (d + 1 - c1)^w - (d - c1)^w of them."""
     stars = {tuple(sorted(P)) for P in compositions(d, n) if not (c1 and 0 in P)}
-    rows = [(d + 1 - c1) ** (n - P.count(0)) for P in stars]
-    return sum(r * (r + 1) // 2 for r in rows)
+    classes = [(d + 1 - c1) ** w - (d - c1) ** w for w in (n - P.count(0) for P in stars)]
+    return sum(c * (c + 1) // 2 for c in classes)
+
+
+@pytest.mark.parametrize("c1", [False, True])
+@pytest.mark.parametrize("n, d", [(3, d) for d in range(1, 9)] + [(4, 4), (5, 3)])
+def test_the_bound_counts_the_pairs_the_kernel_tests(n, d, c1, monkeypatch):
+    """The bound's unit is the kernel's: the classes that the check keeps are
+    the bound's C for each composition, and the identity blocks test C (C + 1) / 2
+    pairs of them (a block of b classes from s on meets the C - s from s on,
+    less the b (b - 1) / 2 below the diagonal)."""
+    kept, tested = [], []
+    pairs, identity = sweep_module._pairs, sweep_module._identity
+
+    def spy_pairs(P, D, c):
+        check = pairs(P, D, c)
+        live = len(P) - P.count(0)
+        assert len(check[0]) == (D + 1 - c) ** live - (D - c) ** live, P
+        kept.append(len(check[0]))
+        return check
+
+    def spy_identity(*args):
+        for s, ok in identity(*args):
+            b, width = ok.shape
+            tested.append(b * width - b * (b - 1) // 2)
+            yield s, ok
+
+    monkeypatch.setattr(sweep_module, "_pairs", spy_pairs)
+    monkeypatch.setattr(sweep_module, "_identity", spy_identity)
+    result = sweep(SweepConfig(n, 2, d, c1), max_models=10**20)
+    assert result.theorem_violations == []
+    assert sum(c * (c + 1) // 2 for c in kept) == sum(tested) == class_pairs(n, d, c1)
 
 
 def test_grid_past_the_pair_test_bound_is_refused(monkeypatch):
-    """The bound of 2^33 pair tests admits every grid that a cap of 2^14 rows
-    per composition admitted, the largest (3, 2, 24), and (3, 2, 25), but not
-    (3, 2, 26):
-    its composition (5, 9, 12) takes the sum past the bound and is refused
+    """The bound of 2^33 class pairs admits every grid that a cap of 2^14 rows
+    per composition admitted, and at n = 3 every D up to 52, but not (3, 2, 53):
+    its composition (17, 17, 19) takes the sum past the bound and is refused
     before any pair test, with empty tallies, while a budget of 28 blocks,
-    whose largest composition has 729 rows, sweeps."""
-    bound, block = 1 << 33, 27**6
+    whose compositions have at most 107 classes, sweeps."""
+    bound, block = 1 << 33, 54**6
     assert sweep_module._MAX_PAIR_TESTS == bound
-    assert pair_tests(3, 24, False) == 5_862_097_825 < pair_tests(3, 25, False) < bound
-    assert pair_tests(3, 26, False) == 10_851_784_299
+    assert class_pairs(3, 26, False) == 124_382_172
+    assert class_pairs(3, 52, False) == 7_693_415_566 < bound < class_pairs(3, 53, False)
     for n, d, c1 in product(range(3, 9), range(1, 27), (False, True)):
         if (d + 1 - c1) ** min(n, d) <= 1 << 14:  # the row cap admitted the whole grid
-            assert pair_tests(n, d, c1) <= bound, (n, d, c1)
+            assert class_pairs(n, d, c1) <= bound, (n, d, c1)
     with pytest.raises(SweepLimitError, match="budget") as info:
-        sweep(SweepConfig(3, 2, 26), max_models=28 * block)
+        sweep(SweepConfig(3, 2, 53), max_models=28 * block)
     assert info.value.partial.models_enumerated == 28 * block
     monkeypatch.setattr(sweep_module, "_pairs", None)  # calling it would fail
     with pytest.raises(SweepLimitError) as info:
-        sweep(SweepConfig(3, 2, 26), max_models=10**20)
+        sweep(SweepConfig(3, 2, 53), max_models=10**20)
     assert str(info.value) == (
-        "composition (5, 9, 12) brings the pair tests to 8720863353, past the cap 8589934592"
+        "composition (17, 17, 19) brings the pair tests to 8591460903, past the cap 8589934592"
     )
     assert info.value.partial == SweepResult()
+
+
+class PassedThePrePass(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n, d", [(3, 52), (4, 16)])
+def test_the_largest_grids_under_the_bound_pass_the_pre_pass(n, d, monkeypatch):
+    """(3, 2, 52), at 7,693,415,566 class pairs, and (4, 2, 16), at 5.5e9,
+    reach the pair check: the pre-pass admits them."""
+    def first_check(*args):
+        raise PassedThePrePass
+
+    monkeypatch.setattr(sweep_module, "_pairs", first_check)
+    with pytest.raises(PassedThePrePass):
+        sweep(SweepConfig(n, 2, d), max_models=10**20)
+
+
+@pytest.mark.slow
+def test_the_first_grid_the_row_bound_refused_matches_the_oracle():
+    """(3, 2, 26), refused when the bound counted grid-row pairs, sweeps in
+    seconds to the counts of the independent oracle, with no violation."""
+    counts = (146_444_944_842, 3_593_385_342, 2_391_047_100)
+    result = sweep(SweepConfig(3, 2, 26), max_models=10**20)
+    assert result.theorem_violations == []
+    assert counts == (
+        result.models_enumerated, result.models_satisfying_all, result.witnesses_with_updating
+    )
+    assert _brute.grid_counts_by_relevance(3, 2, 26) == counts
 
 
 @pytest.mark.parametrize("budget", [2.5e7, None, True, False, -5, "100", np.int64(10**6)])
