@@ -61,13 +61,19 @@ violations are listed by a walk over each composition's grid rows that reads
 its sorted form's check; it must match that form's counts, or count them
 where the form has clashes.
 
-Every identity term is at most D^5, so the arithmetic is int64 and
-:func:`sweep` refuses D > 6208 (D^5 >= 2^63), m > 16 (a Model's cap: every
+The kernel tests the first hypothesis (K_ab = 0 for a zero prior) on a
+whole block of pairs and each later one only on the pairs that passed every
+earlier one.  Every identity term is at most D^5, so the arithmetic is int32
+and :func:`sweep` refuses D > 73 (D^5 >= 2^31), m > 16 (a Model's cap: every
 witness is one, and the walk runs m deep) and, before any pair test, grids
 past 2^33 pair tests, C (C + 1) / 2 for each sorted composition of C classes,
-C = (D + 1 - c1)^w - (D - c1)^w over w live columns: at n = 3, D <= 52, which
-took 112 s at 6.9e7 class pairs a second (3.4e7 at D = 24; a 2-core VM).  The
-check holds a block of classes at a time, so memory follows the rows, not C^2.
+C = (D + 1 - c1)^w - (D - c1)^w over w live columns.  That bound admits no
+whole grid past D = 53 (n = 3 with c1; 52 without, 16 at n = 4), so the
+int32 range only refuses budgets that stop after the first compositions.
+(3, 2, 52) takes 76-91 s at 37 MB RSS on a 2-core VM.  The check holds a
+block of class pairs at a time, and a composition's classes only while it is
+counted (or listed), so memory follows one composition's rows, not C^2 or
+the grid.
 """
 
 from __future__ import annotations
@@ -186,16 +192,31 @@ def _rows(width, D, c1):
 
 def _identity(P, D, live, rows, X):
     """Blocks ``(s, ok)`` of the pair identity of composition ``P``: ``ok[i, j]``
-    says whether ``rows`` s + i and s + j pass it for every hypothesis."""
+    says whether ``rows`` s + i and s + j pass it for every hypothesis.  The
+    first hypothesis (K == 0 for a zero prior) is tested on the whole block,
+    each later one only on the pairs that passed every earlier one.  Every term
+    is at most D^5 < 2^31, so the arithmetic is int32."""
     import numpy as np
+    # X by column, so that each hypothesis gathers its terms from one row
+    live, rows, X = live.astype(np.int32), rows.astype(np.int32), X.T.astype(np.int32, order="C")
     t = rows @ live
     step = max(1, _CHUNK_ROWS // len(rows))
     for s in range(0, len(rows), step):  # each block of rows against every row from its first on
         block = slice(s, s + step)
         K = (D * live * rows[block]) @ rows[s:].T - np.multiply.outer(t[block], t[s:])
-        ok = (K == 0) | (len(live) == len(P))  # a zero prior needs K == 0
-        for k in np.flatnonzero(live < D):
-            ok &= K * (D - live[k]) == np.multiply.outer(live[k] * X[block, k], X[s:, k])
+        stages = iter(np.flatnonzero(live < D))
+        if len(live) < len(P):  # a zero prior's identity reads K == 0
+            ok = K == 0
+        else:
+            k = next(stages)
+            ok = K * (D - live[k]) == np.multiply.outer(live[k] * X[k, block], X[k, s:])
+        at = np.flatnonzero(ok)  # the pairs still passing, as flat positions of ok
+        a, b = np.divmod(at, ok.shape[1])
+        a, b, K = a + s, b + s, K.ravel()[at]  # their rows and K terms
+        for k in stages:
+            keep = K * (D - live[k]) == live[k] * X[k, a] * X[k, b]
+            ok.flat[at[~keep]] = False
+            at, a, b, K = at[keep], a[keep], b[keep], K[keep]
         yield s, ok
 
 
@@ -232,7 +253,9 @@ def _counts(P, m, D, check):
     reps, mask, clashes = check
     if clashes:
         return None
-    histogram = Counter(mask.repeat(D + 1 - reps.max(axis=1)).tolist())  # a class counts its rows
+    histogram = {}
+    for bits, rows in zip(mask.tolist(), (D + 1 - reps.max(axis=1)).tolist()):
+        histogram[bits] = histogram.get(bits, 0) + rows  # a class counts its rows
     quiet = histogram.pop(0, 0)
     # (union, k) -> ways to pick k rows of pairwise disjoint nonzero masks with that union
     sets = Counter({(0, 0): 1})
@@ -311,8 +334,9 @@ def sweep(
     :class:`SweepLimitError` carrying the partial tallies; the budget admits
     the prior compositions whose blocks fit in it whole, and only those are
     counted, so partial results stop at a composition boundary.  A D past
-    6208 or a grid past 2^33 class pairs is refused the same way, with empty
-    tallies; m past 16 raises :class:`InvalidModelError` before the budget.
+    73 (the int32 kernel's range) or a grid past 2^33 class pairs is refused
+    the same way, with empty tallies; m past 16 raises
+    :class:`InvalidModelError` before the budget.
     """
     if type(max_models) is not int or max_models < 0:
         raise InvalidModelError(f"max_models must be a non-negative int, got {max_models!r}")
@@ -323,8 +347,8 @@ def sweep(
     # (D+1)**(n*m) >= 2**(n*m) > max_models once n*m reaches its bit length.
     if n * m >= max_models.bit_length() or (block := (D + 1) ** (n * m)) > max_models:
         raise _budget_exhausted(max_models, result)
-    if D**5 >= 2**63:  # an identity term would overflow int64
-        raise SweepLimitError(f"denominator {D} is past the int64 kernel", partial=result)
+    if D**5 >= 2**31:  # an identity term would overflow int32
+        raise SweepLimitError(f"denominator {D} is past the int32 kernel", partial=result)
     # The budget admits the first max_models // block compositions (a range, as
     # islice would refuse a bound past sys.maxsize), and their pair tests are bounded.
     stars, tests = set(), 0
@@ -336,11 +360,15 @@ def sweep(
             if (tests := tests + classes * (classes + 1) // 2) > _MAX_PAIR_TESTS:
                 message = f"composition {P} brings the pair tests to {tests}"
                 raise SweepLimitError(f"{message}, past the cap {_MAX_PAIR_TESTS}", partial=result)
-    tallies = {P: (check := _pairs(P, D, c1), _counts(P, m, D, check)) for P in stars}
+    tallies = {}  # a check is kept only for the listing walk: a clash, or survivors to list
+    for P in stars:
+        counts = _counts(P, m, D, check := _pairs(P, D, c1))
+        walked = counts is None or (on_survivor is not None and counts[0])
+        tallies[P] = check if walked else None, counts
 
     for _, P in zip(range(max_models // block), _compositions(n, D)):
         check, counts = tallies.get(tuple(sorted(P, reverse=True)), (None, [0, 0, 0]))
-        if counts is None or (on_survivor is not None and counts[0]):
+        if check is not None:
             listed = [0, 0, 0]
             for digits, clash in _members(P, m, D, c1, check, listed):
                 if clash:

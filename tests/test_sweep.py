@@ -1,5 +1,6 @@
 import importlib
 import re
+import weakref
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 from time import perf_counter
@@ -255,12 +256,15 @@ def test_require_condition1_agrees_with_audit_route():
     )
 
 
-@pytest.mark.parametrize("grid", [(3, 2, 3), (4, 2, 2)])
-def test_object_kernel_matches_int64_kernel(grid):
-    """The int64 identity and masks equal those of the uncentred pair identity,
-    evaluated in Python integers, on every prior composition of the grid: the
-    streamed check of shift classes finds no clash, and the exact identity
-    holds exactly on the pairs of full rows whose classes have disjoint masks."""
+@pytest.mark.parametrize("grid", [(3, 2, 3), (4, 2, 2), (3, 2, 6), (4, 2, 3)])
+def test_object_kernel_matches_int32_kernel(grid):
+    """The int32 identity, each hypothesis tested on the pairs that passed the
+    ones before it, and the masks equal those of the uncentred pair identity,
+    evaluated in Python integers, on every prior composition of the grid (zero
+    priors, a prior of D and both settings of ``require_condition1`` among
+    them): the streamed check of shift classes finds no clash, and the exact
+    identity holds exactly on the pairs of full rows whose classes have
+    disjoint masks."""
     n, _, d = grid
     for P in product(range(d + 1), repeat=n):
         if sum(P) != d:
@@ -286,7 +290,7 @@ def test_object_kernel_matches_int64_kernel(grid):
                 )
                 bits += np.where(rows[:, k] * d != t, 1 << k, 0)
             assert [int(b) for b in bits] == mask[classes].tolist(), (P, c1)
-            # The check raised on no pair and found no clash, so the int64
+            # The check raised on no pair and found no clash, so the int32
             # identity is the disjoint-mask relation on every pair of classes,
             # and the exact identity is that relation on every pair of rows.
             assert clashes == [], (P, c1)
@@ -437,6 +441,49 @@ def test_the_largest_grids_under_the_bound_pass_the_pre_pass(n, d, monkeypatch):
     monkeypatch.setattr(sweep_module, "_pairs", first_check)
     with pytest.raises(PassedThePrePass):
         sweep(SweepConfig(n, 2, d), max_models=10**20)
+
+
+def test_the_int32_kernel_covers_every_grid_the_bound_admits():
+    """Every identity term is at most D^5, and the largest D whose grid the
+    pair bound admits keeps D^5 below 2^31 for n = 3..6, with and without
+    ``require_condition1``: a bound raised far enough to admit D = 74 fails here."""
+    largest = {}
+    for n, c1 in product(range(3, 7), (False, True)):
+        d = 1
+        while class_pairs(n, d + 1, c1) <= sweep_module._MAX_PAIR_TESTS:
+            d += 1
+        largest[n, c1] = d
+        assert d**5 < 2**31, (n, c1, d)
+    assert (largest[3, False], largest[3, True], largest[4, False]) == (52, 53, 16)
+
+
+def test_denominator_past_the_int32_kernel_is_refused(monkeypatch, capsys):
+    """D = 74 is the first D with D^5 >= 2^31: it is refused with the kernel's
+    range before any array is built, with empty tallies and exit 3, whether the
+    budget admits the whole grid or only its first composition; D = 73 passes
+    that check and meets the pair bound instead."""
+    assert 73**5 < 2**31 <= 74**5
+    monkeypatch.setattr(sweep_module, "_rows", None)  # calling either would fail
+    monkeypatch.setattr(sweep_module, "_pairs", None)
+    for budget in (10**20, 75**6):
+        with pytest.raises(SweepLimitError) as info:
+            sweep(SweepConfig(3, 2, 74), max_models=budget)
+        assert str(info.value) == "denominator 74 is past the int32 kernel"
+        assert info.value.partial == SweepResult()
+    with pytest.raises(SweepLimitError, match=r"^composition \(2, 31, 40\) brings the pair") as info:
+        sweep(SweepConfig(3, 2, 73), max_models=10**20)
+    assert info.value.partial == SweepResult()
+    argv = ["sweep", "--n", "3", "--m", "2", "--denominator", "74", "--max-models", str(10**20)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: denominator 74 is past the int32 kernel\n"
+        "models-enumerated: 0\n"
+        "models-satisfying-assumptions: 0\n"
+        "witnesses-with-updating: 0\n"
+        "multiple-updating-violations: 0\n"
+    )
+    assert captured.out == ""
 
 
 @pytest.mark.slow
@@ -596,6 +643,22 @@ def test_each_sorted_composition_is_checked_once(grid, monkeypatch):
     stars = {tuple(sorted(P, reverse=True)) for P in compositions(d, n) if not (c1 and 0 in P)}
     assert sorted(calls) == sorted(stars)
     assert all(list(P) == sorted(P, reverse=True) for P in calls)
+
+
+def test_a_counted_check_is_not_kept(monkeypatch):
+    """A sweep that lists nothing drops each composition's check once it is
+    counted without a clash, so it holds one composition's classes at a time,
+    not the whole grid's."""
+    kept, original = [], sweep_module._counts
+
+    def spy(P, m, D, check):
+        assert all(ref() is None for ref in kept), P  # every earlier check is freed
+        kept.append(weakref.ref(check[0]))
+        return original(P, m, D, check)
+
+    monkeypatch.setattr(sweep_module, "_counts", spy)
+    result = sweep(SweepConfig(3, 2, 6))
+    assert (result.models_satisfying_all, len(kept)) == (868_672, 7)
 
 
 @pytest.mark.parametrize("n, d", [(3, 5), (4, 3)])
