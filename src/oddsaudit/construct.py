@@ -76,7 +76,7 @@ def from_conditionals(spec: ConditionalSpec) -> Model:
             column = {key: v for mask, value in column.items()
                       for key, v in ((mask, value * d), (mask | bit, value * c)) if v}
         table.update(((i, mask), value) for mask, value in column.items())
-    return Model._from_table(spec.n, spec.m, table)
+    return Model._from_table(spec.n, spec.m, {key: k for k, key in enumerate(table)}, table.values())
 
 
 _F = Fraction

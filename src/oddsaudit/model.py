@@ -99,12 +99,24 @@ def _mask_bits(mask: int, m: int) -> str:
     return format(mask, f"0{m}b")[::-1]
 
 
-def _checked_entries(n: int, m: int, atoms) -> Iterator[tuple[tuple[int, int], Fraction]]:
-    """Check ``atoms`` and then each key and value in turn, yielding it as ``((i, mask), value)``."""
+def _check_size(n: int, m: int) -> None:
+    """Refuse ``n`` or ``m`` that is not a positive int, and ``m`` past :data:`MAX_EVIDENCE`."""
+    if type(n) is not int or n < 1:
+        raise InvalidModelError(f"need at least one hypothesis, got n={n!r}")
+    if type(m) is not int or m < 1:
+        raise InvalidModelError(f"need at least one evidence proposition, got m={m!r}")
+    if m > MAX_EVIDENCE:
+        raise InvalidModelError(f"m={m} exceeds the evidence cap {MAX_EVIDENCE} "
+                                "(audits enumerate 2**m subsets)")
+
+
+def _checked_values(n: int, m: int, atoms, table: dict) -> Iterator[Fraction]:
+    """Check ``atoms`` and then each key and value in turn, setting ``table[i, mask]``
+    to the value's position and yielding the value."""
     if not isinstance(atoms, Mapping):
         raise InvalidModelError(f"atoms must be a mapping, got {type(atoms).__name__}")
     bits = [1 << k for k in range(m)]
-    for key, value in atoms.items():
+    for k, (key, value) in enumerate(atoms.items()):
         if type(key) is not tuple or len(key) != 2:
             raise InvalidModelError(f"atom key must be (i, signs): {key!r}")
         i, signs = key
@@ -113,7 +125,8 @@ def _checked_entries(n: int, m: int, atoms) -> Iterator[tuple[tuple[int, int], F
         _check_signs(signs, m, InvalidModelError)
         if type(value) is not Fraction:
             value = _exact(value, f"atom probability for ({i}, {signs_to_bits(signs)})")
-        yield (i, sum(compress(bits, signs))), value
+        table[i, sum(compress(bits, signs))] = k
+        yield value
 
 
 @dataclass(frozen=True, init=False)
@@ -134,48 +147,43 @@ class Model:
     m: int
 
     def __init__(self, n: int, m: int, atoms: Mapping[AtomKey, Fraction]) -> None:
-        self._build(n, m, _checked_entries(n, m, atoms))
+        table: dict[tuple[int, int], int] = {}
+        self._build(n, m, table, _checked_values(n, m, atoms, table))
 
     @classmethod
-    def _from_table(cls, n: int, m: int, table: Mapping[tuple[int, int], Fraction]) -> Model:
-        """The model of ``{(i, mask): value}``, whose keys the caller has checked
-        (``1 <= i <= n``, ``0 <= mask < 2**m``)."""
+    def _from_table(cls, n: int, m: int, table: Mapping[tuple[int, int], int], values) -> Model:
+        """The model of ``table`` and ``values``, read as :meth:`_build` reads them; the
+        caller has checked each key (``1 <= i <= n``, ``0 <= mask < 2**m``)."""
         model = object.__new__(cls)
-        model._build(n, m, table.items())
+        model._build(n, m, table, values)
         return model
 
-    def _build(self, n: int, m: int, entries) -> None:
-        """Check ``n`` and ``m``, then set them and the integer form from ``((i, mask),
-        value)`` entries with checked keys, refusing in order a negative value,
-        a common denominator past :data:`MAX_DENOMINATOR_BITS` and a total other than 1."""
-        if type(n) is not int or n < 1:
-            raise InvalidModelError(f"need at least one hypothesis, got n={n!r}")
-        if type(m) is not int or m < 1:
-            raise InvalidModelError(f"need at least one evidence proposition, got m={m!r}")
-        if m > MAX_EVIDENCE:
-            raise InvalidModelError(
-                f"m={m} exceeds the evidence cap {MAX_EVIDENCE} (audits enumerate 2**m subsets)"
-            )
-        nonzero: list[tuple[int, int, int, int]] = []  # (i, mask, p, q) of each nonzero p/q
-        for (i, mask), value in entries:
-            numerator = value.numerator
-            if numerator < 0:
+    def _build(self, n: int, m: int, table, values) -> None:
+        """Check ``n`` and ``m``, then set them and the integer form of ``table``, which maps
+        each checked atom key ``(i, mask)`` to an index into ``values``; a generator ``values``
+        may fill ``table`` as it goes.  Refuses in order a negative value, a common denominator
+        past :data:`MAX_DENOMINATOR_BITS` (each naming its first atom) and a total other than 1."""
+        _check_size(n, m)
+        checked: list[Fraction] = []
+        for value in values:
+            if value.numerator < 0:
+                i, mask = next(key for key, code in table.items() if code == len(checked))
                 raise InvalidModelError(
-                    f"negative atom probability {value} for ({i}, {_mask_bits(mask, m)})"
-                )
-            if numerator:
-                nonzero.append((i, mask, numerator, value.denominator))
-        denominators = dict.fromkeys([q for _, _, _, q in nonzero])  # in order of first appearance
+                    f"negative atom probability {value} for ({i}, {_mask_bits(mask, m)})")
+            checked.append(value)
+        denominators = dict.fromkeys(v.denominator for v in checked)  # in order of first appearance
         scale = 1
         for q in denominators:
             if (scale := math.lcm(scale, q)).bit_length() > MAX_DENOMINATOR_BITS:
-                i, mask = next((i, mask) for i, mask, _, d in nonzero if d == q)
+                i, mask = next(key for key, k in table.items() if checked[k].denominator == q)
                 raise InvalidModelError(f"atom ({i}, {_mask_bits(mask, m)}) takes the common "
                                         f"denominator past {MAX_DENOMINATOR_BITS} bits")
-        factors = {q: scale // q for q in denominators}
+        factors = {q: scale // q for q in denominators}  # a big-int division: once per denominator
+        scaled = [value.numerator * factors[value.denominator] for value in checked]
         columns: dict[int, list[tuple[int, int]]] = {}
-        for i, mask, p, q in nonzero:
-            columns.setdefault(i, []).append((mask, p * factors[q]))
+        for (i, mask), k in table.items():
+            if num := scaled[k]:
+                columns.setdefault(i, []).append((mask, num))
         masses = {i: sum(num for _, num in column) for i, column in columns.items()}
         total = sum(masses.values())
         if total != scale:

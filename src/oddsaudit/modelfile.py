@@ -8,9 +8,10 @@ Grammar (UTF-8, ``#`` starts a comment to end of line, blank lines ignored)::
 
 The two header lines come first, in that order.  ``<bitstring>`` has length
 ``m``; its k-th character gives the sign of ``E_{k+1}``.  ``<rational>`` is
-``p/q`` or an integer.  Every number is written in ASCII digits, and ``n``
-is at most :data:`MAX_HYPOTHESES`.  Atoms omitted from the file are zero;
-repeating an ``(i, bitstring)`` pair is an error.
+``p/q`` or an integer.  Every number is written in ASCII digits; ``n`` is at
+most :data:`MAX_HYPOTHESES` and ``m`` at most ``MAX_EVIDENCE``, each refused
+at its header line.  Atoms omitted from the file are zero; repeating an
+``(i, bitstring)`` pair is an error.
 
 Canonical output orders atoms by ascending ``i``, then by the bitstring read
 as a binary number, and omits zero atoms, so writing is byte-deterministic.
@@ -23,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ModelFormatError
-from .model import Model, _mask_bits
+from .model import Model, _check_size, _mask_bits
 from .rational import NumeralLengthError, parse_integer, parse_rational
 
 #: Files declaring more hypotheses than this are refused: the audit does work
@@ -35,33 +36,22 @@ def loads(text: str) -> Model:
     """Parse the model format.  Raises :class:`ModelFormatError` on grammar
     violations and :class:`InvalidModelError` on distribution violations."""
     n = m = None
-    table = {}  # (i, mask) -> value, in file order
+    table = {}  # (i, mask) -> index into values, in file order
+    values = []  # each distinct rational token's value, in order of first appearance
     # Per-file memos: each distinct index, bitstring and rational token is
     # parsed and checked once, at its first line; only checked results enter.
-    indices, masks, values = {}, {}, {}
+    indices, masks, codes = {}, {}, {}
 
     def fail(message: str):
         raise ModelFormatError(f"line {lineno}: {message}")
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        tokens = raw.split("#", 1)[0].split()
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not tokens:
             continue
         keyword = tokens[0]
-        if keyword == "hypotheses":
-            if n is not None:
-                fail("duplicate 'hypotheses' header")
-            n = _positive_int(tokens, fail)
-            if n > MAX_HYPOTHESES:
-                fail(f"hypothesis count {n} exceeds the limit {MAX_HYPOTHESES}")
-        elif keyword == "evidence":
-            if n is None:
-                fail("'evidence' must follow the 'hypotheses' header")
-            if m is not None:
-                fail("duplicate 'evidence' header")
-            m = _positive_int(tokens, fail)
-        elif keyword == "atom":
-            if n is None or m is None:
+        if keyword == "atom":
+            if m is None:  # set only after n
                 fail("atom line before the 'hypotheses'/'evidence' headers")
             if len(tokens) != 4:
                 line = raw.split("#", 1)[0].strip()
@@ -79,18 +69,32 @@ def loads(text: str) -> Model:
             key = (i, mask)
             if key in table:
                 fail(f"duplicate atom ({i}, {bits})")
-            value = values.get(rational)
-            if value is None:
+            k = codes.get(rational)
+            if k is None:
                 try:
-                    value = values[rational] = parse_rational(rational)
+                    values.append(parse_rational(rational))
                 except ValueError as exc:
                     fail(str(exc))
-            table[key] = value
+                k = codes[rational] = len(values) - 1
+            table[key] = k
+        elif keyword == "hypotheses":
+            if n is not None:
+                fail("duplicate 'hypotheses' header")
+            n = _positive_int(tokens, fail)
+            if n > MAX_HYPOTHESES:
+                fail(f"hypothesis count {n} exceeds the limit {MAX_HYPOTHESES}")
+        elif keyword == "evidence":
+            if n is None:
+                fail("'evidence' must follow the 'hypotheses' header")
+            if m is not None:
+                fail("duplicate 'evidence' header")
+            m = _positive_int(tokens, fail)
+            _check_size(n, m)  # the evidence cap, before any atom is read
         else:
             fail(f"unknown directive {keyword!r}")
     if n is None or m is None:
         raise ModelFormatError("missing 'hypotheses'/'evidence' headers")
-    return Model._from_table(n, m, table)
+    return Model._from_table(n, m, table, values)
 
 
 def _positive_int(tokens, fail):

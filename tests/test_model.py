@@ -105,6 +105,23 @@ def test_construction_validates_shape_and_mass():
         Model(n=1, m=1, atoms={1: 1})
 
 
+@pytest.mark.parametrize(
+    "n,m,atoms,message",
+    [
+        (1, 0, {(1, (T,)): 1}, "need at least one evidence proposition, got m=0"),
+        (1, 17, {(1, (T,)): 1}, "m=17 exceeds the evidence cap 16 (audits enumerate 2**m subsets)"),
+        (2, 1, {(1, (T,)): F(-1), (3, (T,)): F(2)}, "negative atom probability -1 for (1, 1)"),
+        (2, 1, {(1, (T,)): F(-1), (2, (T,)): 0.5}, "negative atom probability -1 for (1, 1)"),
+    ],
+)
+def test_construction_checks_the_shape_first_then_each_entry_in_turn(n, m, atoms, message):
+    """``n`` and ``m`` are checked before any key, and each entry's value is
+    refused for its sign before the next entry's key or value is checked."""
+    with pytest.raises(InvalidModelError) as info:
+        Model(n=n, m=m, atoms=atoms)
+    assert str(info.value) == message
+
+
 def test_atoms_must_be_a_mapping():
     # Refused with the package's error, not an AttributeError from `.items()`.
     for atoms in (None, [((1, (T,)), 1)], ((1, (T,)),)):
