@@ -29,26 +29,53 @@ _PARTITION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class IndependenceViolation:
     """One evidence subset whose joint conditional fails to factorize.
 
     ``joint`` is P(AND_{j in subset} E_j | side of H_i); ``product`` is the
     product of the singleton conditionals.  They differ, or this would not
-    be a violation.
+    be a violation.  Both are read from ``_figures``, the walk's integers
+    ``(mask of J, joint * base, product * base**|J|, base)`` with ``base`` the
+    side's mass times ``L``, and ``==`` and ``hash`` compare what they read.
     """
 
     hypothesis: int
     side: Side
-    subset: tuple[int, ...]
-    joint: Fraction
-    product: Fraction
+    _figures: tuple[int, int, int, int]
 
-    def describe(self) -> str:
-        members = ",".join(f"E{j}" for j in self.subset)
-        name = f"H{self.hypothesis} {self.side} {{{members}}}"
-        joint, product = _rational_text(self.joint, name), _rational_text(self.product, name)
-        return f"{name}: joint={joint} product={product}"
+    @property
+    def subset(self) -> tuple[int, ...]:
+        mask = self._figures[0]
+        return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+
+    @property
+    def joint(self) -> Fraction:
+        return Fraction(self._figures[1], self._figures[3])
+
+    @property
+    def product(self) -> Fraction:
+        mask, _, product, base = self._figures
+        return Fraction(product, base ** mask.bit_count())
+
+    def _identity(self) -> tuple:
+        return self.hypothesis, self.side, self.subset, self.joint, self.product
+
+    def __eq__(self, other) -> bool:
+        return self._identity() == other._identity() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
+
+    def describe(self, names: dict[int, str] | None = None) -> str:
+        """The report line; ``names`` keeps each mask's member text across one render."""
+        mask, joint, product, base = self._figures
+        names = {} if names is None else names
+        if (members := names.get(mask)) is None:
+            members = names[mask] = ",".join(f"E{j}" for j in self.subset)
+        name = f"H{self.hypothesis} {self.side.value} {{{members}}}"
+        return (f"{name}: joint={_rational_text(joint, base, name)} "
+                f"product={_rational_text(product, base ** mask.bit_count(), name)}")
 
 
 @dataclass(frozen=True)
@@ -122,9 +149,10 @@ def _superset_sums(model: Model, hypotheses) -> list[int]:
     return table
 
 
-def _failing_subsets(table: list[int], m: int, pairwise: bool) -> list[tuple]:
-    """(subset, joint, product) for each J of size 2 to m (2 only if ``pairwise``)
-    whose identity fails on the superset sums ``table``, which this overwrites.
+def _failing_subsets(table: list[int], m: int, pairwise: bool) -> list[tuple[int, int, int, int]]:
+    """(J, table[J], its product of singletons, table[0]) for each bitmask J of
+    size 2 to m (2 only if ``pairwise``) whose identity fails on the superset
+    sums ``table``, which this overwrites.
 
     Each size's masks extend the previous size's by a higher index, so J comes
     in order of size, then subset, and J minus its top bit has already had its
@@ -132,18 +160,17 @@ def _failing_subsets(table: list[int], m: int, pairwise: bool) -> list[tuple]:
     """
     base = table[0]
     level = [1 << j for j in range(m)]
-    denominator = base
+    power = 1
     failing = []
     for size in range(2, 3 if pairwise else m + 1):
         level = [mask | 1 << j for mask in level for j in range(mask.bit_length(), m)]
-        power, denominator = denominator, denominator * base  # base ** (size - 1), base ** size
+        power *= base  # base ** (size - 1)
         for mask in level:
             top = 1 << (mask.bit_length() - 1)
             joint = table[mask]
             table[mask] = product = table[mask ^ top] * table[top]
             if joint * power != product:
-                subset = tuple(j + 1 for j in range(m) if mask >> j & 1)
-                failing.append((subset, Fraction(joint, base), Fraction(product, denominator)))
+                failing.append((mask, joint, product, base))
     return failing
 
 
@@ -207,7 +234,7 @@ def check_assumptions(model: Model, *, pairwise: bool = False) -> AuditReport:
             complement = list(map(operator.sub, totals, table))
             walks = [(side, _failing_subsets(cells, m, pairwise))
                      for side, cells in ((Side.GIVEN_H, table), (Side.GIVEN_NOT_H, complement))]
-        found += (IndependenceViolation(i, side, *f) for side, rows in walks for f in rows)
+        found += (IndependenceViolation(i, side, f) for side, rows in walks for f in rows)
     violations = tuple(found)
     corner = model._masked_sums(full := (1 << m) - 1, full)  # L * P(H_i, every E_j true)
 
@@ -261,7 +288,7 @@ def check_pair_identities(model: Model, j: int, k: int) -> PairIdentities:
 
 
 def _hyp_list(indices) -> str:
-    return ", ".join(f"H{i}" for i in sorted(indices))
+    return ", ".join(f"H{i}" for i in sorted(indices)) or "none"
 
 
 def render_report(report: AuditReport) -> str:
@@ -274,20 +301,15 @@ def render_report(report: AuditReport) -> str:
         f"partition: {_PARTITION_NOTE}",
         f"independence-mode: {'pairwise' if report.pairwise else 'full'}",
     ]
-    if report.independence_violations:
-        lines.append(f"independence-violations: {len(report.independence_violations)}")
-        lines.extend(f"  {v.describe()}" for v in report.independence_violations)
-    else:
-        lines.append("independence-violations: none")
+    violations, names = report.independence_violations, {}  # names: each mask's member text
+    lines.append(f"independence-violations: {len(violations) or 'none'}")
+    lines.extend(f"  {v.describe(names)}" for v in violations)
     lines.append("relevance:")
     for i in sorted(report.relevance):
         members = sorted(report.relevance[i])
         shown = ", ".join(f"E{j}" for j in members) if members else "none"
         lines.append(f"  H{i}: {shown}")
-    lines.append(
-        "degenerate-hypotheses: "
-        + (_hyp_list(report.degenerate_hypotheses) if report.degenerate_hypotheses else "none")
-    )
+    lines.append(f"degenerate-hypotheses: {_hyp_list(report.degenerate_hypotheses)}")
     if report.condition1_failures is None:
         lines.append(
             "all-evidence-posteriors-nonzero: not-evaluable "

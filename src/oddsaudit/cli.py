@@ -92,7 +92,7 @@ def _noise_map(text: str) -> dict[Fraction, Fraction]:
 
 
 def _format_value(value: Fraction, approx: bool, i: int) -> str:
-    text = _rational_text(value, f"posterior of H{i}")
+    text = _rational_text(value.numerator, value.denominator, f"posterior of H{i}")
     if approx:
         text += f" (approx {float(value):.9g})"
     return text

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import InvalidModelError
-from .model import Model, _exact, _shown_total
+from .model import Model, _check_size, _exact, _shown_total
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,7 @@ def from_conditionals(spec: ConditionalSpec) -> Model:
     every evidence subset is conditionally independent given each hypothesis
     with positive prior.
     """
+    _check_size(spec.n, spec.m)  # before the n * 2**m entries are built
     table = {}
     for i, prior in enumerate(spec.priors, 1):
         column = {0: prior} if prior else {}  # mask -> value; each E_j splits every entry in two

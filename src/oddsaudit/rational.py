@@ -6,6 +6,7 @@ precision, always reduced, denominator always positive.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -30,10 +31,12 @@ def parse_integer(text: str) -> int:
     return int(text)
 
 
-def _rational_text(value: Fraction, what: str) -> str:
-    """``str(value)``; a numeral too long for ``str(int)`` is refused, naming ``what``."""
+def _rational_text(numerator: int, denominator: int, what: str) -> str:
+    """``str(Fraction(numerator, denominator))`` for ``denominator > 0``, reduced by one
+    gcd; a numeral too long for ``str(int)`` is refused, naming ``what``."""
+    g = math.gcd(numerator, denominator)
     try:
-        return str(value)
+        return str(numerator // g) if denominator == g else f"{numerator // g}/{denominator // g}"
     except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
         limit = sys.get_int_max_str_digits()
         raise NumeralLengthError(f"{what} has a numeral past the {limit}-digit limit") from None

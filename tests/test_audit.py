@@ -11,6 +11,7 @@ from oddsaudit import (
     MAX_EVIDENCE,
     AuditReport,
     DegeneratePriorError,
+    IndependenceViolation,
     Model,
     Side,
     TheoremOutcome,
@@ -446,6 +447,19 @@ def test_prior_one_and_empty_cells_share_one_whole_model_walk(monkeypatch):
         assert figures[1, Side.GIVEN_H] == figures[2, Side.GIVEN_NOT_H] == figures[3, Side.GIVEN_NOT_H]
         assert report.degenerate_hypotheses == {1, 2, 3}
         assert report.relevance == dict.fromkeys((1, 2, 3), frozenset())
+
+
+def test_violations_that_read_the_same_are_equal_whatever_their_base():
+    """A violation keeps its figures over its side's mass; two whose masses
+    differ but whose subset and figures read the same are equal, hash alike
+    and print alike."""
+    halves = IndependenceViolation(2, Side.GIVEN_H, (0b101, 1, 1, 2))  # joint 1/2, product 1/4
+    quarters = IndependenceViolation(2, Side.GIVEN_H, (0b101, 2, 4, 4))
+    assert (quarters.subset, quarters.joint, quarters.product) == ((1, 3), F(1, 2), F(1, 4))
+    assert halves == quarters and hash(halves) == hash(quarters)
+    assert halves.describe() == quarters.describe() == "H2 given-H {E1,E3}: joint=1/2 product=1/4"
+    assert halves != IndependenceViolation(2, Side.GIVEN_H, (0b101, 1, 1, 3))
+    assert halves != IndependenceViolation(2, Side.GIVEN_NOT_H, (0b101, 1, 1, 2))
 
 
 def test_mode_validation(glymour):

@@ -24,14 +24,17 @@ from oddsaudit import (
     ImpossibleEvidenceError,
     Model,
     ModelError,
+    Side,
     ZeroProbabilityError,
+    check_assumptions,
     dump,
     dumps,
     from_conditionals,
     load,
     measurement_scenario,
+    sign_vectors,
 )
-from oddsaudit import cli
+from oddsaudit import audit, cli
 from oddsaudit.cli import main, parse_observation
 from oddsaudit.modelfile import MAX_HYPOTHESES
 
@@ -397,6 +400,55 @@ def test_an_audit_figure_too_long_to_print_is_refused_in_own_words(model_file):
     message = "error: H3 given-H {E1,E2} has a numeral past the 4300-digit limit\n"
     for pairwise in ([], ["--pairwise"]):
         assert _run(["audit", path, *pairwise]) == (2, "", message)
+
+
+def test_an_audit_joint_figure_too_long_to_print_is_refused_in_own_words(model_file):
+    """H1's atoms are 1/24 +- 1/q1 and 1/24 +- 1/q2, with q1 and q2 coprime
+    2201-digit integers, split by E3 so that no token passes the limit.
+    Given H1, E1 and E2 each have probability 1/2, so the first failing line's
+    product is 1/4, while its joint figure 1/4 + 3/q1 + 3/q2 has a
+    4401-digit denominator."""
+    q1, q2 = 10**2200 + 1, 10**2200 + 3
+    lines = [
+        f"atom 1 {bits}{e3} {F(1, 24) + sign * F(1, q)}\n"
+        for bits, sign in (("11", 1), ("10", -1), ("01", -1), ("00", 1))
+        for e3, q in (("0", q1), ("1", q2))
+    ]
+    path = model_file("long_joint.model", text=(
+        "hypotheses 3\nevidence 3\n" + "".join(lines) + "atom 2 000 1/3\natom 3 111 1/3\n"
+    ))
+    first = check_assumptions(load(path), pairwise=True).independence_violations[0]
+    assert (first.hypothesis, first.side, first.subset) == (1, Side.GIVEN_H, (1, 2))
+    assert (first.joint, first.product) == (F(1, 4) + F(3, q1) + F(3, q2), F(1, 4))
+    message = "error: H1 given-H {E1,E2} has a numeral past the 4300-digit limit\n"
+    for pairwise in ([], ["--pairwise"]):
+        assert _run(["audit", path, *pairwise]) == (2, "", message)
+
+
+def test_audit_builds_no_fraction_for_its_violations(model_file, monkeypatch):
+    """The walk and the report lines keep each violation's figures as integers:
+    ``audit`` builds no ``Fraction`` in the audit module, on the dependent
+    model and on a table where every subset fails on every side, and prints
+    the lines that the violations' ``Fraction`` figures read."""
+    rng = random.Random(5)
+    cells = [(i, signs) for i in (1, 2, 3) for signs in sign_vectors(4)]
+    weights = {key: rng.randint(1, 9) for key in cells}
+    dense = Model(n=3, m=4, atoms={key: F(w, sum(weights.values())) for key, w in weights.items()})
+    violations = check_assumptions(dense).independence_violations
+    assert len(violations) == 3 * 2 * (2**4 - 4 - 1)
+    lines = "".join(
+        f"  H{v.hypothesis} {v.side} {{{','.join(f'E{j}' for j in v.subset)}}}: "
+        f"joint={v.joint} product={v.product}\n"
+        for v in violations
+    )
+    spy = mock.Mock(wraps=F)
+    monkeypatch.setattr(audit, "Fraction", spy)
+    run = _run(["audit", model_file("dependent.model", from_conditionals(DEPENDENT_SPEC))])
+    assert run == (1, DEPENDENT_REPORT, "")
+    code, out, err = _run(["audit", model_file("dense.model", dense)])
+    assert (code, err) == (1, "")
+    assert f"independence-violations: {len(violations)}\n{lines}relevance:\n" in out
+    assert spy.call_count == 0
 
 
 def test_posterior_and_audit_read_only_the_integer_form(tmp_path, monkeypatch, capsys):

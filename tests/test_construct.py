@@ -3,12 +3,14 @@ import time
 from decimal import Decimal
 from fractions import Fraction as F
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import _brute
 from oddsaudit import (
+    MAX_EVIDENCE,
     ConditionalSpec,
     InvalidModelError,
     Model,
@@ -112,6 +114,18 @@ def test_reproduces_all_three_tables(glymour, modified, four):
     assert from_conditionals(GLYMOUR_SPEC) == glymour
     assert from_conditionals(MODIFIED_SPEC) == modified
     assert from_conditionals(FOUR_SPEC) == four
+
+
+def test_a_spec_past_the_evidence_cap_is_refused_before_the_build(monkeypatch):
+    """m = 17 is refused with the builder's message before any of the
+    n * 2**17 product entries is made."""
+    spy = mock.Mock(wraps=Model._from_table)
+    monkeypatch.setattr(Model, "_from_table", spy)
+    spec = ConditionalSpec(priors=(F(1, 2),) * 2, cond=((F(1, 3), F(2, 3)),) * (MAX_EVIDENCE + 1))
+    with pytest.raises(InvalidModelError) as refused:
+        from_conditionals(spec)
+    assert str(refused.value) == "m=17 exceeds the evidence cap 16 (audits enumerate 2**m subsets)"
+    spy.assert_not_called()
 
 
 def test_modified_spot_cells():

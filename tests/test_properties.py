@@ -31,6 +31,7 @@ from oddsaudit import (
     from_conditionals,
     loads,
     odds_posteriors,
+    render_report,
     signs_to_bits,
 )
 
@@ -313,21 +314,29 @@ def test_whole_audit_equals_the_oracle(model, pairwise):
     for each hypothesis and then each side (only the pairs when
     ``pairwise``), and the oracle's relevant propositions for each
     hypothesis, on models with empty cells and with a cell of prior 1 too;
-    its condition 1 failures are the oracle's hypotheses without mass on
-    every E_j true, or None when that conjunction has probability 0."""
+    each violation's line, alone and in the report, is the text of the
+    oracle's ``Fraction`` figures; its condition 1 failures are the oracle's
+    hypotheses without mass on every E_j true, or None when that conjunction
+    has probability 0."""
     report = check_assumptions(model, pairwise=pairwise)
     hypotheses = range(1, model.n + 1)
     atoms, everything = dict(model.atoms), dict.fromkeys(range(1, model.m + 1), True)
-    assert [
-        (v.hypothesis, v.side, v.subset, v.joint, v.product)
-        for v in report.independence_violations
-    ] == [
+    oracle = [
         (i, side, *violation)
         for i in hypotheses
         for side, tag in ((Side.GIVEN_H, "H"), (Side.GIVEN_NOT_H, "nH"))
         for violation in _brute.independence_violations(atoms, i, tag)
         if not pairwise or len(violation[0]) == 2
     ]
+    found = report.independence_violations
+    assert [(v.hypothesis, v.side, v.subset, v.joint, v.product) for v in found] == oracle
+    assert all(type(v.joint) is type(v.product) is F for v in found)
+    lines = [
+        f"H{i} {side} {{{','.join(f'E{j}' for j in subset)}}}: joint={joint} product={product}"
+        for i, side, subset, joint, product in oracle
+    ]
+    assert [v.describe() for v in found] == lines
+    assert render_report(report).splitlines()[6:6 + len(lines)] == [f"  {line}" for line in lines]
     assert report.relevance == {i: _brute.relevant(atoms, i) for i in hypotheses}
     expected = None
     if _brute.event_prob(atoms, everything):
