@@ -24,16 +24,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .audit import check_assumptions, render_report
-from .construct import EXAMPLE_NAMES, example_model, from_conditionals, measurement_scenario
+# Only what every command needs is imported here, so that a start loads and
+# compiles just the code its command runs: each command, and each parser that
+# needs a value from its command's modules, imports the rest when it runs.
 from .errors import ModelError, SweepLimitError
-from .model import Side
 from .modelfile import dump, dumps, load
 from .rational import _rational_text, parse_integer, parse_rational
-from .sweep import (
-    DEFAULT_MAX_MODELS, SweepConfig, SweepResult, spec_from_grid, sweep, witness_filename
-)
-from .updating import odds_posteriors
 
 _OBSERVE_TOKEN = re.compile(r"E([0-9]+)=(0|1)")
 
@@ -99,6 +95,8 @@ def _format_value(value: Fraction, approx: bool, i: int) -> str:
 
 
 def cmd_audit(args) -> int:
+    from .audit import check_assumptions, render_report
+
     model = load(args.file)
     report = check_assumptions(model, pairwise=args.pairwise)
     sys.stdout.write(render_report(report))
@@ -106,6 +104,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_posterior(args) -> int:
+    from .updating import odds_posteriors
+
     model = load(args.file)
     event = parse_observation(args.observe or "", model.m)
     posterior = model.posteriors(event) if args.method == "exact" else odds_posteriors(model, event)
@@ -116,6 +116,8 @@ def cmd_posterior(args) -> int:
 
 
 def cmd_example(args) -> int:
+    from .construct import example_model
+
     if args.output:
         dump(example_model(args.name), args.output)
     else:
@@ -123,7 +125,7 @@ def cmd_example(args) -> int:
     return 0
 
 
-def _print_sweep_counts(result: SweepResult, stream) -> None:
+def _print_sweep_counts(result, stream) -> None:
     print(f"models-enumerated: {result.models_enumerated}", file=stream)
     print(f"models-satisfying-assumptions: {result.models_satisfying_all}", file=stream)
     print(f"witnesses-with-updating: {result.witnesses_with_updating}", file=stream)
@@ -131,6 +133,9 @@ def _print_sweep_counts(result: SweepResult, stream) -> None:
 
 
 def cmd_sweep(args) -> int:
+    from .construct import from_conditionals
+    from .sweep import SweepConfig, spec_from_grid, sweep, witness_filename
+
     config = SweepConfig(
         n=args.n,
         m=args.m,
@@ -169,6 +174,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_scenario(args) -> int:
+    from .audit import check_assumptions
+    from .construct import measurement_scenario
+    from .model import Side
+
     values = _rational_list(args.values, "values")
     weights = _rational_list(args.weights, "weights")
     noise = _noise_map(args.noise)
@@ -224,12 +233,16 @@ def _posterior_arguments(p) -> None:
 
 
 def _example_arguments(p) -> None:
+    from .construct import EXAMPLE_NAMES
+
     p.add_argument("name", choices=EXAMPLE_NAMES)
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_example)
 
 
 def _sweep_arguments(p) -> None:
+    from .sweep import DEFAULT_MAX_MODELS
+
     p.add_argument("--n", type=_integer_option, required=True, help="hypothesis count (> 2)")
     p.add_argument("--m", type=_integer_option, required=True, help="evidence count (>= 2)")
     p.add_argument("--denominator", type=_integer_option, required=True, help="grid denominator D")

@@ -9,27 +9,27 @@ numbers — that asymmetry is exactly what the audit module probes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import InvalidModelError
-from .model import Model, _check_size, _exact, _shown_total
+from .model import Model, _Immutable, _check_size, _exact, _shown_total
 
 
-@dataclass(frozen=True)
-class ConditionalSpec:
+class ConditionalSpec(_Immutable):
     """Priors plus the conditional matrix P(E_j | H_i).
 
     ``priors[i-1]`` is P(H_i); ``cond[j-1][i-1]`` is P(E_j | H_i).  Priors
     are nonnegative and sum to exactly 1; every conditional lies in [0, 1].
+    Both are kept as tuples of ``Fraction``; a spec is immutable, and equality,
+    hash and ``repr`` read the pair ``(priors, cond)``.
     """
 
     priors: tuple[Fraction, ...]
     cond: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        priors = tuple(_exact(p, "prior") for p in self.priors)
+    def __init__(self, priors, cond) -> None:
+        priors = tuple(_exact(p, "prior") for p in priors)
         if not priors:
             raise InvalidModelError("need at least one hypothesis prior")
         if any(p < 0 for p in priors):
@@ -37,10 +37,10 @@ class ConditionalSpec:
         total = sum(priors, Fraction(0))
         if total != 1:
             raise InvalidModelError(f"priors total {_shown_total(total)}, expected exactly 1")
-        if not self.cond:
+        if not cond:
             raise InvalidModelError("need at least one evidence conditional row")
-        cond = []
-        for j, row in enumerate(self.cond, 1):
+        rows = []
+        for j, row in enumerate(cond, 1):
             row = tuple(_exact(c, f"conditional for E{j}") for c in row)
             if len(row) != len(priors):
                 raise InvalidModelError(
@@ -48,9 +48,14 @@ class ConditionalSpec:
                 )
             if any(not 0 <= c <= 1 for c in row):
                 raise InvalidModelError(f"conditionals for E{j} must lie in [0, 1]")
-            cond.append(row)
-        object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "cond", tuple(cond))
+            rows.append(row)
+        vars(self).update(priors=priors, cond=tuple(rows))
+
+    def _identity(self) -> tuple:
+        return self.priors, self.cond
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(priors={self.priors!r}, cond={self.cond!r})"
 
     @property
     def n(self) -> int:

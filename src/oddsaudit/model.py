@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product, repeat
 from types import MappingProxyType
@@ -129,8 +128,26 @@ def _checked_values(n: int, m: int, atoms, table: dict) -> Iterator[Fraction]:
         yield value
 
 
-@dataclass(frozen=True, init=False)
-class Model:
+class _Immutable:
+    """A base for values: a subclass sets every attribute once, in ``vars(self)``
+    (as pickling and copying do too), after which assigning or deleting one
+    raises :class:`AttributeError`; ``==`` and ``hash`` read the tuple its
+    ``_identity()`` returns."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return self._identity() == other._identity() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
+
+
+class Model(_Immutable):
     """Exact joint distribution over ``n`` hypotheses and ``m`` evidence bits.
 
     ``Model(n, m, atoms)`` takes ``atoms`` mapping ``(i, signs)`` (an int in
@@ -141,6 +158,8 @@ class Model:
     by :attr:`denominator` ``L`` (the lcm of the atom denominators).  The
     caller's mapping is not kept.  Equality and hash compare the integer
     form, and :attr:`atoms` is a fresh read-only view of it on each read.
+    A model is immutable: assigning or deleting an attribute raises
+    :class:`AttributeError`.
     """
 
     n: int
@@ -189,7 +208,7 @@ class Model:
         if total != scale:
             shown = _shown_total(Fraction(total, scale))
             raise InvalidModelError(f"atom probabilities total {shown}, expected exactly 1")
-        vars(self).update(n=n, m=m, denominator=scale, _masses=masses,  # once: the class is frozen
+        vars(self).update(n=n, m=m, denominator=scale, _masses=masses,  # once: the model is immutable
                           _columns={i: tuple(c) for i, c in columns.items()})
 
     @property
@@ -205,12 +224,6 @@ class Model:
         """What equal models share: ``n``, ``m``, ``L`` and each column as a set."""
         columns = frozenset((i, frozenset(column)) for i, column in self._columns.items())
         return self.n, self.m, self.denominator, columns
-
-    def __eq__(self, other) -> bool:
-        return self._identity() == other._identity() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._identity())
 
     def __repr__(self) -> str:
         count = sum(map(len, self._columns.values()))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from decimal import Decimal
@@ -105,6 +107,30 @@ def test_spec_priors_total_too_long_to_print_is_still_a_model_error():
     with pytest.raises(InvalidModelError) as info:
         ConditionalSpec(priors=(F(1, 7**3000), F(1, 11**3000), F(1, 2)), cond=((0, 0, 0),))
     assert str(info.value) == "priors total less than 1, expected exactly 1"
+
+
+def test_spec_reads_as_its_values_and_is_immutable():
+    """A spec's ``repr`` (which a sweep violation line prints), ``==`` and
+    ``hash`` read its normalised ``(priors, cond)``, and it cannot be changed;
+    copies and pickles are equal to it."""
+    spec = ConditionalSpec(priors=(1,), cond=((0,),))
+    assert repr(spec) == "ConditionalSpec(priors=(Fraction(1, 1),), cond=((Fraction(0, 1),),))"
+    assert str(GLYMOUR_SPEC) == (
+        "ConditionalSpec(priors=(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)), "
+        "cond=((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)), "
+        "(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1))))"
+    )
+    same = ConditionalSpec([F(1)], [[F(0)]])
+    assert spec == same and hash(spec) == hash(same) and len({spec, same}) == 1
+    assert spec != ConditionalSpec(priors=(1,), cond=((1,),)) and spec != (spec.priors, spec.cond)
+    assert GLYMOUR_SPEC != MODIFIED_SPEC
+    for copied in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert copied == spec and repr(copied) == repr(spec)
+    with pytest.raises(AttributeError):
+        spec.priors = (F(1),)
+    with pytest.raises(AttributeError):
+        del spec.cond
+    assert spec.priors == (1,) and spec.cond == ((0,),)
 
 
 # --- from_conditionals ----------------------------------------------------------

@@ -41,32 +41,69 @@ def test_readme_library_sketch_runs(capsys):
     assert capsys.readouterr().out.startswith("hypotheses: 3\n")
 
 
-def test_only_a_sweep_imports_numpy(tmp_path):
-    """numpy is the sweep kernel's alone: a fresh interpreter that imports the
-    package and runs every other command has not loaded it, and after a sweep
-    ``oddsaudit.sweep`` is still the function, even once the submodule is
-    imported by name."""
-    script = textwrap.dedent(f"""
-        import sys, types
-        import oddsaudit, oddsaudit.cli
-        from oddsaudit.cli import main
-        path, scenario = {str(tmp_path / "g.model")!r}, {str(tmp_path / "s.model")!r}
-        assert main(["example", "glymour", "-o", path]) == 0
-        assert main(["audit", path]) == 0
-        assert main(["posterior", path, "--all", "--method", "odds"]) == 0
-        assert main(["scenario", "--values", "0,1,2", "--weights", "1/2,1/4,1/4",
-                     "--noise", "0:1", "--thresholds", "0,1", "-o", scenario]) == 0
-        assert "numpy" not in sys.modules
-        assert main(["sweep", "--n", "3", "--m", "2", "--denominator", "2"]) == 0
-        assert "numpy" in sys.modules
-        import oddsaudit.sweep
-        assert not isinstance(oddsaudit.sweep, types.ModuleType)
-        assert oddsaudit.sweep is sys.modules["oddsaudit.sweep"].sweep
-    """)
+def _fresh_interpreter(script: str) -> None:
+    """Run ``script`` in a new interpreter that imports this checkout's package."""
     src = str(Path(oddsaudit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_only_a_sweep_imports_numpy(tmp_path):
+    """A CLI start loads only its command's modules: ``import oddsaudit`` loads
+    none of them, ``example`` and
+    ``posterior`` load neither the audit nor the sweep, nor ``dataclasses`` (and
+    with it ``inspect``); ``audit`` and ``scenario`` do not load the sweep.
+    numpy is the sweep kernel's alone, and after a sweep ``oddsaudit.sweep`` is
+    still the function, even once the submodule is imported by name."""
+    _fresh_interpreter(textwrap.dedent(f"""
+        import sys, types
+        import oddsaudit
+        assert [name for name in sys.modules if name.startswith("oddsaudit.")] == []
+        from oddsaudit.cli import main
+        path, scenario = {str(tmp_path / "g.model")!r}, {str(tmp_path / "s.model")!r}
+
+        def loaded(*names):
+            return [name for name in names if name in sys.modules]
+
+        assert main(["example", "glymour", "-o", path]) == 0
+        assert main(["posterior", path, "--all", "--method", "odds"]) == 0
+        assert main(["posterior", path, "-i", "1", "--observe", "E1=1"]) == 0
+        assert loaded("oddsaudit.audit", "oddsaudit.sweep", "dataclasses", "inspect", "numpy") == []
+        assert main(["audit", path]) == 0
+        assert main(["scenario", "--values", "0,1,2", "--weights", "1/2,1/4,1/4",
+                     "--noise", "0:1", "--thresholds", "0,1", "-o", scenario]) == 0
+        assert loaded("oddsaudit.audit", "oddsaudit.sweep", "numpy") == ["oddsaudit.audit"]
+        assert main(["sweep", "--n", "3", "--m", "2", "--denominator", "2"]) == 0
+        assert loaded("oddsaudit.sweep", "numpy") == ["oddsaudit.sweep", "numpy"]
+        import oddsaudit.sweep
+        assert not isinstance(oddsaudit.sweep, types.ModuleType)
+        assert oddsaudit.sweep is sys.modules["oddsaudit.sweep"].sweep
+    """))
+
+
+def test_public_names_hold_in_any_import_order():
+    """The package resolves its public names on first use, yet lists them all at
+    once, and a submodule imported first does not hide the name it shares."""
+    _fresh_interpreter(textwrap.dedent("""
+        import oddsaudit.sweep
+        import sys, types
+        from oddsaudit import sweep
+        assert sweep is oddsaudit.sweep is sys.modules["oddsaudit.sweep"].sweep
+        assert not isinstance(sweep, types.ModuleType)
+        import oddsaudit.sweep as again
+        assert again is sweep
+    """))
+    _fresh_interpreter(textwrap.dedent("""
+        import oddsaudit
+        assert set(oddsaudit.__all__) <= set(dir(oddsaudit))
+        try:
+            oddsaudit.no_such_name
+        except AttributeError as exc:
+            assert str(exc) == "module 'oddsaudit' has no attribute 'no_such_name'"
+        else:
+            raise AssertionError("an unknown name resolved")
+    """))
 
 
 def test_package_has_no_dead_imports_or_private_names():

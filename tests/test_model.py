@@ -178,7 +178,7 @@ def test_zero_atoms_dropped_and_mapping_frozen(glymour):
     with pytest.raises(TypeError):
         model.atoms[(2, (T,))] = F(1)  # read-only view
     with pytest.raises(AttributeError):
-        glymour.n = 5  # frozen dataclass
+        glymour.n = 5  # a model is immutable
 
 
 def test_duplicate_atom_refused_even_when_zero():
