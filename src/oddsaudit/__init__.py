@@ -15,50 +15,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditReport",
-    "ConditionalSpec",
-    "DEFAULT_MAX_MODELS",
-    "DegeneratePriorError",
-    "EXAMPLE_NAMES",
-    "ImpossibleEvidenceError",
-    "IndependenceViolation",
-    "InvalidModelError",
-    "MAX_EVIDENCE",
-    "Model",
-    "ModelError",
-    "ModelFormatError",
-    "PairIdentities",
-    "Side",
-    "SweepConfig",
-    "SweepLimitError",
-    "SweepResult",
-    "SweepViolation",
-    "TheoremOutcome",
-    "ZeroProbabilityError",
-    "bits_to_signs",
-    "check_assumptions",
-    "check_pair_identities",
-    "dump",
-    "dumps",
-    "example_model",
-    "from_conditionals",
-    "load",
-    "loads",
-    "measurement_scenario",
-    "odds_posteriors",
-    "parse_rational",
-    "render_report",
-    "sign_vectors",
-    "signs_to_bits",
-    "spec_from_grid",
-    "sweep",
-    "witness_filename",
-]
-
-
-#: Module -> the public names it defines.  Each name is imported from its module
-#: on first use, so ``import oddsaudit`` loads none of them.
+#: Module -> the public names it defines, which ``__all__`` lists sorted.  Each name
+#: is imported from its module on first use, so ``import oddsaudit`` loads none of them.
 _MODULES = {
     "audit": ("AuditReport", "IndependenceViolation", "PairIdentities", "TheoremOutcome",
               "check_assumptions", "check_pair_identities", "render_report"),
@@ -74,6 +32,7 @@ _MODULES = {
     "updating": ("odds_posteriors",),
 }
 _HOMES = {name: module for module, names in _MODULES.items() for name in names}
+__all__ = sorted(_HOMES)
 
 
 def __getattr__(name: str):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegeneratePriorError
-from .model import Model, Side
+from .model import Model, Side, _Immutable
 from .rational import _rational_text
 
 _PARTITION_NOTE = (
@@ -30,7 +30,7 @@ _PARTITION_NOTE = (
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class IndependenceViolation:
+class IndependenceViolation(_Immutable):
     """One evidence subset whose joint conditional fails to factorize.
 
     ``joint`` is P(AND_{j in subset} E_j | side of H_i); ``product`` is the
@@ -60,12 +60,6 @@ class IndependenceViolation:
 
     def _identity(self) -> tuple:
         return self.hypothesis, self.side, self.subset, self.joint, self.product
-
-    def __eq__(self, other) -> bool:
-        return self._identity() == other._identity() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._identity())
 
     def describe(self, names: dict[int, str] | None = None) -> str:
         """The report line; ``names`` keeps each mask's member text across one render."""

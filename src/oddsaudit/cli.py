@@ -158,8 +158,7 @@ def cmd_sweep(args) -> int:
         result = sweep(config, max_models=args.max_models, on_survivor=on_survivor)
     except SweepLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if exc.partial is not None:
-            _print_sweep_counts(exc.partial, sys.stderr)
+        _print_sweep_counts(exc.partial, sys.stderr)
         return 3
     if on_survivor is not None:  # also made when no model survives
         witness_dir.mkdir(parents=True, exist_ok=True)

@@ -74,15 +74,16 @@ def from_conditionals(spec: ConditionalSpec) -> Model:
     with positive prior.
     """
     _check_size(spec.n, spec.m)  # before the n * 2**m entries are built
-    table = {}
+    table, values = {}, []  # (i, mask) -> index into values
     for i, prior in enumerate(spec.priors, 1):
         column = {0: prior} if prior else {}  # mask -> value; each E_j splits every entry in two
         for j0, row in enumerate(spec.cond):  # in place, so the masks come in sign_vectors order
             bit, c, d = 1 << j0, row[i - 1], 1 - row[i - 1]
             column = {key: v for mask, value in column.items()
                       for key, v in ((mask, value * d), (mask | bit, value * c)) if v}
-        table.update(((i, mask), value) for mask, value in column.items())
-    return Model._from_table(spec.n, spec.m, {key: k for k, key in enumerate(table)}, table.values())
+        table.update(((i, mask), k) for k, mask in enumerate(column, len(values)))
+        values += column.values()
+    return Model._from_table(spec.n, spec.m, table, values)
 
 
 _F = Fraction

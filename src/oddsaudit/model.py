@@ -130,9 +130,11 @@ def _checked_values(n: int, m: int, atoms, table: dict) -> Iterator[Fraction]:
 
 class _Immutable:
     """A base for values: a subclass sets every attribute once, in ``vars(self)``
-    (as pickling and copying do too), after which assigning or deleting one
-    raises :class:`AttributeError`; ``==`` and ``hash`` read the tuple its
-    ``_identity()`` returns."""
+    (as pickling and copying do too) or in its slots, after which assigning or
+    deleting one raises :class:`AttributeError`; ``==`` and ``hash`` read the
+    tuple its ``_identity()`` returns."""
+
+    __slots__ = ()
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

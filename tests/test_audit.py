@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -460,6 +462,20 @@ def test_violations_that_read_the_same_are_equal_whatever_their_base():
     assert halves.describe() == quarters.describe() == "H2 given-H {E1,E3}: joint=1/2 product=1/4"
     assert halves != IndependenceViolation(2, Side.GIVEN_H, (0b101, 1, 1, 3))
     assert halves != IndependenceViolation(2, Side.GIVEN_NOT_H, (0b101, 1, 1, 2))
+
+
+def test_violations_keep_their_value_and_slots_through_copies():
+    """A violation shares the models' value base: a pickled, copied or deep-copied
+    one is equal and hashes alike, it has no ``__dict__`` (its slots are kept),
+    and assigning to a field raises."""
+    violation = IndependenceViolation(2, Side.GIVEN_H, (0b101, 1, 1, 2))
+    copies = pickle.loads(pickle.dumps(violation)), copy.copy(violation), copy.deepcopy(violation)
+    for copied in copies:
+        assert copied == violation and hash(copied) == hash(violation)
+        assert copied.describe() == violation.describe()
+    assert not hasattr(violation, "__dict__")
+    with pytest.raises(AttributeError):
+        violation.hypothesis = 3
 
 
 def test_mode_validation(glymour):

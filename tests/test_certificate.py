@@ -20,9 +20,13 @@ every rational product spec with that n, not only for grid points:
     (n - 2) D K_ab.  So for n > 2, a pair passing every identity has K_ab = 0
     and then P_i X_{a,i} X_{b,i} = 0 for every i: no hypothesis is updated by
     both rows.  At n = 2 the sum vanishes identically and forces nothing.
+(c) the pair converse: D times the residual of (a) is
+    (D - P_i) sum_k P_k X_{a,k} X_{b,k} - D P_i X_{a,i} X_{b,i}.  If the rows'
+    update sets are disjoint, every P_k X_{a,k} X_{b,k} is 0, so the pair
+    passes every identity of (a).
 
-It does not certify the converse, that disjoint update sets factor every
-subset given each not-H_i.
+It does not certify that disjoint update sets factor every larger subset
+given each not-H_i.
 """
 
 from collections import defaultdict
@@ -119,3 +123,18 @@ def test_the_residuals_sum_to_n_minus_two_times_d_k(n):
     assert residuals == (n - 2) * (D * K)
     assert K != Poly({})
     assert (residuals == Poly({})) == (n == 2)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_disjoint_update_sets_pass_every_pair_identity(n):
+    """(c): D times the residual of (a) is a sum of the terms P_k X_ak X_bk, so
+    it is 0 when no hypothesis is updated by both rows; with D in place of
+    (D - P_i), or without the right side's factor D, it is not."""
+    D, P, _, _, X_a, X_b, K = kernel(n)
+    updates = total(p * x * y for p, x, y in zip(P, X_a, X_b))
+    for i in range(n):
+        both = P[i] * X_a[i] * X_b[i]
+        residual = K * (D - P[i]) - both
+        assert D * residual == (D - P[i]) * updates - D * both, i
+        assert D * residual != D * updates - D * both, i
+        assert D * residual != (D - P[i]) * updates - both, i
