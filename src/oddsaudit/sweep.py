@@ -45,10 +45,11 @@ sum to D, so adding c to a row adds cD to t_a and keeps X_a, and D K_ab =
 sum_k P_k X_{a,k} X_{b,k}.  One row per shift class is tested, with least
 entry c1 (1 with ``require_condition1``, else 0), for D + 1 - max(row) rows.
 
-Check, then count.  Every pair of classes is tested against what the proofs
-predict, disjoint masks.  A clash, a pair (or a class with itself) that passes
-although its masks meet, is a theorem violation; a pair of disjoint masks
-that fails contradicts the converse and raises.  With no clash the survivors
+Check, then count.  Each pair of classes (a class with itself included), or
+another pair of its orbit (below), is tested against what the proofs
+predict, disjoint masks.  A clash, a pair that passes although its masks
+meet, is a theorem violation; a pair of disjoint masks that fails
+contradicts the converse and raises.  With no clash the survivors
 are the m-tuples whose nonzero masks are pairwise disjoint: with q rows of
 empty mask, sum_k m!/(m-k)! q^(m-k) e_k, e_k summing the products of the row
 counts of k pairwise disjoint nonzero masks; less q^m they are those with
@@ -56,24 +57,33 @@ updating.  So the m = 2 sweep certifies every m: a violation at any m holds a
 clash, which is a violating m = 2 survivor on its own.
 
 Relabelling hypotheses (priors and columns together) keeps the counts, so
-each nonincreasing composition is checked and counted once.  Survivors and
-violations are listed by a walk over each composition's grid rows that reads
-its sorted form's check; it must match that form's counts, or count them
-where the form has clashes.
+each nonincreasing composition is checked and counted once.  Within one, a
+permutation sigma of equal-prior columns keeps t and K and sends X_{a,k} to
+X_{sigma a, sigma k}, so hypothesis k's identity on (a, b) is hypothesis
+sigma k's on (sigma a, sigma b), and the masks permute the same way: a pair
+passes, or clashes, iff its image does.  Call a class canonical when its
+entries do not increase within each run of equal live priors; some sigma
+makes any class canonical.  So the check orders the classes canonical
+first, tests each of the K canonical ones against every class from it on,
+K (K + 1) / 2 + K (C - K) of the C (C + 1) / 2 pairs (all of them when no
+live prior repeats), and expands a clash it finds to its orbit.  Survivors
+and violations are listed by a walk over each composition's grid rows that
+reads its sorted form's check; it must match that form's counts, or count
+them where the form has clashes.
 
 The kernel tests the first hypothesis (K_ab = 0 for a zero prior) on a
 whole block of pairs and each later one only on the pairs that passed every
 earlier one.  Every identity term is at most D^5, so the arithmetic is int32
 and :func:`sweep` refuses D > 73 (D^5 >= 2^31), m > 16 (a Model's cap: every
 witness is one, and the walk runs m deep) and, before any pair test, grids
-past 2^33 pair tests, C (C + 1) / 2 for each sorted composition of C classes,
-C = (D + 1 - c1)^w - (D - c1)^w over w live columns.  That bound admits no
-whole grid past D = 53 (n = 3 with c1; 52 without, 16 at n = 4), so the
-int32 range only refuses budgets that stop after the first compositions.
-(3, 2, 52) takes 76-91 s at 37 MB RSS on a 2-core VM.  The check holds a
-block of class pairs at a time, and a composition's classes only while it is
-counted (or listed), so memory follows one composition's rows, not C^2 or
-the grid.
+past 2^33 class pairs, C (C + 1) / 2 for each sorted composition of C classes
+however few of them the orbits leave to test, C = (D + 1 - c1)^w - (D - c1)^w
+over w live columns.  That bound admits no whole grid past D = 53 (n = 3
+with c1; 52 without, 16 at n = 4), so the int32 range only refuses budgets
+that stop after the first compositions.  (3, 2, 52) takes about 44 s at
+37 MB RSS on a 2-core VM.  The check holds a block of class pairs at a
+time, and a composition's classes only while it is counted (or listed), so
+memory follows one composition's rows, not C^2 or the grid.
 """
 
 from __future__ import annotations
@@ -82,7 +92,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable
 
 from .construct import ConditionalSpec
@@ -190,9 +200,18 @@ def _rows(width, D, c1):
     return np.indices((D + 1 - c1,) * width, dtype=np.int64).reshape(width, -1).T + c1
 
 
-def _identity(P, D, live, rows, X):
+def _classes(reps, rows, D, c1):
+    """The shift class of each of ``rows`` among the representatives ``reps``:
+    the row less its least entry, plus c1, looked up by flat index in grid order."""
+    import numpy as np
+    place = (D + 1 - c1) ** np.arange(rows.shape[-1])[::-1]
+    return np.searchsorted((reps - c1) @ place, (rows - rows.min(axis=-1, keepdims=True)) @ place)
+
+
+def _identity(P, D, live, rows, X, heads):
     """Blocks ``(s, ok)`` of the pair identity of composition ``P``: ``ok[i, j]``
-    says whether ``rows`` s + i and s + j pass it for every hypothesis.  The
+    says whether ``rows`` s + i and s + j pass it for every hypothesis, each
+    block of the first ``heads`` rows against every row from its first on.  The
     first hypothesis (K == 0 for a zero prior) is tested on the whole block,
     each later one only on the pairs that passed every earlier one.  Every term
     is at most D^5 < 2^31, so the arithmetic is int32."""
@@ -201,8 +220,8 @@ def _identity(P, D, live, rows, X):
     live, rows, X = live.astype(np.int32), rows.astype(np.int32), X.T.astype(np.int32, order="C")
     t = rows @ live
     step = max(1, _CHUNK_ROWS // len(rows))
-    for s in range(0, len(rows), step):  # each block of rows against every row from its first on
-        block = slice(s, s + step)
+    for s in range(0, heads, step):  # each block of heads against every row from its first on
+        block = slice(s, min(s + step, heads))
         K = (D * live * rows[block]) @ rows[s:].T - np.multiply.outer(t[block], t[s:])
         stages = iter(np.flatnonzero(live < D))
         if len(live) < len(P):  # a zero prior's identity reads K == 0
@@ -221,29 +240,36 @@ def _identity(P, D, live, rows, X):
 
 
 def _pairs(P, D, c1):
-    """Check every pair of shift classes of composition ``P`` over its columns of
-    nonzero prior against their masks (bit k: the class updates the k-th one).
-    Returns the representatives (least entry ``c1``, in grid order), their masks
-    and the clashes, pairs p <= q that pass although their masks meet; disjoint
-    masks that fail raise."""
+    """Check the pairs of shift classes of composition ``P`` over its columns of
+    nonzero prior against their masks (bit k: the class updates the k-th one),
+    a pair of each orbit under permutations of equal-prior columns.  Returns the
+    representatives (least entry ``c1``, in grid order), their masks and the
+    clashes, pairs p <= q that pass although their masks meet, each found one
+    with its orbit; disjoint masks that fail raise."""
     import numpy as np
     live = np.array([p for p in P if p], dtype=np.int64)
     rows = _rows(len(live), D, c1)
     rows = rows[rows.min(axis=1) == c1]
     X = D * rows - (rows @ live)[:, None]
     mask = ((X != 0) & (live < D)) @ (1 << np.arange(len(live), dtype=np.int64))
-    clashes = []
-    for s, ok in _identity(P, D, live, rows, X):
-        disjoint = (mask[s : s + len(ok), None] & mask[s:]) == 0
+    # canonical classes first: no entry rises within a run of equal priors
+    rising = ((rows[:, :-1] < rows[:, 1:]) & (live[:-1] == live[1:])).any(axis=1)
+    order = np.argsort(rising, kind="stable")
+    bits, clashes = mask[order].astype(np.uint8), set()  # at most 6 live columns under the bound
+    for s, ok in _identity(P, D, live, rows[order], X[order], len(rows) - rising.sum()):
+        disjoint = (bits[s : s + len(ok), None] & bits[s:]) == 0
         if np.array_equal(ok, disjoint):  # as the proofs predict
             continue
-        for a, b in (np.argwhere(np.triu(ok != disjoint)) + s).tolist():
-            if not ok[a - s, b - s]:
+        for i, j in np.argwhere(np.triu(ok != disjoint)).tolist():
+            a, b = sorted(order[[s + i, s + j]].tolist())
+            if not ok[i, j]:
                 a, b = (tuple(rows[r].tolist()) for r in (a, b))
                 raise AssertionError(f"composition {P}: rows {a} and {b} of disjoint masks "
                                      "fail the pair identity")
-            clashes.append((a, b))
-    return rows, mask, clashes
+            same = [p for p in permutations(range(len(live))) if (live[list(p)] == live).all()]
+            orbit = np.sort(_classes(rows, rows[[a, b]][:, same], D, c1), axis=0)
+            clashes.update(zip(*orbit.tolist()))
+    return rows, mask, sorted(clashes)
 
 
 def _counts(P, m, D, check):
@@ -283,8 +309,7 @@ def _members(P, m, D, c1, check, listed):
     for a, b in clashes + [(b, a) for a, b in clashes]:
         near.setdefault(a, np.zeros(len(mask), dtype=bool))[b] = True
     grid_rows = _rows(len(P), D, c1)
-    ordered, place = grid_rows[:, live[order]], (D + 1 - c1) ** np.arange(len(live))[::-1]
-    node = np.searchsorted((reps - c1) @ place, (ordered - ordered.min(axis=1)[:, None]) @ place)
+    node = _classes(reps, grid_rows[:, live[order]], D, c1)
     masks, digits = mask[node], list(map(tuple, grid_rows.tolist()))
 
     def walk(prefix, allowed, union, twice):  # each (m-1)-row prefix and its last rows

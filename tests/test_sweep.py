@@ -372,21 +372,40 @@ def class_pairs(n, d, c1):
     return sum(c * (c + 1) // 2 for c in classes)
 
 
+def canonical(P, reps):
+    """Which of the representatives ``reps`` of composition ``P`` are canonical:
+    no entry rises within a run of equal live priors."""
+    live = [p for p in P if p]
+    ties = [k for k in range(len(live) - 1) if live[k] == live[k + 1]]
+    return [all(row[k] >= row[k + 1] for k in ties) for row in reps.tolist()]
+
+
+def reduced_pairs(C, K):
+    """The pairs holding a canonical class, K of C: K (K + 1) / 2 + K (C - K)."""
+    return K * (K + 1) // 2 + K * (C - K)
+
+
 @pytest.mark.parametrize("c1", [False, True])
 @pytest.mark.parametrize("n, d", [(3, d) for d in range(1, 9)] + [(4, 4), (5, 3)])
 def test_the_bound_counts_the_pairs_the_kernel_tests(n, d, c1, monkeypatch):
-    """The bound's unit is the kernel's: the classes that the check keeps are
-    the bound's C for each composition, and the identity blocks test C (C + 1) / 2
-    pairs of them (a block of b classes from s on meets the C - s from s on,
-    less the b (b - 1) / 2 below the diagonal)."""
+    """The bound counts every pair of the kernel's classes: the classes that the
+    check keeps are the bound's C for each composition, and the bound sums
+    C (C + 1) / 2.  The identity blocks test the pairs that hold one of the K
+    canonical classes, K (K + 1) / 2 + K (C - K), at most the bound's count and
+    equal to it where no live prior repeats (a block of b classes from s on
+    meets the C - s from s on, less the b (b - 1) / 2 below the diagonal)."""
     kept, tested = [], []
     pairs, identity = sweep_module._pairs, sweep_module._identity
 
     def spy_pairs(P, D, c):
+        start = len(tested)
         check = pairs(P, D, c)
-        live = len(P) - P.count(0)
-        assert len(check[0]) == (D + 1 - c) ** live - (D - c) ** live, P
-        kept.append(len(check[0]))
+        live = [p for p in P if p]
+        C, K = len(check[0]), sum(canonical(P, check[0]))
+        assert C == (D + 1 - c) ** len(live) - (D - c) ** len(live), P
+        assert sum(tested[start:]) == reduced_pairs(C, K) <= C * (C + 1) // 2, P
+        assert (K == C) == (len(set(live)) == len(live)), P
+        kept.append(C)
         return check
 
     def spy_identity(*args):
@@ -399,7 +418,7 @@ def test_the_bound_counts_the_pairs_the_kernel_tests(n, d, c1, monkeypatch):
     monkeypatch.setattr(sweep_module, "_identity", spy_identity)
     result = sweep(SweepConfig(n, 2, d, c1), max_models=10**20)
     assert result.theorem_violations == []
-    assert sum(c * (c + 1) // 2 for c in kept) == sum(tested) == class_pairs(n, d, c1)
+    assert sum(c * (c + 1) // 2 for c in kept) == class_pairs(n, d, c1) >= sum(tested)
 
 
 def test_grid_past_the_pair_test_bound_is_refused(monkeypatch):
@@ -497,6 +516,24 @@ def test_the_first_grid_the_row_bound_refused_matches_the_oracle():
         result.models_enumerated, result.models_satisfying_all, result.witnesses_with_updating
     )
     assert _brute.grid_counts_by_relevance(3, 2, 26) == counts
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("c1, counts", [
+    (False, (59_319_802_290, 6_386_376_570, 4_673_875_080)),
+    (True, (59_319_802_290, 503_820, 503_640)),
+])
+def test_a_grid_of_repeated_priors_matches_the_oracle(c1, counts):
+    """All but 0.02% of the class pairs of (5, 2, 6) lie in compositions with a
+    repeated live prior, so its kernel tests one pair per orbit, 6.2x fewer
+    than every pair; it sweeps to the counts of the independent oracle, with
+    no violation, with and without ``require_condition1``."""
+    result = sweep(SweepConfig(5, 2, 6, c1), max_models=10**20)
+    assert result.theorem_violations == []
+    assert counts == (
+        result.models_enumerated, result.models_satisfying_all, result.witnesses_with_updating
+    )
+    assert _brute.grid_counts_by_relevance(5, 2, 6, c1) == counts
 
 
 @pytest.mark.parametrize("budget", [2.5e7, None, True, False, -5, "100", np.int64(10**6)])
@@ -689,9 +726,10 @@ def test_relabelled_classes_are_the_sorted_forms(n, d):
 @pytest.mark.parametrize("star, d", [((2, 1, 0), 3), ((2, 1, 1, 0), 4)])
 def test_an_injected_clash_is_named_on_every_relabelling(star, d, monkeypatch):
     """One meeting pair of classes of a sorted composition with a zero, made
-    to pass its identity, is a clash that every permutation of it lists: the
-    specs with a row of each class, whose live columns, in the sorted order
-    (ties kept in column order), are the class's representative plus a
+    to pass its identity with every pair of its orbit under relabelling equal
+    priors, is a clash that every permutation of it lists: the specs with a row
+    of each class of one of those pairs, whose live columns, in the sorted
+    order (ties kept in column order), are the class's representative plus a
     constant.  Each violation names the lowest hypothesis that both rows
     update and the two rows, as the oracle's updating sets do, in grid order.
     On (2, 1, 1, 0) the pair's masks differ and meet on two bits, so the name
@@ -704,7 +742,7 @@ def test_an_injected_clash_is_named_on_every_relabelling(star, d, monkeypatch):
         if bin(int(mask[a] & mask[b])).count("1") == 2
     ]
     a, b = min(meeting, key=lambda pair: mask[pair[0]] == mask[pair[1]])  # masks differ if any do
-    pass_one_pair(monkeypatch, a, b, True, star)
+    pass_one_pair(monkeypatch, reps, a, b, True, star)
     result = sweep(SweepConfig(n, m, d))
     listed = [
         (tuple(p * d for p in v.spec.priors), tuple(c * d for row in v.spec.cond for c in row),
@@ -717,16 +755,19 @@ def test_an_injected_clash_is_named_on_every_relabelling(star, d, monkeypatch):
             continue
         columns = sorted((i for i in range(n) if P[i]), key=lambda i: -P[i])
         zeros = [i for i in range(n) if not P[i]]
-        sides = []
-        for rep in (reps[a].tolist(), reps[b].tolist()):
-            free = product(range(d + 1), repeat=len(zeros))
-            rows = [
-                dict(zip(columns, (x + shift for x in rep))) | dict(zip(zeros, values))
-                for shift, values in product(range(d + 1 - max(rep)), free)
-            ]
-            sides.append([tuple(row[i] for i in range(n)) for row in rows])
-        pairs = list(product(*sides))
-        for flat in sorted([x + y for x, y in pairs] + [y + x for x, y in pairs]):
+        flats = set()
+        for pair in orbit(star, reps, a, b):
+            sides = []
+            for rep in (reps[r].tolist() for r in pair):
+                free = product(range(d + 1), repeat=len(zeros))
+                rows = [
+                    dict(zip(columns, (x + shift for x in rep))) | dict(zip(zeros, values))
+                    for shift, values in product(range(d + 1 - max(rep)), free)
+                ]
+                sides.append([tuple(row[i] for i in range(n)) for row in rows])
+            flats.update(x + y for x, y in product(*sides))
+            flats.update(y + x for x, y in product(*sides))
+        for flat in sorted(flats):
             sets = _brute.grid_updating_sets(P, flat, n, m, d)
             first = min(i for i in sets if len(sets[i]) >= 2)
             expected.append((P, flat, first, tuple(sorted(sets[first])[:2])))
@@ -823,13 +864,16 @@ def test_orbit_counts_match_full_grid(grid):
 
 
 def patch_identity(monkeypatch, edit):
-    """Patch the sweep's pair identity: ``edit(P, s, ok)`` changes each block
-    in place before the check compares it with the masks."""
+    """Patch the sweep's pair identity: ``edit(P, s, ok, classes)`` changes each
+    block in place before the check compares it with the masks.  ``ok[i, j]``
+    is the pair of classes ``classes[s + i]`` and ``classes[s + j]``, their
+    indices in grid order, which the kernel may test in another order."""
     original = sweep_module._identity
 
-    def identity(P, *args):
-        for s, ok in original(P, *args):
-            edit(P, s, ok)
+    def identity(P, D, live, rows, *args):
+        classes = np.lexsort(rows.T[::-1]).argsort()  # each row's rank in grid order
+        for s, ok in original(P, D, live, rows, *args):
+            edit(P, s, ok, classes)
             yield s, ok
 
     monkeypatch.setattr(sweep_module, "_identity", identity)
@@ -837,7 +881,7 @@ def patch_identity(monkeypatch, edit):
 
 def every_pair_an_edge(monkeypatch):
     """Patch the sweep so that every pair of rows passes the identity."""
-    patch_identity(monkeypatch, lambda P, s, ok: ok.fill(True))
+    patch_identity(monkeypatch, lambda P, s, ok, classes: ok.fill(True))
 
 
 def test_violations_listed_from_classes(monkeypatch):
@@ -905,13 +949,33 @@ def test_cli_lists_violations_and_exits_1(monkeypatch, capsys):
     assert len(violations) > 0
 
 
-def pass_one_pair(monkeypatch, a, b, passes, star=(1, 1, 1)):
-    """Patch the identity of composition ``star`` so that the pair of shift
-    classes a < b passes it or fails it."""
+def orbit(P, reps, a, b):
+    """The pairs p <= q of classes that the permutations of the equal-prior live
+    columns of composition ``P`` make of classes a and b, among the
+    representatives ``reps`` of its check."""
+    live = [p for p in P if p]
+    index = {row: k for k, row in enumerate(map(tuple, reps.tolist()))}
+    pairs = set()
+    for perm in permutations(range(len(live))):
+        if [live[k] for k in perm] == live:
+            p, q = (index[tuple(reps[r][list(perm)].tolist())] for r in (a, b))
+            pairs.add((min(p, q), max(p, q)))
+    return sorted(pairs)
 
-    def edit(P, s, ok):
-        if P == star and s <= a < s + len(ok):
-            ok[a - s, b - s] = passes
+
+def pass_one_pair(monkeypatch, reps, a, b, passes, star=(1, 1, 1)):
+    """Patch the identity of composition ``star``, whose check found the
+    representatives ``reps``, so that the pair of shift classes a < b and every
+    pair of its orbit pass it or fail it, wherever the kernel tests them."""
+    pairs = orbit(star, reps, a, b)
+
+    def edit(P, s, ok, classes):
+        if P == star:
+            place = np.argsort(classes)  # each class's position in the kernel's order
+            for p, q in pairs:
+                i, j = sorted((place[p], place[q]))
+                if s <= i < s + len(ok):
+                    ok[i - s, j - s] = passes
 
     patch_identity(monkeypatch, edit)
 
@@ -930,30 +994,37 @@ def class_rows(reps, p, d):
 @pytest.mark.parametrize("m", [2, 3])
 def test_an_injected_clashing_edge_is_reported(m, monkeypatch):
     """One pair of shift classes that update the same hypothesis, made to pass
-    the identity of (1, 1, 1) on D = 3, is a clash of the check and is
+    the identity of (1, 1, 1) on D = 3 with every pair of its orbit under
+    relabelling the equal priors, is a clash of the check with its orbit and is
     reported as violations at m = 2 and m = 3: exactly the new survivors, the
-    specs holding a row of each class."""
+    specs holding a row of each class of one of those pairs."""
     d = 3
     clean = sweep(SweepConfig(3, m, d))
     reps, mask, clashes = sweep_module._pairs((1, 1, 1), d, False)
     assert clashes == []  # so every pair of meeting masks fails the identity
     a, b = next((a, b) for a, b in combinations(range(len(mask)), 2) if mask[a] & mask[b])
-    pass_one_pair(monkeypatch, a, b, True)
-    assert sweep_module._pairs((1, 1, 1), d, False)[2] == [(a, b)]
+    pairs = orbit((1, 1, 1), reps, a, b)
+    assert (a, b) in pairs and len(pairs) > 1
+    pass_one_pair(monkeypatch, reps, a, b, True)
+    assert sweep_module._pairs((1, 1, 1), d, False)[2] == pairs
     result = sweep(SweepConfig(3, m, d))
     violations = result.theorem_violations
     assert len(violations) == result.models_satisfying_all - clean.models_satisfying_all > 0
-    rows = [[tuple(F(c, d) for c in row) for row in class_rows(reps, p, d)] for p in (a, b)]
-    assert len(rows[0]) * len(rows[1]) > 1  # a class of several rows is reported whole
-    shared = int(mask[a] & mask[b])
+    rows = {
+        p: [tuple(F(c, d) for c in row) for row in class_rows(reps, p, d)]
+        for p in {p for pair in pairs for p in pair}
+    }
+    assert len(rows[a]) * len(rows[b]) > 1  # a class of several rows is reported whole
     for v in violations:
         assert v.spec.priors == (F(1, 3),) * 3
-        assert all(set(side) & set(v.spec.cond) for side in rows)
-        assert shared >> (v.hypothesis - 1) & 1
+        assert any(
+            set(rows[p]) & set(v.spec.cond) and set(rows[q]) & set(v.spec.cond)
+            and int(mask[p] & mask[q]) >> (v.hypothesis - 1) & 1
+            for p, q in pairs
+        )
     if m == 2:
-        rank = {row: r for r, row in enumerate(sorted(rows[0] + rows[1]))}
-        both = [pair for x in rows[0] for y in rows[1] for pair in ((x, y), (y, x))]
-        assert [v.spec.cond for v in violations] == sorted(both, key=lambda c: [rank[r] for r in c])
+        both = {pair for p, q in pairs for x in rows[p] for y in rows[q] for pair in ((x, y), (y, x))}
+        assert [v.spec.cond for v in violations] == sorted(both)
 
 
 def test_a_missing_edge_fails_loudly(monkeypatch):
@@ -963,9 +1034,115 @@ def test_a_missing_edge_fails_loudly(monkeypatch):
     survivors."""
     d = 3
     reps, mask, _ = sweep_module._pairs((1, 1, 1), d, False)
-    a, b = next((a, b) for a, b in combinations(range(len(mask)), 2) if not mask[a] & mask[b])
-    pass_one_pair(monkeypatch, a, b, False)
+    # the first pair of distinct classes that the kernel tests, canonical ones first
+    heads = canonical((1, 1, 1), reps)
+    order = sorted(range(len(mask)), key=lambda k: not heads[k])
+    a, b = sorted(next((p, q) for p, q in combinations(order, 2) if not mask[p] & mask[q]))
+    pass_one_pair(monkeypatch, reps, a, b, False)
     rows = [class_rows(reps, p, d)[0] for p in (a, b)]
     message = f"composition (1, 1, 1): rows {rows[0]} and {rows[1]} of disjoint masks fail"
     with pytest.raises(AssertionError, match=re.escape(message)):
         sweep(SweepConfig(3, 2, d))
+
+
+# --- one pair per orbit of equal priors --------------------------------------------
+
+
+def full_pairs(P, d, c1):
+    """The pair check as it was before it tested one pair per orbit: every pair
+    of classes in grid order, each block of classes against every class from
+    its first on, the masks compared in int64.  Returns what ``_pairs`` does;
+    a pair of disjoint masks that fails fails the test."""
+    live = np.array([p for p in P if p], dtype=np.int64)
+    rows = sweep_module._rows(len(live), d, c1)
+    rows = rows[rows.min(axis=1) == c1]
+    X = d * rows - (rows @ live)[:, None]
+    mask = ((X != 0) & (live < d)) @ (1 << np.arange(len(live), dtype=np.int64))
+    clashes = []
+    for s, ok in sweep_module._identity(P, d, live, rows, X, len(rows)):
+        disjoint = (mask[s : s + len(ok), None] & mask[s:]) == 0
+        for a, b in (np.argwhere(np.triu(ok != disjoint)) + s).tolist():
+            assert ok[a - s, b - s], (P, a, b)
+            clashes.append((a, b))
+    return rows, mask, clashes
+
+
+def sorted_compositions(n, d, c1):
+    return sorted({tuple(sorted(P, reverse=True)) for P in compositions(d, n) if not (c1 and 0 in P)})
+
+
+#: Every sorted composition with n <= 6 and D <= 4, with and without condition 1.
+SMALL_STARS = [
+    (P, d, c1)
+    for n, d, c1 in product(range(3, 7), range(1, 5), (False, True))
+    for P in sorted_compositions(n, d, c1)
+]
+
+
+def test_the_orbit_check_matches_the_full_check():
+    """On every sorted composition with n <= 6 and D <= 4, with and without
+    ``require_condition1``, the check that tests one pair per orbit finds the
+    representatives, masks and clashes (none) of the full check."""
+    for P, d, c1 in SMALL_STARS:
+        reps, mask, clashes = sweep_module._pairs(P, d, c1)
+        full_reps, full_mask, full_clashes = full_pairs(P, d, c1)
+        assert np.array_equal(reps, full_reps) and np.array_equal(mask, full_mask), (P, d, c1)
+        assert clashes == full_clashes == [], (P, d, c1)
+
+
+def test_the_kernel_tests_one_pair_of_each_orbit(monkeypatch):
+    """On the same compositions, the pairs the identity blocks test are
+    distinct, number K (K + 1) / 2 + K (C - K) for the K canonical classes of
+    C (no entry rising within a run of equal live priors, counted here from the
+    representatives), and hold a member of the orbit of every unordered pair of
+    classes under permutations of equal-prior columns.  At least one
+    composition saves over half of its pairs."""
+    tested = []
+
+    def record(P, s, ok, classes):
+        i, j = np.triu_indices(len(ok), m=ok.shape[1])
+        p, q = classes[s + i], classes[s + j]
+        tested.extend(zip(np.minimum(p, q).tolist(), np.maximum(p, q).tolist()))
+
+    patch_identity(monkeypatch, record)
+    saved = 0
+    for P, d, c1 in SMALL_STARS:
+        tested.clear()
+        reps = sweep_module._pairs(P, d, c1)[0]
+        C, K = len(reps), sum(canonical(P, reps))
+        assert len(set(tested)) == len(tested) == reduced_pairs(C, K), (P, d, c1)
+        saved = max(saved, 1 - len(tested) / (C * (C + 1) // 2))
+        # each permutation as a map of classes; an orbit's key is its least pair
+        live = [p for p in P if p]
+        index = {row: k for k, row in enumerate(map(tuple, reps.tolist()))}
+        maps = [
+            np.array([index[tuple(row)] for row in reps[:, list(perm)].tolist()])
+            for perm in permutations(range(len(live)))
+            if [live[k] for k in perm] == live
+        ]
+
+        def keys(p, q):
+            return np.min([np.minimum(f[p], f[q]) * C + np.maximum(f[p], f[q]) for f in maps], axis=0)
+
+        p, q = np.triu_indices(C)
+        a, b = np.array(tested).T
+        assert np.isin(keys(p, q), keys(a, b)).all(), (P, d, c1)
+    assert saved > 0.5
+
+
+@pytest.mark.parametrize("star, d", [((1, 1, 1), 3), ((1, 1, 0), 2)])
+def test_an_injected_orbit_clash_is_found_by_both_checks(star, d, monkeypatch):
+    """One orbit of meeting pairs of classes, made to pass the identity, is the
+    same clash list of the one-pair-per-orbit check and of the full check, and
+    a sweep reading either lists the same violations and counts."""
+    n = len(star)
+    reps, mask, _ = sweep_module._pairs(star, d, False)
+    a, b = next((a, b) for a, b in combinations(range(len(mask)), 2) if mask[a] & mask[b])
+    pairs = orbit(star, reps, a, b)
+    assert len(pairs) > 1
+    pass_one_pair(monkeypatch, reps, a, b, True, star)
+    assert sweep_module._pairs(star, d, False)[2] == full_pairs(star, d, False)[2] == pairs
+    result = sweep(SweepConfig(n, 2, d))
+    monkeypatch.setattr(sweep_module, "_pairs", full_pairs)
+    assert sweep(SweepConfig(n, 2, d)) == result
+    assert len(result.theorem_violations) > 0
