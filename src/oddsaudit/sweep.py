@@ -253,10 +253,10 @@ def _pairs(P, D, c1):
     X = D * rows - (rows @ live)[:, None]
     mask = ((X != 0) & (live < D)) @ (1 << np.arange(len(live), dtype=np.int64))
     # canonical classes first: no entry rises within a run of equal priors
-    rising = ((rows[:, :-1] < rows[:, 1:]) & (live[:-1] == live[1:])).any(axis=1)
+    rising = (rows[:, :-1] < rows[:, 1:]) @ (live[:-1] == live[1:])
     order = np.argsort(rising, kind="stable")
     bits, clashes = mask[order].astype(np.uint8), set()  # at most 6 live columns under the bound
-    for s, ok in _identity(P, D, live, rows[order], X[order], len(rows) - rising.sum()):
+    for s, ok in _identity(P, D, live, rows[order], X[order], len(rows) - np.count_nonzero(rising)):
         disjoint = (bits[s : s + len(ok), None] & bits[s:]) == 0
         if np.array_equal(ok, disjoint):  # as the proofs predict
             continue

@@ -1023,7 +1023,9 @@ def test_an_injected_clashing_edge_is_reported(m, monkeypatch):
             for p, q in pairs
         )
     if m == 2:
-        both = {pair for p, q in pairs for x in rows[p] for y in rows[q] for pair in ((x, y), (y, x))}
+        both = {
+            pair for p, q in pairs for x in rows[p] for y in rows[q] for pair in ((x, y), (y, x))
+        }
         assert [v.spec.cond for v in violations] == sorted(both)
 
 
@@ -1068,7 +1070,8 @@ def full_pairs(P, d, c1):
 
 
 def sorted_compositions(n, d, c1):
-    return sorted({tuple(sorted(P, reverse=True)) for P in compositions(d, n) if not (c1 and 0 in P)})
+    stars = {tuple(sorted(P, reverse=True)) for P in compositions(d, n) if not (c1 and 0 in P)}
+    return sorted(stars)
 
 
 #: Every sorted composition with n <= 6 and D <= 4, with and without condition 1.
@@ -1122,7 +1125,8 @@ def test_the_kernel_tests_one_pair_of_each_orbit(monkeypatch):
         ]
 
         def keys(p, q):
-            return np.min([np.minimum(f[p], f[q]) * C + np.maximum(f[p], f[q]) for f in maps], axis=0)
+            least = [np.minimum(f[p], f[q]) * C + np.maximum(f[p], f[q]) for f in maps]
+            return np.min(least, axis=0)
 
         p, q = np.triu_indices(C)
         a, b = np.array(tested).T
