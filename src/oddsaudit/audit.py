@@ -17,7 +17,6 @@ asserted as a property by the test suite rather than assumed here.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegeneratePriorError
@@ -29,7 +28,6 @@ _PARTITION_NOTE = (
 )
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class IndependenceViolation(_Immutable):
     """One evidence subset whose joint conditional fails to factorize.
 
@@ -40,9 +38,12 @@ class IndependenceViolation(_Immutable):
     side's mass times ``L``, and ``==`` and ``hash`` compare what they read.
     """
 
-    hypothesis: int
-    side: Side
-    _figures: tuple[int, int, int, int]
+    __slots__ = ("hypothesis", "side", "_figures")
+
+    def __init__(self, hypothesis: int, side: Side, _figures: tuple[int, int, int, int]) -> None:
+        object.__setattr__(self, "hypothesis", hypothesis)  # directly: one per failing subset
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "_figures", _figures)
 
     @property
     def subset(self) -> tuple[int, ...]:
@@ -72,18 +73,17 @@ class IndependenceViolation(_Immutable):
                 f"product={_rational_text(product, base ** mask.bit_count(), name)}")
 
 
-@dataclass(frozen=True)
-class TheoremOutcome:
-    """Result of the at-most-one-updating-proposition check."""
+class TheoremOutcome(_Immutable):
+    """Result of the at-most-one-updating-proposition check: ``status`` is "holds",
+    "violated" (``hypothesis``, ``evidence_pair``) or "not-applicable" (``reason``)."""
 
-    status: str  # "holds" | "violated" | "not-applicable"
-    hypothesis: int | None = None
-    evidence_pair: tuple[int, int] | None = None
-    reason: str | None = None
+    __slots__ = ("status", "hypothesis", "evidence_pair", "reason")
+
+    def __init__(self, status: str, hypothesis=None, evidence_pair=None, reason=None) -> None:
+        super().__init__(status, hypothesis, evidence_pair, reason)
 
 
-@dataclass(frozen=True)
-class PairIdentities:
+class PairIdentities(_Immutable):
     """Exact identities that two-sided independence forces on a pair (E_j, E_k).
 
     ``residuals[i]`` is the difference between the two sides of the linear
@@ -98,25 +98,16 @@ class PairIdentities:
     the two factors does.
     """
 
-    residuals: dict[int, Fraction]
-    factorization_holds: bool
-    bracket_products: dict[int, Fraction]
+    __slots__ = ("residuals", "factorization_holds", "bracket_products")
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    """Structured audit verdicts; render with :func:`render_report`."""
+class AuditReport(_Immutable):
+    """Structured audit verdicts; render with :func:`render_report`.
+    ``condition1_failures`` lists the hypotheses with no mass on the all-evidence
+    conjunction, or is None when that conjunction has probability 0."""
 
-    n: int
-    m: int
-    pairwise: bool
-    independence_violations: tuple[IndependenceViolation, ...]
-    relevance: dict[int, frozenset[int]]
-    degenerate_hypotheses: frozenset[int]
-    # Hypotheses with no mass on the all-evidence conjunction; () when every
-    # all-evidence posterior is nonzero, None when the conjunction has probability 0.
-    condition1_failures: tuple[int, ...] | None
-    theorem: TheoremOutcome
+    __slots__ = ("n", "m", "pairwise", "independence_violations", "relevance",
+                 "degenerate_hypotheses", "condition1_failures", "theorem")
 
     @property
     def clean(self) -> bool:
@@ -232,16 +223,9 @@ def check_assumptions(model: Model, *, pairwise: bool = False) -> AuditReport:
     violations = tuple(found)
     corner = model._masked_sums(full := (1 << m) - 1, full)  # L * P(H_i, every E_j true)
 
-    return AuditReport(
-        n=model.n,
-        m=m,
-        pairwise=pairwise,
-        independence_violations=violations,
-        relevance=relevance,
-        degenerate_hypotheses=degenerate,
-        condition1_failures=tuple(i for i in hypotheses if not corner.get(i)) if totals[-1] else None,
-        theorem=_theorem_outcome(model.n, violations, relevance),
-    )
+    failures = tuple(i for i in hypotheses if not corner.get(i)) if totals[-1] else None
+    return AuditReport(model.n, m, pairwise, violations, relevance, degenerate, failures,
+                       _theorem_outcome(model.n, violations, relevance))
 
 
 def check_pair_identities(model: Model, j: int, k: int) -> PairIdentities:

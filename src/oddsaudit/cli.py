@@ -173,7 +173,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    from .audit import check_assumptions
+    from .audit import _hyp_list, check_assumptions
     from .construct import measurement_scenario
     from .model import Side
 
@@ -191,8 +191,8 @@ def cmd_scenario(args) -> int:
     print(f"wrote {args.output} (hypotheses={model.n}, evidence={model.m})")
     found = check_assumptions(model).independence_violations
     for side, label in ((Side.GIVEN_H, "hypothesis"), (Side.GIVEN_NOT_H, "complement")):
-        violated = sorted({v.hypothesis for v in found if v.side is side})
-        verdict = f"violated ({', '.join(f'H{i}' for i in violated)})" if violated else "holds"
+        violated = {v.hypothesis for v in found if v.side is side}
+        verdict = f"violated ({_hyp_list(violated)})" if violated else "holds"
         print(f"independence given each {label}: {verdict}")
     return 0
 

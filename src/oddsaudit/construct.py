@@ -25,8 +25,7 @@ class ConditionalSpec(_Immutable):
     hash and ``repr`` read the pair ``(priors, cond)``.
     """
 
-    priors: tuple[Fraction, ...]
-    cond: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("priors", "cond")
 
     def __init__(self, priors, cond) -> None:
         priors = tuple(_exact(p, "prior") for p in priors)
@@ -49,13 +48,7 @@ class ConditionalSpec(_Immutable):
             if any(not 0 <= c <= 1 for c in row):
                 raise InvalidModelError(f"conditionals for E{j} must lie in [0, 1]")
             rows.append(row)
-        vars(self).update(priors=priors, cond=tuple(rows))
-
-    def _identity(self) -> tuple:
-        return self.priors, self.cond
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(priors={self.priors!r}, cond={self.cond!r})"
+        super().__init__(priors, tuple(rows))
 
     @property
     def n(self) -> int:

@@ -129,12 +129,37 @@ def _checked_values(n: int, m: int, atoms, table: dict) -> Iterator[Fraction]:
 
 
 class _Immutable:
-    """A base for values: a subclass sets every attribute once, in ``vars(self)``
-    (as pickling and copying do too) or in its slots, after which assigning or
-    deleting one raises :class:`AttributeError`; ``==`` and ``hash`` read the
-    tuple its ``_identity()`` returns."""
+    """The base of every value: a subclass's ``__slots__`` are its fields, which
+    ``__init__`` takes by position or by name and sets once (a subclass that sets
+    its attributes in ``vars(self)`` has none); after that, assigning or deleting
+    one raises :class:`AttributeError`.  ``==`` and ``hash`` read the tuple that
+    ``_identity()`` returns, by default the fields; pickles and copies carry
+    every attribute, and ``repr`` reads ``Name(field=value, ...)``."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self.__slots__
+        if kwargs:  # the fields after those given by position, by name
+            args += tuple(kwargs.pop(name) for name in fields[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__} or vars(self)
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+    def _identity(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -90,14 +90,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Callable
 
 from .construct import ConditionalSpec
 from .errors import InvalidModelError, SweepLimitError
-from .model import MAX_EVIDENCE
+from .model import MAX_EVIDENCE, _Immutable
 
 #: Default enumeration budget; (n=4, m=2, D=4) needs ~13.7M of it.
 DEFAULT_MAX_MODELS = 20_000_000
@@ -108,52 +107,51 @@ _CHUNK_ROWS = 1 << 16
 GridPoint = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(_Immutable):
     """Grid description: n hypotheses, m evidence propositions, denominator D.
 
     With ``require_condition1`` set, only specs whose every hypothesis keeps a
     nonzero posterior after observing all evidence true are kept.
     """
 
-    n: int
-    m: int
-    denominator: int
-    require_condition1: bool = False
+    __slots__ = ("n", "m", "denominator", "require_condition1")
 
-    def __post_init__(self) -> None:
-        for name in ("n", "m", "denominator"):
-            if type(getattr(self, name)) is not int:
-                raise InvalidModelError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if type(self.require_condition1) is not bool:
+    def __init__(self, n: int, m: int, denominator: int, require_condition1: bool = False) -> None:
+        for name, value in (("n", n), ("m", m), ("denominator", denominator)):
+            if type(value) is not int:
+                raise InvalidModelError(f"{name} must be an int, got {value!r}")
+        if type(require_condition1) is not bool:
             raise InvalidModelError(
-                f"require_condition1 must be a bool, got {self.require_condition1!r}"
+                f"require_condition1 must be a bool, got {require_condition1!r}"
             )
-        if self.n <= 2:
+        if n <= 2:
             raise InvalidModelError(
-                f"sweeps target the multiple-updating property, which needs n > 2; got n={self.n}"
+                f"sweeps target the multiple-updating property, which needs n > 2; got n={n}"
             )
-        if self.m < 2:
-            raise InvalidModelError(f"need at least two evidence propositions, got m={self.m}")
-        if self.denominator < 1:
-            raise InvalidModelError(f"denominator must be >= 1, got {self.denominator}")
+        if m < 2:
+            raise InvalidModelError(f"need at least two evidence propositions, got m={m}")
+        if denominator < 1:
+            raise InvalidModelError(f"denominator must be >= 1, got {denominator}")
+        super().__init__(n, m, denominator, require_condition1)
 
 
-@dataclass(frozen=True)
-class SweepViolation:
-    """A survivor on which some hypothesis has two updating propositions."""
+class SweepViolation(_Immutable):
+    """A survivor ``spec`` on which ``hypothesis`` has two updating propositions, ``evidence``."""
 
-    spec: ConditionalSpec
-    hypothesis: int
-    evidence: tuple[int, int]
+    __slots__ = ("spec", "hypothesis", "evidence")
 
 
-@dataclass
-class SweepResult:
-    models_enumerated: int = 0
-    models_satisfying_all: int = 0
-    theorem_violations: list[SweepViolation] = field(default_factory=list)
-    witnesses_with_updating: int = 0
+class SweepResult(_Immutable):
+    """A sweep's tallies, or those of the compositions it finished before a refusal."""
+
+    __slots__ = ("models_enumerated", "models_satisfying_all", "theorem_violations",
+                 "witnesses_with_updating")
+
+    def __init__(self, models_enumerated=0, models_satisfying_all=0, theorem_violations=None,
+                 witnesses_with_updating=0) -> None:
+        super().__init__(models_enumerated, models_satisfying_all,
+                         [] if theorem_violations is None else theorem_violations,
+                         witnesses_with_updating)
 
 
 def spec_from_grid(priors: GridPoint, cond_digits: GridPoint, denominator: int) -> ConditionalSpec:
@@ -368,44 +366,44 @@ def sweep(
     n, m, D, c1 = config.n, config.m, config.denominator, config.require_condition1
     if m > MAX_EVIDENCE:  # the walk runs m deep, and a witness is a Model
         raise InvalidModelError(f"m={m} exceeds the evidence cap {MAX_EVIDENCE}")
-    result = SweepResult()
     # (D+1)**(n*m) >= 2**(n*m) > max_models once n*m reaches its bit length.
     if n * m >= max_models.bit_length() or (block := (D + 1) ** (n * m)) > max_models:
-        raise _budget_exhausted(max_models, result)
+        raise _budget_exhausted(max_models, SweepResult())
     if D**5 >= 2**31:  # an identity term would overflow int32
-        raise SweepLimitError(f"denominator {D} is past the int32 kernel", partial=result)
+        raise SweepLimitError(f"denominator {D} is past the int32 kernel", partial=SweepResult())
     # The budget admits the first max_models // block compositions (a range, as
     # islice would refuse a bound past sys.maxsize), and their pair tests are bounded.
+    admitted = min(max_models // block, compositions := math.comb(D + n - 1, n - 1))
     stars, tests = set(), 0
-    for _, P in zip(range(max_models // block), _compositions(n, D)):
+    for _, P in zip(range(admitted), _compositions(n, D)):
         star = tuple(sorted(P, reverse=True))
         if not (c1 and 0 in P) and star not in stars:
             stars.add(star)
             classes = (D + 1 - c1) ** (w := n - P.count(0)) - (D - c1) ** w  # least entry c1
             if (tests := tests + classes * (classes + 1) // 2) > _MAX_PAIR_TESTS:
-                message = f"composition {P} brings the pair tests to {tests}"
-                raise SweepLimitError(f"{message}, past the cap {_MAX_PAIR_TESTS}", partial=result)
+                message = f"composition {P} brings the pair tests to {tests}, past the cap"
+                raise SweepLimitError(f"{message} {_MAX_PAIR_TESTS}", partial=SweepResult())
     tallies = {}  # a check is kept only for the listing walk: a clash, or survivors to list
     for P in stars:
         counts = _counts(P, m, D, check := _pairs(P, D, c1))
         walked = counts is None or (on_survivor is not None and counts[0])
         tallies[P] = check if walked else None, counts
 
-    for _, P in zip(range(max_models // block), _compositions(n, D)):
+    satisfying, updating, violations = 0, 0, []
+    for _, P in zip(range(admitted), _compositions(n, D)):
         check, counts = tallies.get(tuple(sorted(P, reverse=True)), (None, [0, 0, 0]))
         if check is not None:
             listed = [0, 0, 0]
             for digits, clash in _members(P, m, D, c1, check, listed):
                 if clash:
                     spec = spec_from_grid(P, digits, D)
-                    result.theorem_violations.append(SweepViolation(spec, *clash))
+                    violations.append(SweepViolation(spec, *clash))
                 if on_survivor is not None:
                     on_survivor(P, digits)
             assert counts in (None, listed), "the listing must match the counts"
             counts = listed
-        result.models_satisfying_all += counts[0]
-        result.witnesses_with_updating += counts[1]
-        result.models_enumerated += block
-    if result.models_enumerated < math.comb(D + n - 1, n - 1) * block:
+        satisfying, updating = satisfying + counts[0], updating + counts[1]
+    result = SweepResult(admitted * block, satisfying, violations, updating)
+    if admitted < compositions:
         raise _budget_exhausted(max_models, result)
     return result

@@ -53,9 +53,10 @@ def test_only_a_sweep_imports_numpy(tmp_path):
     """A CLI start loads only its command's modules: ``import oddsaudit`` loads
     none of them, ``example`` and
     ``posterior`` load neither the audit nor the sweep, nor ``dataclasses`` (and
-    with it ``inspect``); ``audit`` and ``scenario`` do not load the sweep.
-    numpy is the sweep kernel's alone, and after a sweep ``oddsaudit.sweep`` is
-    still the function, even once the submodule is imported by name."""
+    with it ``inspect``); ``audit`` and ``scenario`` do not load the sweep, nor
+    either of those.  numpy is the sweep kernel's alone (it loads ``inspect``,
+    but no command loads ``dataclasses``), and after a sweep ``oddsaudit.sweep``
+    is still the function, even once the submodule is imported by name."""
     _fresh_interpreter(textwrap.dedent(f"""
         import sys, types
         import oddsaudit
@@ -74,8 +75,9 @@ def test_only_a_sweep_imports_numpy(tmp_path):
         assert main(["scenario", "--values", "0,1,2", "--weights", "1/2,1/4,1/4",
                      "--noise", "0:1", "--thresholds", "0,1", "-o", scenario]) == 0
         assert loaded("oddsaudit.audit", "oddsaudit.sweep", "numpy") == ["oddsaudit.audit"]
+        assert loaded("dataclasses", "inspect") == []
         assert main(["sweep", "--n", "3", "--m", "2", "--denominator", "2"]) == 0
-        assert loaded("oddsaudit.sweep", "numpy") == ["oddsaudit.sweep", "numpy"]
+        assert loaded("oddsaudit.sweep", "numpy", "dataclasses") == ["oddsaudit.sweep", "numpy"]
         import oddsaudit.sweep
         assert not isinstance(oddsaudit.sweep, types.ModuleType)
         assert oddsaudit.sweep is sys.modules["oddsaudit.sweep"].sweep
@@ -104,6 +106,21 @@ def test_public_names_hold_in_any_import_order():
         else:
             raise AssertionError("an unknown name resolved")
     """))
+
+
+def test_no_module_imports_dataclasses():
+    """Every value type is on ``model._Immutable``: no module of the package
+    imports ``dataclasses``, even inside a function."""
+    package = Path(oddsaudit.__file__).resolve().parent
+    imported = [
+        (path.name, alias.name if isinstance(node, ast.Import) else node.module)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert imported and not [(module, name) for module, name in imported
+                             if name and name.split(".")[0] == "dataclasses"]
 
 
 def test_package_has_no_dead_imports_or_private_names():
