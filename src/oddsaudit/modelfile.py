@@ -20,12 +20,11 @@ as a binary number, and omits zero atoms, so writing is byte-deterministic.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import ModelFormatError
 from .model import Model, _check_size, _mask_bits
-from .rational import NumeralLengthError, parse_integer, parse_rational
+from .rational import NumeralLengthError, _rational_text, parse_integer, parse_rational
 
 #: Files declaring more hypotheses than this are refused: the audit does work
 #: per hypothesis whether or not it has mass.
@@ -133,8 +132,8 @@ def dumps(model: Model) -> str:
         # Equal-length bitstrings sort as the binary numbers they spell.
         for bits, num in sorted((_mask_bits(mask, model.m), num) for mask, num in model.numerators(i)):
             try:
-                lines.append(f"atom {i} {bits} {Fraction(num, model.denominator)}")
-            except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
+                lines.append(f"atom {i} {bits} {_rational_text(num, model.denominator, 'atom')}")
+            except NumeralLengthError:
                 raise ModelFormatError(f"atom ({i}, {bits}) has too many digits to read back") from None
     return "\n".join(lines) + "\n"
 

@@ -80,10 +80,9 @@ past 2^33 class pairs, C (C + 1) / 2 for each sorted composition of C classes
 however few of them the orbits leave to test, C = (D + 1 - c1)^w - (D - c1)^w
 over w live columns.  That bound admits no whole grid past D = 53 (n = 3
 with c1; 52 without, 16 at n = 4), so the int32 range only refuses budgets
-that stop after the first compositions.  (3, 2, 52) takes about 44 s at
-37 MB RSS on a 2-core VM.  The check holds a block of class pairs at a
-time, and a composition's classes only while it is counted (or listed), so
-memory follows one composition's rows, not C^2 or the grid.
+that stop after the first compositions.  The check holds a block of class
+pairs at a time, and a composition's classes only while it is counted (or
+listed), so memory follows one composition's rows, not C^2 or the grid.
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ from .model import MAX_EVIDENCE, _Immutable
 #: Default enumeration budget; (n=4, m=2, D=4) needs ~13.7M of it.
 DEFAULT_MAX_MODELS = 20_000_000
 
-_MAX_PAIR_TESTS = 1 << 33  # class pairs: (3, 2, 52) makes 7.7e9, (3, 2, 26) 1.2e8 in ~3 s
+_MAX_PAIR_TESTS = 1 << 33  # class pairs: (3, 2, 52) makes 7.7e9, (3, 2, 26) 1.2e8
 _CHUNK_ROWS = 1 << 16
 
 GridPoint = tuple[int, ...]
@@ -271,9 +270,9 @@ def _pairs(P, D, c1):
 
 
 def _counts(P, m, D, check):
-    """Grid models of sorted composition ``P`` that survive, that survive with
-    some hypothesis updated, and that survive with one updated twice (none), by
-    its ``check``; None when it has clashes, and the walk that lists them counts."""
+    """Grid models of sorted composition ``P`` that survive, and that survive with
+    some hypothesis updated, by its ``check``; None when it has clashes, and the
+    walk that lists them counts."""
     reps, mask, clashes = check
     if clashes:
         return None
@@ -289,15 +288,16 @@ def _counts(P, m, D, check):
                 sets[union | bits, k + 1] += ways * rows
     survivors = sum(math.perm(m, k) * quiet ** (m - k) * ways for (_, k), ways in sets.items())
     weight = (D + 1) ** (P.count(0) * m)
-    return [weight * survivors, weight * (survivors - quiet**m), 0]
+    return [weight * survivors, weight * (survivors - quiet**m)]
 
 
-def _members(P, m, D, c1, check, listed):
-    """Survivors of composition ``P`` in flat-index order, each with 0 or the
-    lowest hypothesis that two rows update and the first two of them: a walk
-    over grid rows extends a prefix by the rows that every prefix row joins,
+def _members(P, m, D, c1, check, on_survivor, violations):
+    """Hand each survivor of composition ``P`` to ``on_survivor`` in flat-index
+    order, add to ``violations`` those updating a hypothesis twice, named by the
+    lowest one and its first two rows, and return [survivors, with updating]: a
+    walk over grid rows extends a prefix by the rows that every prefix row joins,
     by disjoint masks or a clash.  ``check`` is the sorted form's: its classes
-    read P's live columns in that form's order.  ``listed`` adds up the counts."""
+    read P's live columns in that form's order."""
     import numpy as np
     reps, mask, clashes = check
     live = np.flatnonzero(P)
@@ -310,27 +310,30 @@ def _members(P, m, D, c1, check, listed):
     node = _classes(reps, grid_rows[:, live[order]], D, c1)
     masks, digits = mask[node], list(map(tuple, grid_rows.tolist()))
 
-    def walk(prefix, allowed, union, twice):  # each (m-1)-row prefix and its last rows
+    def walk(prefix, allowed, union, twice):  # every survivor that extends prefix
         rows = np.flatnonzero(allowed[node])
-        if len(prefix) == m - 1:
-            yield prefix, union, twice, rows
+        if len(prefix) < m - 1:
+            for r in rows.tolist():
+                bits = int(masks[r])
+                joined = ((mask & bits) == 0) | near.get(int(node[r]), False)
+                walk(prefix + (r,), allowed & joined, union | bits, twice | union & bits)
             return
-        for r in rows.tolist():
-            bits = int(masks[r])
-            joined = ((mask & bits) == 0) | near.get(int(node[r]), False)
-            yield from walk(prefix + (r,), allowed & joined, union | bits, twice | union & bits)
-
-    for prefix, union, twice, rows in walk((), np.ones(len(mask), dtype=bool), 0, 0):
         clashes = twice | union & (last := masks[rows])
-        tally = len(rows), np.count_nonzero(union | last), np.count_nonzero(clashes)
-        listed[:] = [total + int(count) for total, count in zip(listed, tally)]
+        listed[0] += len(rows)
+        listed[1] += int(np.count_nonzero(union | last))
         head = sum((digits[r] for r in prefix), ())
-        for r, clash in zip(rows.tolist(), clashes.tolist()):
-            if clash:  # the masks meet: name the lowest bit they meet on
-                bit = (clash & -clash).bit_length() - 1
-                pair = [j + 1 for j, q in enumerate(prefix + (r,)) if masks[q] >> bit & 1][:2]
-                clash = int(live[bit]) + 1, tuple(pair)
-            yield head + digits[r], clash
+        if on_survivor is not None:
+            for r in rows.tolist():
+                on_survivor(P, head + digits[r])
+        for k in np.flatnonzero(clashes).tolist():  # the masks meet: name the lowest bit they meet on
+            r, bit = int(rows[k]), int(clashes[k] & -clashes[k]).bit_length() - 1
+            pair = [j + 1 for j, q in enumerate(prefix + (r,)) if masks[q] >> bit & 1][:2]
+            spec = spec_from_grid(P, head + digits[r], D)
+            violations.append(SweepViolation(spec, int(live[bit]) + 1, tuple(pair)))
+
+    listed = [0, 0]
+    walk((), np.ones(len(mask), dtype=bool), 0, 0)
+    return listed
 
 
 def _budget_exhausted(max_models: int, partial: SweepResult) -> SweepLimitError:
@@ -391,16 +394,11 @@ def sweep(
 
     satisfying, updating, violations = 0, 0, []
     for _, P in zip(range(admitted), _compositions(n, D)):
-        check, counts = tallies.get(tuple(sorted(P, reverse=True)), (None, [0, 0, 0]))
+        check, counts = tallies.get(tuple(sorted(P, reverse=True)), (None, [0, 0]))
         if check is not None:
-            listed = [0, 0, 0]
-            for digits, clash in _members(P, m, D, c1, check, listed):
-                if clash:
-                    spec = spec_from_grid(P, digits, D)
-                    violations.append(SweepViolation(spec, *clash))
-                if on_survivor is not None:
-                    on_survivor(P, digits)
-            assert counts in (None, listed), "the listing must match the counts"
+            listed = _members(P, m, D, c1, check, on_survivor, violations)
+            if counts not in (None, listed):  # raised, not asserted: python -O keeps it
+                raise AssertionError("the listing must match the counts")
             counts = listed
         satisfying, updating = satisfying + counts[0], updating + counts[1]
     result = SweepResult(admitted * block, satisfying, violations, updating)

@@ -123,6 +123,20 @@ def test_no_module_imports_dataclasses():
                              if name and name.split(".")[0] == "dataclasses"]
 
 
+def test_no_module_uses_assert():
+    """Every check in the package raises explicitly: no module holds an
+    ``assert`` statement, which ``python -O`` strips."""
+    package = Path(oddsaudit.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    asserts = [
+        (path.name, node.lineno)
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert modules and asserts == []
+
+
 def test_package_has_no_dead_imports_or_private_names():
     """Every import in ``src/oddsaudit`` is used in its module, and every private
     top-level function, class or constant, private method of a class and

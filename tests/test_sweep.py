@@ -1,8 +1,13 @@
 import importlib
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import weakref
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -1045,6 +1050,35 @@ def test_a_missing_edge_fails_loudly(monkeypatch):
     message = f"composition (1, 1, 1): rows {rows[0]} and {rows[1]} of disjoint masks fail"
     with pytest.raises(AssertionError, match=re.escape(message)):
         sweep(SweepConfig(3, 2, d))
+
+
+def test_an_overcount_fails_loudly_under_python_o():
+    """The listing's cross-check against the counts is a raise, not an
+    ``assert`` that ``python -O`` strips: in a fresh ``-O`` interpreter, with
+    ``_counts`` patched to count one survivor too many, a listing sweep of
+    (3, 2, 2) still raises."""
+    script = textwrap.dedent("""
+        import importlib, sys
+        module = importlib.import_module("oddsaudit.sweep")
+        original = module._counts
+        def overcount(*args):
+            survivors, *rest = original(*args)
+            return [survivors + 1, *rest]
+        module._counts = overcount
+        try:
+            module.sweep(module.SweepConfig(3, 2, 2), on_survivor=lambda P, digits: None)
+        except AssertionError as exc:
+            print(sys.flags.optimize, exc)
+        else:
+            print(sys.flags.optimize, "returned")
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(sweep_module.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "1 the listing must match the counts\n", ""
+    )
 
 
 # --- one pair per orbit of equal priors --------------------------------------------
