@@ -155,13 +155,15 @@ def cmd_sweep(args) -> int:
             dump(from_conditionals(spec), witness_dir / witness_filename(priors, digits))
 
     try:
-        result = sweep(config, max_models=args.max_models, on_survivor=on_survivor)
+        result, refusal = sweep(config, max_models=args.max_models, on_survivor=on_survivor), None
     except SweepLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _print_sweep_counts(exc.partial, sys.stderr)
-        return 3
-    if on_survivor is not None:  # also made when no model survives
+        result, refusal = exc.partial, exc
+    if on_survivor is not None and result.models_enumerated:  # also made when none survives
         witness_dir.mkdir(parents=True, exist_ok=True)
+    if refusal is not None:
+        print(f"error: {refusal}", file=sys.stderr)
+        _print_sweep_counts(result, sys.stderr)
+        return 3
     _print_sweep_counts(result, sys.stdout)
     for violation in result.theorem_violations:
         j1, j2 = violation.evidence

@@ -57,19 +57,19 @@ updating.  So the m = 2 sweep certifies every m: a violation at any m holds a
 clash, which is a violating m = 2 survivor on its own.
 
 Relabelling hypotheses (priors and columns together) keeps the counts, so
-each nonincreasing composition is checked and counted once.  Within one, a
-permutation sigma of equal-prior columns keeps t and K and sends X_{a,k} to
-X_{sigma a, sigma k}, so hypothesis k's identity on (a, b) is hypothesis
-sigma k's on (sigma a, sigma b), and the masks permute the same way: a pair
-passes, or clashes, iff its image does.  Call a class canonical when its
-entries do not increase within each run of equal live priors; some sigma
-makes any class canonical.  So the check orders the classes canonical
+each sorted form is checked once and weighted by its admitted compositions.
+Within one, a permutation sigma of equal-prior columns keeps t and K and sends
+X_{a,k} to X_{sigma a, sigma k}, so hypothesis k's identity on (a, b) is
+hypothesis sigma k's on (sigma a, sigma b), and the masks permute the same
+way: a pair passes, or clashes, iff its image does.  Call a class canonical
+when its entries do not increase within each run of equal live priors; some
+sigma makes any class canonical.  So the check orders the classes canonical
 first, tests each of the K canonical ones against every class from it on,
 K (K + 1) / 2 + K (C - K) of the C (C + 1) / 2 pairs (all of them when no
-live prior repeats), and expands a clash it finds to its orbit.  Survivors
-and violations are listed by a walk over each composition's grid rows that
-reads its sorted form's check; it must match that form's counts, or count
-them where the form has clashes.
+live prior repeats), and expands a clash it finds to its orbit.  Compositions
+are generated once to count, and again only to list survivors and violations
+by a walk over their grid rows that reads each sorted form's check; it must
+match the form's counts, or count a form that has clashes.
 
 The kernel tests the first hypothesis (K_ab = 0 for a zero prior) on a
 whole block of pairs and each later one only on the pairs that passed every
@@ -353,16 +353,16 @@ def sweep(
 ) -> SweepResult:
     """Cover the grid, filter the assumption set, tally updating behaviour.
 
-    ``on_survivor`` receives every survivor as integer grid coordinates
-    ``(priors, cond_digits)``, in order of prior composition and then of flat
-    index; :func:`spec_from_grid` turns them back into a ConditionalSpec.
-    ``max_models`` must be a non-negative int.  Exceeding it raises
-    :class:`SweepLimitError` carrying the partial tallies; the budget admits
-    the prior compositions whose blocks fit in it whole, and only those are
-    counted, so partial results stop at a composition boundary.  A D past
-    73 (the int32 kernel's range) or a grid past 2^33 class pairs is refused
-    the same way, with empty tallies; m past 16 raises
-    :class:`InvalidModelError` before the budget.
+    Each sorted prior form is checked once and weighted by its admitted
+    compositions, generated again only to list: ``on_survivor`` receives every
+    survivor as integer grid coordinates ``(priors, cond_digits)``, in order
+    of prior composition and then of flat index; :func:`spec_from_grid` turns
+    them back into a ConditionalSpec.  ``max_models``, a non-negative int,
+    admits the prior compositions whose blocks fit in it whole; a grid past it
+    raises :class:`SweepLimitError` with their tallies, so partial results
+    stop at a composition boundary.  A D past 73 (the int32 kernel's range) or
+    a grid past 2^33 class pairs is refused the same way, with empty tallies;
+    m past 16 raises :class:`InvalidModelError` before the budget.
     """
     if type(max_models) is not int or max_models < 0:
         raise InvalidModelError(f"max_models must be a non-negative int, got {max_models!r}")
@@ -377,30 +377,29 @@ def sweep(
     # The budget admits the first max_models // block compositions (a range, as
     # islice would refuse a bound past sys.maxsize), and their pair tests are bounded.
     admitted = min(max_models // block, compositions := math.comb(D + n - 1, n - 1))
-    stars, tests = set(), 0
+    forms, tests = Counter(), 0  # how many admitted compositions have each sorted form
     for _, P in zip(range(admitted), _compositions(n, D)):
-        star = tuple(sorted(P, reverse=True))
-        if not (c1 and 0 in P) and star not in stars:
-            stars.add(star)
+        if c1 and 0 in P:  # require_condition1 admits no zero prior
+            continue
+        if (form := tuple(sorted(P, reverse=True))) not in forms:
             classes = (D + 1 - c1) ** (w := n - P.count(0)) - (D - c1) ** w  # least entry c1
             if (tests := tests + classes * (classes + 1) // 2) > _MAX_PAIR_TESTS:
                 message = f"composition {P} brings the pair tests to {tests}, past the cap"
                 raise SweepLimitError(f"{message} {_MAX_PAIR_TESTS}", partial=SweepResult())
-    tallies = {}  # a check is kept only for the listing walk: a clash, or survivors to list
-    for P in stars:
-        counts = _counts(P, m, D, check := _pairs(P, D, c1))
-        walked = counts is None or (on_survivor is not None and counts[0])
-        tallies[P] = check if walked else None, counts
-
-    satisfying, updating, violations = 0, 0, []
-    for _, P in zip(range(admitted), _compositions(n, D)):
-        check, counts = tallies.get(tuple(sorted(P, reverse=True)), (None, [0, 0]))
-        if check is not None:
-            listed = _members(P, m, D, c1, check, on_survivor, violations)
-            if counts not in (None, listed):  # raised, not asserted: python -O keeps it
+        forms[form] += 1
+    satisfying, updating, violations, walked = 0, 0, [], {}
+    for form, count in forms.items():
+        counts = _counts(form, m, D, check := _pairs(form, D, c1))
+        if counts is None or (on_survivor is not None and counts[0]):  # clashes, or ones to list
+            walked[form] = check, counts
+        else:
+            satisfying, updating = satisfying + count * counts[0], updating + count * counts[1]
+    for _, P in zip(range(admitted), _compositions(n, D) if walked else ()):  # only to list
+        if (form := tuple(sorted(P, reverse=True))) in walked:
+            listed = _members(P, m, D, c1, walked[form][0], on_survivor, violations)
+            if walked[form][1] not in (None, listed):  # raised, not asserted: python -O keeps it
                 raise AssertionError("the listing must match the counts")
-            counts = listed
-        satisfying, updating = satisfying + counts[0], updating + counts[1]
+            satisfying, updating = satisfying + listed[0], updating + listed[1]
     result = SweepResult(admitted * block, satisfying, violations, updating)
     if admitted < compositions:
         raise _budget_exhausted(max_models, result)

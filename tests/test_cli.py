@@ -727,6 +727,16 @@ def test_budget_refused_sweep_keeps_the_witnesses_it_counted(tmp_path, capsys):
     assert len(list(wdir.iterdir())) == 1134
 
 
+def test_budget_refused_sweep_without_survivors_still_makes_the_witness_dir(tmp_path, capsys):
+    # The budget admits two compositions, (0, 0, 2) and (0, 1, 1): no survivor.
+    wdir = tmp_path / "witnesses"
+    argv = ["sweep", "--n", "3", "--m", "2", "--denominator", "2", "--require-condition1"]
+    assert main([*argv, "--max-models", "1458", "--witness-dir", str(wdir)]) == 3
+    assert wdir.is_dir() and not list(wdir.iterdir())
+    err = capsys.readouterr().err
+    assert "models-enumerated: 1458\n" in err and "models-satisfying-assumptions: 0\n" in err
+
+
 def test_sweep_without_survivors_still_makes_the_witness_dir(tmp_path, capsys):
     wdir = tmp_path / "witnesses"
     argv = ["sweep", "--n", "3", "--m", "2", "--denominator", "1", "--require-condition1"]

@@ -665,6 +665,31 @@ def test_budget_bounds_the_kernel(monkeypatch):
     assert seen == {(2, 0, 0)}
 
 
+def test_a_counting_sweep_generates_each_composition_once(monkeypatch):
+    """A sweep that lists nothing and meets no clash goes over the admitted
+    compositions once, tallying each sorted form by how many of them have it;
+    only a listing sweep goes over them again."""
+    generated, original = [], sweep_module._compositions
+
+    def spy(n, D):
+        for P in original(n, D):
+            generated.append(P)
+            yield P
+
+    monkeypatch.setattr(sweep_module, "_compositions", spy)
+    config, block = SweepConfig(4, 2, 3), 4**8
+    assert sweep(config).models_enumerated == 20 * block
+    assert len(generated) == 20
+    generated.clear()
+    with pytest.raises(SweepLimitError) as info:
+        sweep(config, max_models=7 * block)
+    assert info.value.partial.models_enumerated == 7 * block
+    assert len(generated) == 7
+    generated.clear()
+    sweep(config, on_survivor=lambda p, c: None)
+    assert 20 < len(generated) <= 2 * 20
+
+
 @pytest.mark.parametrize("grid", [(3, 2, 4, False), (3, 2, 4, True), (4, 2, 3, False)])
 def test_each_sorted_composition_is_checked_once(grid, monkeypatch):
     """A sweep that lists its survivors runs the pair check once for each
@@ -846,23 +871,25 @@ def tiny_sweeps(draw):
 @settings(max_examples=25, deadline=None)
 @given(tiny_sweeps())
 def test_orbit_counts_match_full_grid(grid):
+    """Listing and counting sweeps (the latter weighting each sorted form by
+    its admitted compositions) both match the oracle, on partial runs too."""
     n, m, d, c1, max_models = grid
     block = (d + 1) ** (n * m)
-    listed = []
-    try:
-        result = sweep(
-            SweepConfig(n, m, d, c1),
-            max_models=max_models,
-            on_survivor=lambda p, c: listed.append((p, c)),
-        )
-    except SweepLimitError as exc:
-        result = exc.partial
-    covered = list(compositions(d, n))[: result.models_enumerated // block]
+    listed, results = [], []
+    for on_survivor in (lambda p, c: listed.append((p, c)), None):
+        try:
+            results.append(
+                sweep(SweepConfig(n, m, d, c1), max_models=max_models, on_survivor=on_survivor)
+            )
+        except SweepLimitError as exc:
+            results.append(exc.partial)
+    covered = list(compositions(d, n))[: results[0].models_enumerated // block]
     satisfying, updating, violating, survivors = brute_tally(n, m, d, c1, covered)
-    assert result.models_enumerated == block * len(covered)
-    assert result.models_satisfying_all == satisfying
-    assert result.witnesses_with_updating == updating
-    assert len(result.theorem_violations) == violating == 0
+    for result in results:
+        assert result.models_enumerated == block * len(covered)
+        assert result.models_satisfying_all == satisfying
+        assert result.witnesses_with_updating == updating
+        assert len(result.theorem_violations) == violating == 0
     assert listed == survivors
     order = [(covered.index(p), int("".join(map(str, c)), d + 1)) for p, c in listed]
     assert all(a < b for a, b in zip(order, order[1:]))
