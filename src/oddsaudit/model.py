@@ -130,11 +130,10 @@ def _checked_values(n: int, m: int, atoms, table: dict) -> Iterator[Fraction]:
 
 class _Immutable:
     """The base of every value: a subclass's ``__slots__`` are its fields, which
-    ``__init__`` takes by position or by name and sets once (a subclass that sets
-    its attributes in ``vars(self)`` has none); after that, assigning or deleting
-    one raises :class:`AttributeError`.  ``==`` and ``hash`` read the tuple that
-    ``_identity()`` returns, by default the fields; pickles and copies carry
-    every attribute, and ``repr`` reads ``Name(field=value, ...)``."""
+    ``__init__`` takes by position or by name and sets once; after that, assigning
+    or deleting one raises :class:`AttributeError`.  ``==`` and ``hash`` read the
+    tuple that ``_identity()`` returns, by default the fields; pickles and copies
+    carry every attribute, and ``repr`` reads ``Name(field=value, ...)``."""
 
     __slots__ = ()
 
@@ -148,7 +147,7 @@ class _Immutable:
             object.__setattr__(self, name, value)
 
     def __getstate__(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__} or vars(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
@@ -189,8 +188,7 @@ class Model(_Immutable):
     :class:`AttributeError`.
     """
 
-    n: int
-    m: int
+    __slots__ = ("n", "m", "denominator", "_masses", "_columns")
 
     def __init__(self, n: int, m: int, atoms: Mapping[AtomKey, Fraction]) -> None:
         table: dict[tuple[int, int], int] = {}
@@ -235,8 +233,7 @@ class Model(_Immutable):
         if total != scale:
             shown = _shown_total(Fraction(total, scale))
             raise InvalidModelError(f"atom probabilities total {shown}, expected exactly 1")
-        vars(self).update(n=n, m=m, denominator=scale, _masses=masses,  # once: the model is immutable
-                          _columns={i: tuple(c) for i, c in columns.items()})
+        super().__init__(n, m, scale, masses, {i: tuple(c) for i, c in columns.items()})
 
     @property
     def atoms(self) -> Mapping[AtomKey, Fraction]:

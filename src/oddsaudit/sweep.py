@@ -63,10 +63,14 @@ X_{a,k} to X_{sigma a, sigma k}, so hypothesis k's identity on (a, b) is
 hypothesis sigma k's on (sigma a, sigma b), and the masks permute the same
 way: a pair passes, or clashes, iff its image does.  Call a class canonical
 when its entries do not increase within each run of equal live priors; some
-sigma makes any class canonical.  So the check orders the classes canonical
-first, tests each of the K canonical ones against every class from it on,
+sigma makes any class canonical, the greatest of its orbit and so its last in
+grid order.  So the check tests each canonical class against every class up
+to it, and that meets every orbit of pairs: for {a, b} with sigma a canonical,
+(sigma a, sigma b) is tested if sigma b <= sigma a, and otherwise, with tau
+sigma b canonical, (tau sigma b, tau sigma a) is, as tau sigma b >= sigma b >
+sigma a >= tau sigma a.  For K canonical classes of C that is at most
 K (K + 1) / 2 + K (C - K) of the C (C + 1) / 2 pairs (all of them when no
-live prior repeats), and expands a clash it finds to its orbit.  Compositions
+live prior repeats); a clash it finds is expanded to its orbit.  Compositions
 are generated once to count, and again only to list survivors and violations
 by a walk over their grid rows that reads each sorted form's check; it must
 match the form's counts, or count a form that has clashes.
@@ -206,34 +210,31 @@ def _classes(reps, rows, D, c1):
 
 
 def _identity(P, D, live, rows, X, heads):
-    """Blocks ``(s, ok)`` of the pair identity of composition ``P``: ``ok[i, j]``
-    says whether ``rows`` s + i and s + j pass it for every hypothesis, each
-    block of the first ``heads`` rows against every row from its first on.  The
-    first hypothesis (K == 0 for a zero prior) is tested on the whole block,
-    each later one only on the pairs that passed every earlier one.  Every term
-    is at most D^5 < 2^31, so the arithmetic is int32."""
+    """Blocks ``(block, ok)`` of the pair identity of composition ``P``: ``ok[i, j]``
+    says whether ``rows`` block[i] and j pass it for every hypothesis, each
+    block of the row indices ``heads`` against every row up to its last, in
+    the int32 stages that the module docstring describes."""
     import numpy as np
     # X by column, so that each hypothesis gathers its terms from one row
     live, rows, X = live.astype(np.int32), rows.astype(np.int32), X.T.astype(np.int32, order="C")
     t = rows @ live
     step = max(1, _CHUNK_ROWS // len(rows))
-    for s in range(0, heads, step):  # each block of heads against every row from its first on
-        block = slice(s, min(s + step, heads))
-        K = (D * live * rows[block]) @ rows[s:].T - np.multiply.outer(t[block], t[s:])
+    for block in (heads[s : s + step] for s in range(0, len(heads), step)):
+        upto = block[-1] + 1
+        K = (D * live * rows[block]) @ rows[:upto].T - np.multiply.outer(t[block], t[:upto])
         stages = iter(np.flatnonzero(live < D))
         if len(live) < len(P):  # a zero prior's identity reads K == 0
             ok = K == 0
         else:
             k = next(stages)
-            ok = K * (D - live[k]) == np.multiply.outer(live[k] * X[k, block], X[k, s:])
+            ok = K * (D - live[k]) == np.multiply.outer(live[k] * X[k, block], X[k, :upto])
         at = np.flatnonzero(ok)  # the pairs still passing, as flat positions of ok
-        a, b = np.divmod(at, ok.shape[1])
-        a, b, K = a + s, b + s, K.ravel()[at]  # their rows and K terms
+        a, b, K = block[at // upto], at % upto, K.ravel()[at]  # their rows and K terms
         for k in stages:
             keep = K * (D - live[k]) == live[k] * X[k, a] * X[k, b]
             ok.flat[at[~keep]] = False
             at, a, b, K = at[keep], a[keep], b[keep], K[keep]
-        yield s, ok
+        yield block, ok
 
 
 def _pairs(P, D, c1):
@@ -249,16 +250,15 @@ def _pairs(P, D, c1):
     rows = rows[rows.min(axis=1) == c1]
     X = D * rows - (rows @ live)[:, None]
     mask = ((X != 0) & (live < D)) @ (1 << np.arange(len(live), dtype=np.int64))
-    # canonical classes first: no entry rises within a run of equal priors
-    rising = (rows[:, :-1] < rows[:, 1:]) @ (live[:-1] == live[1:])
-    order = np.argsort(rising, kind="stable")
-    bits, clashes = mask[order].astype(np.uint8), set()  # at most 6 live columns under the bound
-    for s, ok in _identity(P, D, live, rows[order], X[order], len(rows) - np.count_nonzero(rising)):
-        disjoint = (bits[s : s + len(ok), None] & bits[s:]) == 0
+    # the canonical classes: no entry rises within a run of equal priors
+    heads = np.flatnonzero((rows[:, :-1] < rows[:, 1:]) @ (live[:-1] == live[1:]) == 0)
+    bits, clashes = mask.astype(np.uint8), set()  # at most 6 live columns under the bound
+    for block, ok in _identity(P, D, live, rows, X, heads):
+        disjoint = (bits[block, None] & bits[: ok.shape[1]]) == 0
         if np.array_equal(ok, disjoint):  # as the proofs predict
             continue
-        for i, j in np.argwhere(np.triu(ok != disjoint)).tolist():
-            a, b = sorted(order[[s + i, s + j]].tolist())
+        for i, j in np.argwhere(ok != disjoint).tolist():
+            a, b = sorted((block[i], j))
             if not ok[i, j]:
                 a, b = (tuple(rows[r].tolist()) for r in (a, b))
                 raise AssertionError(f"composition {P}: rows {a} and {b} of disjoint masks "

@@ -403,10 +403,13 @@ def test_audits_leave_the_model_as_built():
     """Models are immutable: no audit keeps a table or a result on one."""
     rng = random.Random(10)
     for model in (sparse_model(rng, 4, 3, 0.6, live=(1, 3)), random_model(rng, 3, 3)):
-        built = dict(vars(model))
+        built = model.__getstate__()
         for pairwise in (False, True):
             check_assumptions(model, pairwise=pairwise)
-        assert vars(model) == built
+        assert model.__getstate__() == built
+        assert not hasattr(model, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(model, "cache", 1)
 
 
 def test_whole_audit_builds_one_table_per_hypothesis_of_prior_between_0_and_1(monkeypatch):

@@ -251,21 +251,52 @@ def test_models_pickle_and_deep_copy():
                 assert clone == model and hash(clone) == hash(model)
 
 
+#: Pickles of Model(n=2, m=1, atoms={(1, (T,)): 1/3, (2, (N,)): 2/3}) written at
+#: protocols 0 and 2 when a model kept its state in ``vars(model)``.
+DICT_PICKLES = (
+    b"ccopy_reg\n_reconstructor\np0\n(coddsaudit.model\nModel\np1\nc__builtin__\nobject\n"
+    b"p2\nNtp3\nRp4\n(dp5\nVn\np6\nI2\nsVm\np7\nI1\nsVdenominator\np8\nI3\nsV_masses\n"
+    b"p9\n(dp10\nI1\nI1\nsI2\nI2\nssV_columns\np11\n(dp12\nI1\n((I1\nI1\ntp13\ntp14\n"
+    b"sI2\n((I0\nI2\ntp15\ntp16\nssb.",
+    b"\x80\x02coddsaudit.model\nModel\nq\x00)\x81q\x01}q\x02(X\x01\x00\x00\x00nq\x03K\x02"
+    b"X\x01\x00\x00\x00mq\x04K\x01X\x0b\x00\x00\x00denominatorq\x05K\x03X\x07\x00\x00\x00"
+    b"_massesq\x06}q\x07(K\x01K\x01K\x02K\x02uX\x08\x00\x00\x00_columnsq\x08}q\t(K\x01K\x01"
+    b"K\x01\x86q\n\x85q\x0bK\x02K\x00K\x02\x86q\x0c\x85q\ruub.",
+)
+
+
+def test_pickles_of_models_with_a_dict_still_load():
+    """A pickle written when a model kept its state in ``vars(model)`` loads
+    into the model's slots, equal to the model built anew, which pickles to the
+    same bytes."""
+    model = Model(n=2, m=1, atoms={(1, (T,)): F(1, 3), (2, (N,)): F(2, 3)})
+    for protocol, data in zip((0, 2), DICT_PICKLES):
+        assert pickle.dumps(model, protocol) == data
+        loaded = pickle.loads(data)
+        assert loaded == model and hash(loaded) == hash(model) and dumps(loaded) == dumps(model)
+        assert loaded.__getstate__() == model.__getstate__()
+        assert not hasattr(loaded, "__dict__")
+
+
 def test_reading_a_model_leaves_its_state_unchanged():
-    """A model's attributes are set once, when it is built: reading ``atoms``
-    or an atom, comparing and hashing add, drop or replace none of them."""
+    """A model's attributes are set once, when it is built, in its slots: it
+    has no ``__dict__`` to add one to, and reading ``atoms`` or an atom,
+    comparing and hashing drop or replace none of them."""
     models = (
         Model(n=2, m=2, atoms={(2, (T, N)): F(1, 3), (1, (N, T)): F(2, 3)}),
         loads(dumps(example_model("four"))),
         example_model("glymour"),
     )
     for model in models:
-        state = dict(vars(model))
+        state = model.__getstate__()
         assert model.atoms and model.atom(1, (N, T)) >= 0
         assert model == copy.deepcopy(model) and model != 1
         assert hash(model) == hash(model)
-        assert vars(model).keys() == state.keys()
-        assert all(vars(model)[name] is value for name, value in state.items())
+        assert model.__getstate__().keys() == state.keys()
+        assert all(model.__getstate__()[name] is value for name, value in state.items())
+        assert not hasattr(model, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(model, "cache", 1)
     with pytest.raises(AttributeError):
         models[0].atoms = {}
 

@@ -395,10 +395,11 @@ def reduced_pairs(C, K):
 def test_the_bound_counts_the_pairs_the_kernel_tests(n, d, c1, monkeypatch):
     """The bound counts every pair of the kernel's classes: the classes that the
     check keeps are the bound's C for each composition, and the bound sums
-    C (C + 1) / 2.  The identity blocks test the pairs that hold one of the K
-    canonical classes, K (K + 1) / 2 + K (C - K), at most the bound's count and
-    equal to it where no live prior repeats (a block of b classes from s on
-    meets the C - s from s on, less the b (b - 1) / 2 below the diagonal)."""
+    C (C + 1) / 2.  The identity blocks test at most the pairs that hold one of
+    the K canonical classes, K (K + 1) / 2 + K (C - K), all of them where one
+    block holds every canonical class; that is at most the bound's count and
+    equal to it where no live prior repeats (a block of b canonical classes
+    meets every class up to its last, each pair of its own classes twice)."""
     kept, tested = [], []
     pairs, identity = sweep_module._pairs, sweep_module._identity
 
@@ -408,16 +409,17 @@ def test_the_bound_counts_the_pairs_the_kernel_tests(n, d, c1, monkeypatch):
         live = [p for p in P if p]
         C, K = len(check[0]), sum(canonical(P, check[0]))
         assert C == (D + 1 - c) ** len(live) - (D - c) ** len(live), P
-        assert sum(tested[start:]) == reduced_pairs(C, K) <= C * (C + 1) // 2, P
+        assert sum(tested[start:]) <= reduced_pairs(C, K) <= C * (C + 1) // 2, P
+        assert sum(tested[start:]) == reduced_pairs(C, K) or len(tested) > start + 1, P
         assert (K == C) == (len(set(live)) == len(live)), P
         kept.append(C)
         return check
 
     def spy_identity(*args):
-        for s, ok in identity(*args):
+        for block, ok in identity(*args):
             b, width = ok.shape
             tested.append(b * width - b * (b - 1) // 2)
-            yield s, ok
+            yield block, ok
 
     monkeypatch.setattr(sweep_module, "_pairs", spy_pairs)
     monkeypatch.setattr(sweep_module, "_identity", spy_identity)
@@ -530,7 +532,7 @@ def test_the_first_grid_the_row_bound_refused_matches_the_oracle():
 ])
 def test_a_grid_of_repeated_priors_matches_the_oracle(c1, counts):
     """All but 0.02% of the class pairs of (5, 2, 6) lie in compositions with a
-    repeated live prior, so its kernel tests one pair per orbit, 6.2x fewer
+    repeated live prior, so its kernel tests one pair per orbit, 10.8x fewer
     than every pair; it sweeps to the counts of the independent oracle, with
     no violation, with and without ``require_condition1``."""
     result = sweep(SweepConfig(5, 2, 6, c1), max_models=10**20)
@@ -896,24 +898,22 @@ def test_orbit_counts_match_full_grid(grid):
 
 
 def patch_identity(monkeypatch, edit):
-    """Patch the sweep's pair identity: ``edit(P, s, ok, classes)`` changes each
+    """Patch the sweep's pair identity: ``edit(P, block, ok)`` changes each
     block in place before the check compares it with the masks.  ``ok[i, j]``
-    is the pair of classes ``classes[s + i]`` and ``classes[s + j]``, their
-    indices in grid order, which the kernel may test in another order."""
+    is the pair of classes ``block[i]`` and ``j``, their indices in grid order."""
     original = sweep_module._identity
 
-    def identity(P, D, live, rows, *args):
-        classes = np.lexsort(rows.T[::-1]).argsort()  # each row's rank in grid order
-        for s, ok in original(P, D, live, rows, *args):
-            edit(P, s, ok, classes)
-            yield s, ok
+    def identity(P, *args):
+        for block, ok in original(P, *args):
+            edit(P, block, ok)
+            yield block, ok
 
     monkeypatch.setattr(sweep_module, "_identity", identity)
 
 
 def every_pair_an_edge(monkeypatch):
     """Patch the sweep so that every pair of rows passes the identity."""
-    patch_identity(monkeypatch, lambda P, s, ok, classes: ok.fill(True))
+    patch_identity(monkeypatch, lambda P, block, ok: ok.fill(True))
 
 
 def test_violations_listed_from_classes(monkeypatch):
@@ -1001,13 +1001,11 @@ def pass_one_pair(monkeypatch, reps, a, b, passes, star=(1, 1, 1)):
     pair of its orbit pass it or fail it, wherever the kernel tests them."""
     pairs = orbit(star, reps, a, b)
 
-    def edit(P, s, ok, classes):
+    def edit(P, block, ok):
         if P == star:
-            place = np.argsort(classes)  # each class's position in the kernel's order
-            for p, q in pairs:
-                i, j = sorted((place[p], place[q]))
-                if s <= i < s + len(ok):
-                    ok[i - s, j - s] = passes
+            for p, q in pairs + [(q, p) for p, q in pairs]:
+                if q < ok.shape[1]:
+                    ok[block == p, q] = passes
 
     patch_identity(monkeypatch, edit)
 
@@ -1068,10 +1066,8 @@ def test_a_missing_edge_fails_loudly(monkeypatch):
     survivors."""
     d = 3
     reps, mask, _ = sweep_module._pairs((1, 1, 1), d, False)
-    # the first pair of distinct classes that the kernel tests, canonical ones first
-    heads = canonical((1, 1, 1), reps)
-    order = sorted(range(len(mask)), key=lambda k: not heads[k])
-    a, b = sorted(next((p, q) for p, q in combinations(order, 2) if not mask[p] & mask[q]))
+    # the first pair of distinct classes in grid order, which the kernel tests first
+    a, b = next((p, q) for p, q in combinations(range(len(mask)), 2) if not mask[p] & mask[q])
     pass_one_pair(monkeypatch, reps, a, b, False)
     rows = [class_rows(reps, p, d)[0] for p in (a, b)]
     message = f"composition (1, 1, 1): rows {rows[0]} and {rows[1]} of disjoint masks fail"
@@ -1113,21 +1109,21 @@ def test_an_overcount_fails_loudly_under_python_o():
 
 def full_pairs(P, d, c1):
     """The pair check as it was before it tested one pair per orbit: every pair
-    of classes in grid order, each block of classes against every class from
-    its first on, the masks compared in int64.  Returns what ``_pairs`` does;
-    a pair of disjoint masks that fails fails the test."""
+    of classes, each block of classes in grid order against every class up to
+    its last, the masks compared in int64.  Returns what ``_pairs`` does; a
+    pair of disjoint masks that fails fails the test."""
     live = np.array([p for p in P if p], dtype=np.int64)
     rows = sweep_module._rows(len(live), d, c1)
     rows = rows[rows.min(axis=1) == c1]
     X = d * rows - (rows @ live)[:, None]
     mask = ((X != 0) & (live < d)) @ (1 << np.arange(len(live), dtype=np.int64))
-    clashes = []
-    for s, ok in sweep_module._identity(P, d, live, rows, X, len(rows)):
-        disjoint = (mask[s : s + len(ok), None] & mask[s:]) == 0
-        for a, b in (np.argwhere(np.triu(ok != disjoint)) + s).tolist():
-            assert ok[a - s, b - s], (P, a, b)
-            clashes.append((a, b))
-    return rows, mask, clashes
+    clashes = set()
+    for block, ok in sweep_module._identity(P, d, live, rows, X, np.arange(len(rows))):
+        disjoint = (mask[block, None] & mask[: ok.shape[1]]) == 0
+        for i, b in np.argwhere(ok != disjoint).tolist():
+            assert ok[i, b], (P, block[i], b)
+            clashes.add(tuple(sorted((int(block[i]), b))))
+    return rows, mask, sorted(clashes)
 
 
 def sorted_compositions(n, d, c1):
@@ -1154,45 +1150,69 @@ def test_the_orbit_check_matches_the_full_check():
         assert clashes == full_clashes == [], (P, d, c1)
 
 
-def test_the_kernel_tests_one_pair_of_each_orbit(monkeypatch):
-    """On the same compositions, the pairs the identity blocks test are
-    distinct, number K (K + 1) / 2 + K (C - K) for the K canonical classes of
-    C (no entry rising within a run of equal live priors, counted here from the
-    representatives), and hold a member of the orbit of every unordered pair of
-    classes under permutations of equal-prior columns.  At least one
-    composition saves over half of its pairs."""
-    tested = []
+def canonical_first_cells(C, K, step):
+    """The pair cells that blocks of ``step`` of the K canonical classes of C
+    fill when the canonical classes come first and each block meets every class
+    from its first on."""
+    return sum(min(step, K - s) * (C - s) for s in range(0, K, step))
 
-    def record(P, s, ok, classes):
-        i, j = np.triu_indices(len(ok), m=ok.shape[1])
-        p, q = classes[s + i], classes[s + j]
-        tested.extend(zip(np.minimum(p, q).tolist(), np.maximum(p, q).tolist()))
+
+def test_the_kernel_tests_one_pair_of_each_orbit(monkeypatch):
+    """On the same compositions, the pairs the identity blocks test hold a
+    member of the orbit of every unordered pair of classes under permutations
+    of equal-prior columns, and number at most K (K + 1) / 2 + K (C - K) for
+    the K canonical classes of C (no entry rising within a run of equal live
+    priors, counted here from the representatives), exactly that many where
+    one block holds every canonical class.  At least one composition saves
+    over half of its pairs.  The same holds with ``_CHUNK_ROWS`` at 64, where a
+    block holds 64 // C canonical classes, or one, so most forms take many
+    blocks: there the kernel still fills no more pair cells than
+    canonical-first blocks meeting every class from their first on would, and
+    sweeps count the same."""
+    configs = [SweepConfig(3, 3, 3), SweepConfig(4, 2, 4), SweepConfig(4, 2, 3, True),
+               SweepConfig(3, 2, 4, True)]
+    counted = [sweep(config) for config in configs]
+    tested, cells = [], []
+
+    def record(P, block, ok):
+        p, q = block[:, None], np.arange(ok.shape[1])
+        tested.extend(zip(np.minimum(p, q).ravel().tolist(), np.maximum(p, q).ravel().tolist()))
+        cells.append(ok.size)
 
     patch_identity(monkeypatch, record)
-    saved = 0
-    for P, d, c1 in SMALL_STARS:
-        tested.clear()
-        reps = sweep_module._pairs(P, d, c1)[0]
-        C, K = len(reps), sum(canonical(P, reps))
-        assert len(set(tested)) == len(tested) == reduced_pairs(C, K), (P, d, c1)
-        saved = max(saved, 1 - len(tested) / (C * (C + 1) // 2))
-        # each permutation as a map of classes; an orbit's key is its least pair
-        live = [p for p in P if p]
-        index = {row: k for k, row in enumerate(map(tuple, reps.tolist()))}
-        maps = [
-            np.array([index[tuple(row)] for row in reps[:, list(perm)].tolist()])
-            for perm in permutations(range(len(live)))
-            if [live[k] for k in perm] == live
-        ]
+    for chunk in (sweep_module._CHUNK_ROWS, 64):
+        monkeypatch.setattr(sweep_module, "_CHUNK_ROWS", chunk)
+        saved, split = 0, 0
+        for P, d, c1 in SMALL_STARS:
+            tested.clear()
+            cells.clear()
+            reps = sweep_module._pairs(P, d, c1)[0]
+            C, K = len(reps), sum(canonical(P, reps))
+            pairs = sorted(set(tested))
+            assert len(pairs) <= reduced_pairs(C, K), (P, d, c1, chunk)
+            assert len(pairs) == reduced_pairs(C, K) or len(cells) > 1, (P, d, c1, chunk)
+            assert sum(cells) <= canonical_first_cells(C, K, max(1, chunk // C)), (P, d, c1, chunk)
+            saved = max(saved, 1 - len(pairs) / (C * (C + 1) // 2))
+            split += len(cells) > 1
+            # each permutation as a map of classes; an orbit's key is its least pair
+            live = [p for p in P if p]
+            index = {row: k for k, row in enumerate(map(tuple, reps.tolist()))}
+            maps = [
+                np.array([index[tuple(row)] for row in reps[:, list(perm)].tolist()])
+                for perm in permutations(range(len(live)))
+                if [live[k] for k in perm] == live
+            ]
 
-        def keys(p, q):
-            least = [np.minimum(f[p], f[q]) * C + np.maximum(f[p], f[q]) for f in maps]
-            return np.min(least, axis=0)
+            def keys(p, q):
+                least = [np.minimum(f[p], f[q]) * C + np.maximum(f[p], f[q]) for f in maps]
+                return np.min(least, axis=0)
 
-        p, q = np.triu_indices(C)
-        a, b = np.array(tested).T
-        assert np.isin(keys(p, q), keys(a, b)).all(), (P, d, c1)
-    assert saved > 0.5
+            p, q = np.triu_indices(C)
+            a, b = np.array(pairs).T
+            assert np.isin(keys(p, q), keys(a, b)).all(), (P, d, c1, chunk)
+        assert saved > 0.5
+        assert (split > 0) == (chunk == 64)
+    assert [sweep(config) for config in configs] == counted
 
 
 @pytest.mark.parametrize("star, d", [((1, 1, 1), 3), ((1, 1, 0), 2)])
